@@ -228,10 +228,10 @@ func DecodeCounter(b []byte) (uint64, error) { return cluster.DecodeCounter(b) }
 // the deployment, fanned out round-robin across the server nodes, and
 // reports every op's outcome individually — results[i] is ops[i]'s value
 // and error (ErrNotFound for an absent get, ErrCASMismatch plus the
-// witness for a failed CAS). Gets and puts of a stripe travel coalesced
-// (§6.3) and fall back to per-op execution only when the coalesced call
-// fails, so one bad key no longer hides its stripe-mates' outcomes. Every
-// access feeds the top-k popularity observer.
+// witness for a failed CAS). Each node serves its stripe in one executor
+// run (cluster.Node.Batch): remote accesses of the stripe travel coalesced
+// (§6.3) and overlap, and one bad key never hides its stripe-mates'
+// outcomes. Every access feeds the top-k popularity observer.
 func (kv *KV) Batch(ops []Op) ([]Result, error) {
 	rs := make([]Result, len(ops))
 	err := kv.fanOut(len(ops), func(i int) { kv.coord.Observe(ops[i].Key) },
@@ -242,66 +242,17 @@ func (kv *KV) Batch(ops []Op) ([]Result, error) {
 	return rs, err
 }
 
-// batchStripe serves one node's share of a Batch: gets and puts ride the
-// coalesced multi-op paths, RMWs execute per op (each is a blocking
-// multi-phase protocol of its own).
+// batchStripe serves one node's share of a Batch with a single Node.Batch
+// call, gathering the stripe's ops and scattering their results back.
 func (kv *KV) batchStripe(node int, ops []cluster.Op, rs []cluster.Result, idxs []int) {
-	n := kv.c.Node(node)
-	var gets, puts []int
-	for _, i := range idxs {
-		switch ops[i].EffectiveKind() {
-		case cluster.OpPut:
-			puts = append(puts, i)
-		case cluster.OpCAS:
-			w, swapped, err := n.CompareAndSwap(ops[i].Key, ops[i].Expect, ops[i].Value)
-			rs[i] = cluster.Result{Value: w, Err: err}
-			if err == nil && !swapped {
-				rs[i].Err = cluster.ErrCASMismatch
-			}
-		case cluster.OpFAA:
-			old, err := n.FetchAndAdd(ops[i].Key, ops[i].Delta)
-			if err != nil {
-				rs[i] = cluster.Result{Err: err}
-			} else {
-				rs[i] = cluster.Result{Value: cluster.EncodeCounter(old)}
-			}
-		default:
-			gets = append(gets, i)
-		}
+	sub := make([]cluster.Op, len(idxs))
+	out := make([]cluster.Result, len(idxs))
+	for j, i := range idxs {
+		sub[j] = ops[i]
 	}
-	if len(gets) > 0 {
-		sub := make([]uint64, len(gets))
-		for j, i := range gets {
-			sub[j] = ops[i].Key
-		}
-		values, err := n.MultiGet(sub)
-		if err == nil {
-			for j, i := range gets {
-				rs[i].Value = values[j]
-				if values[j] == nil {
-					rs[i].Err = store.ErrNotFound
-				}
-			}
-		} else {
-			// The coalesced call cannot name the failing key; re-resolve per
-			// op so its stripe-mates still report their own outcomes.
-			for _, i := range gets {
-				rs[i].Value, rs[i].Err = n.Get(ops[i].Key)
-			}
-		}
-	}
-	if len(puts) > 0 {
-		ks := make([]uint64, len(puts))
-		vs := make([][]byte, len(puts))
-		for j, i := range puts {
-			ks[j] = ops[i].Key
-			vs[j] = ops[i].Value
-		}
-		if err := n.MultiPut(ks, vs); err != nil {
-			for _, i := range puts {
-				rs[i].Err = n.Put(ops[i].Key, ops[i].Value)
-			}
-		}
+	kv.c.Node(node).Batch(sub, out)
+	for j, i := range idxs {
+		rs[i] = out[j]
 	}
 }
 

@@ -264,14 +264,14 @@ func (cp *conPlane) sender(peer uint8, q chan conMsg) {
 		} else {
 			p.Data = buf
 		}
+		// Counted before the send, like the request pipeline's counters.
+		n.ConPackets.Add(1)
+		n.ConMsgs.Add(uint64(len(batch)))
 		if err := n.cluster.transport.Send(p); err != nil {
 			// The receiver will never note this packet toward a credit
 			// update; put the credit back so a closing drain cannot starve.
 			w.credits.Grant(dst, 1)
-			continue
 		}
-		n.ConPackets.Add(1)
-		n.ConMsgs.Add(uint64(len(batch)))
 	}
 }
 

@@ -62,215 +62,86 @@ func homeDownErr(home int, key uint64) error {
 	return fmt.Errorf("%w (key %d, home node %d)", ErrHomeDown, key, home)
 }
 
-// Get serves a client read arriving at this node (§6.1, "Reads"): probe the
-// symmetric cache; on a miss, access the local shard or issue a remote
-// access to the home node. A miss for a key homed on a node outside the
-// membership view fails fast with ErrHomeDown instead of timing out — hot
-// keys keep serving from the symmetric cache whoever their home is.
+// The Node-level operations below are thin wrappers over the op executor
+// (exec.go), which owns every routing decision: each builds Ops, runs scan
+// and collect, detaches the results from store memory and maps them onto its
+// own signature.
+
+// Get serves a client read arriving at this node (§6.1, "Reads"). An absent
+// key is store.ErrNotFound; a miss for a key with no live replica fails fast
+// with ErrHomeDown instead of timing out — hot keys keep serving from the
+// symmetric cache whoever their home is. The value is private to the caller.
 func (n *Node) Get(key uint64) ([]byte, error) {
-	if n.cache != nil {
-		v, hit, err := n.cacheRead(key)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			n.CacheHits.Add(1)
-			return v, nil
-		}
-		n.CacheMisses.Add(1)
-	}
-	if n.cluster.replicated() {
-		return n.getReplicated(key)
-	}
-	home := n.cluster.HomeNode(key)
-	if home == int(n.id) {
-		n.LocalOps.Add(1)
-		v, _, err := n.kvs.Get(key, nil)
-		return v, err
-	}
-	if !n.cluster.view.Load().Live(home) {
-		return nil, homeDownErr(home, key)
-	}
-	n.RemoteOps.Add(1)
-	v, _, err := n.RemoteGet(uint8(home), key)
-	return v, err
+	r := n.execOne(&Op{Key: key})
+	return r.val, r.err
 }
 
-// pendingOp tracks one started remote call of a batch operation.
-type pendingOp struct {
-	idx int
-	ch  chan rpcResult
+// Put serves a client write arriving at this node (§6.1, "Writes"): a cache
+// hit runs the configured consistency protocol; a miss forwards the write to
+// the home shard. A miss-path write whose probe went stale — the key
+// (re)entered the hot set before the write reached the home — bounces back
+// and re-probes, so it can never overtake a promotion's fetch of the home
+// value.
+func (n *Node) Put(key uint64, value []byte) error {
+	return n.execOne(&Op{Kind: OpPut, Key: key, Value: value}).err
 }
 
-// MultiGet serves a batch of reads in one call: every key is probed in the
-// cache (or the local shard) as it is scanned, while misses for remote homes
-// are started on the coalescing pipeline immediately and collected at the
-// end — the client side of the request coalescing of §6.3. All remote
-// accesses of a batch are therefore in flight at once (one round-trip for
-// the whole batch, few multi-request packets per home) without spawning any
-// goroutines. values[i] is nil when keys[i] is absent; the first hard
-// failure is returned after the whole batch settled.
+// run executes count ops, opAt(i) being the i-th, in one executor pass — the
+// whole batch's remote accesses in flight at once, no goroutines — and
+// returns their detached results.
+func (n *Node) run(count int, opAt func(i int) Op) []opRes {
+	x := opExec{n: n, res: make([]opRes, 0, count), pend: make([]execPend, 0, count)}
+	for i := 0; i < count; i++ {
+		op := opAt(i)
+		x.scan(&op)
+	}
+	x.collect()
+	x.detach()
+	return x.res
+}
+
+// Batch executes a mixed batch of operations and reports every op's outcome
+// in rs[i] (len(rs) must be len(ops)): its value and ITS error
+// (store.ErrNotFound, ErrCASMismatch beside the witness, ErrHomeDown, ...);
+// one op failing never hides or aborts its batch-mates.
 //
-// Ownership: the returned values are private to the caller, but locally
-// served entries of one batch may share a single backing array (each local
-// value is pinned under a store lease and copied once into a batch-shared
-// buffer instead of allocating per key). The slices are disjoint and
-// full-capacity-clipped, so reads and in-place writes are safe; appending
-// to one is not.
+// Ownership: the values are private to the caller, but locally served
+// entries of one batch may share a single backing array (each is pinned
+// under a store lease and copied once into a batch-shared buffer instead of
+// allocating per key). The slices are disjoint and capacity-clipped, so
+// reads and in-place writes are safe; appending to one is not.
+func (n *Node) Batch(ops []Op, rs []Result) {
+	for i, r := range n.run(len(ops), func(i int) Op { return ops[i] }) {
+		rs[i] = Result{Value: r.val, Err: r.err}
+	}
+}
+
+// MultiGet reads a batch of keys. values[i] is nil when keys[i] is absent;
+// the first hard failure is returned after the whole batch settled, and keys
+// that served keep their values regardless. Value ownership as for Batch.
 func (n *Node) MultiGet(keys []uint64) ([][]byte, error) {
 	out := make([][]byte, len(keys))
-	var pend []pendingOp
 	var firstErr error
-	// Locally served values accumulate in one shared buffer; cuts records
-	// offsets (not slices — append may reallocate the buffer) to materialize
-	// after the scan.
-	type localCut struct{ idx, off, end int }
-	var vals []byte
-	var cuts []localCut
-	for i, key := range keys {
-		if n.cache != nil {
-			v, hit, err := n.cacheRead(key)
-			if err != nil {
-				return nil, err
-			}
-			if hit {
-				n.CacheHits.Add(1)
-				out[i] = v
-				continue
-			}
-			n.CacheMisses.Add(1)
-		}
-		home := n.cluster.HomeNode(key)
-		if n.cluster.replicated() {
-			primary := n.cluster.primaryFor(key, n.cluster.view.Load())
-			if primary < 0 {
-				if firstErr == nil {
-					firstErr = homeDownErr(home, key)
-				}
-				continue
-			}
-			if primary == int(n.id) {
-				// Local acting-primary read (waits out a rejoin re-sync).
-				v, err := n.getReplicated(key)
-				if err == nil {
-					out[i] = v
-				} else if err != store.ErrNotFound && firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			n.RemoteOps.Add(1)
-			ch := n.workerFor(key).rpc.start(uint8(primary), wireReq{op: rpcOpGet, key: key})
-			pend = append(pend, pendingOp{idx: i, ch: ch})
-			continue
-		}
-		if home == int(n.id) {
-			n.LocalOps.Add(1)
-			lv, _, err := n.kvs.GetLease(key)
-			if err == nil {
-				off := len(vals)
-				vals = append(vals, lv.Value()...)
-				lv.Release()
-				cuts = append(cuts, localCut{idx: i, off: off, end: len(vals)})
-			} else if err != store.ErrNotFound {
-				return nil, err
-			}
-			continue
-		}
-		if !n.cluster.view.Load().Live(home) {
-			// Dead-homed key: fail fast for this entry, still serve the rest
-			// of the batch (the batch contract reports the first error after
-			// everything settled).
-			if firstErr == nil {
-				firstErr = homeDownErr(home, key)
-			}
-			continue
-		}
-		n.RemoteOps.Add(1)
-		ch := n.workerFor(key).rpc.start(uint8(home), wireReq{op: rpcOpGet, key: key})
-		pend = append(pend, pendingOp{idx: i, ch: ch})
-	}
-	// The shared buffer is final now: materialize the local values.
-	for _, c := range cuts {
-		out[c.idx] = vals[c.off:c.end:c.end]
-	}
-	for _, p := range pend {
-		res, err := awaitRPC(p.ch)
-		if (err != nil || res.status == rpcStatusRetry) && n.cluster.replicated() {
-			// The primary died or is re-syncing mid-batch; the single-op
-			// path owns the promotion-chasing retry.
-			v, gerr := n.getReplicated(keys[p.idx])
-			if gerr == nil {
-				out[p.idx] = v
-			} else if gerr != store.ErrNotFound && firstErr == nil {
-				firstErr = gerr
-			}
-			continue
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if res.status == rpcStatusOK {
-			out[p.idx] = res.value
+	for i, r := range n.run(len(keys), func(i int) Op { return Op{Key: keys[i]} }) {
+		if r.err == nil {
+			out[i] = r.val
+		} else if firstErr == nil && !errors.Is(r.err, store.ErrNotFound) {
+			firstErr = r.err
 		}
 	}
 	return out, firstErr
 }
 
-// Put serves a client write arriving at this node (§6.1, "Writes"): a cache
-// hit runs the configured consistency protocol; a miss forwards the write
-// to the home node. A miss-path write whose probe went stale — the key
-// (re)entered the hot set before the write reached the home shard — bounces
-// back and re-probes, so it can never overtake a promotion's fetch of the
-// home value.
-func (n *Node) Put(key uint64, value []byte) error {
-	for attempt := 0; ; attempt++ {
-		if attempt > frozenRetryLimit {
-			return ErrFrozenRetriesExhausted
+// MultiPut writes keys[i]=values[i], returning the first failure after the
+// whole batch settled.
+func (n *Node) MultiPut(keys []uint64, values [][]byte) error {
+	put := func(i int) Op { return Op{Kind: OpPut, Key: keys[i], Value: values[i]} }
+	for _, r := range n.run(len(keys), put) {
+		if r.err != nil {
+			return r.err
 		}
-		done, err := n.putCached(key, value)
-		if err != nil || done {
-			return err
-		}
-		if n.cluster.replicated() {
-			bounced, err := n.replicatedPut(key, value)
-			if err != nil {
-				return err
-			}
-			if !bounced {
-				return nil
-			}
-			// The key went hot mid-flight at some replica; re-probe the
-			// cache and re-execute through the cache protocol.
-			n.FrozenRetries.Add(1)
-			yield()
-			continue
-		}
-		home := n.cluster.HomeNode(key)
-		if home == int(n.id) {
-			bounced := n.localHomePut(key, value)
-			if !bounced {
-				return nil
-			}
-		} else if !n.cluster.view.Load().Live(home) {
-			// Cache miss for a dead-homed key: fail fast; the write can be
-			// retried once the home rejoins. (Hot keys never reach here —
-			// they commit through the cache protocol among the live
-			// replicas whoever their home is.)
-			return homeDownErr(home, key)
-		} else {
-			n.RemoteOps.Add(1)
-			err := n.RemotePut(uint8(home), key, value)
-			if err != errPutBounced {
-				return err
-			}
-		}
-		n.FrozenRetries.Add(1)
-		yield()
 	}
+	return nil
 }
 
 // localHomePut applies a miss-path put to this node's own shard, unless the
@@ -287,69 +158,6 @@ func (n *Node) localHomePut(key uint64, value []byte) (bounced bool) {
 	n.LocalOps.Add(1)
 	n.localKVSPut(key, value)
 	return false
-}
-
-// MultiPut serves a batch of writes in one call: hot keys run the
-// configured consistency protocol as usual, while cache misses for remote
-// homes are started on the coalescing pipeline immediately and their acks
-// collected at the end, so the whole batch's forwards overlap. The first
-// failure is returned after the batch settled.
-func (n *Node) MultiPut(keys []uint64, values [][]byte) error {
-	var pend []pendingOp
-	var firstErr error
-	for i, key := range keys {
-		done, err := n.putCached(key, values[i])
-		if err != nil {
-			return err
-		}
-		if done {
-			continue
-		}
-		if n.cluster.replicated() {
-			// A replicated put is a multi-phase exchange of its own; run the
-			// single-op path (which owns the bounce/promotion retries)
-			// instead of the one-shot pipelined forward.
-			if err := n.Put(key, values[i]); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		home := n.cluster.HomeNode(key)
-		if home == int(n.id) {
-			if n.localHomePut(key, values[i]) {
-				// Stale probe (the key re-entered the hot set): re-execute
-				// through the full write path.
-				n.FrozenRetries.Add(1)
-				if err := n.Put(key, values[i]); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if !n.cluster.view.Load().Live(home) {
-			if firstErr == nil {
-				firstErr = homeDownErr(home, key)
-			}
-			continue
-		}
-		n.RemoteOps.Add(1)
-		ch := n.workerFor(key).rpc.start(uint8(home), wireReq{op: rpcOpPut, key: key, value: values[i]})
-		pend = append(pend, pendingOp{idx: i, ch: ch})
-	}
-	for _, p := range pend {
-		res, err := awaitRPC(p.ch)
-		if err == nil && res.status == rpcStatusRetry {
-			// Bounced by the home: the key went hot mid-flight; re-probe
-			// and re-execute this write through the cache protocol.
-			err = n.Put(keys[p.idx], values[p.idx])
-		} else if err == nil && res.status != rpcStatusOK {
-			err = fmt.Errorf("cluster: remote put failed (status %d)", res.status)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // putCached attempts the write through the symmetric cache under the
@@ -484,61 +292,78 @@ func (n *Node) putLin(key uint64, value []byte) (bool, error) {
 		if attempt > frozenRetryLimit {
 			return false, ErrFrozenRetriesExhausted
 		}
-		// Register the waiter first: acks can arrive the moment the
-		// invalidations hit the wire. Registration doubles as the
-		// node-local write mutex for the key: if a waiter exists, another
-		// session's write is in flight.
-		ch, ok := n.tryRegisterLinWaiter(key)
-		if !ok {
-			n.WritePendingRetries.Add(1)
-			yield()
-			continue
-		}
-		inv, err := n.cache.WriteLinStart(key, value)
+		ch, err := n.startLinWrite(key, func() (core.Invalidation, bool, error) {
+			inv, err := n.cache.WriteLinStart(key, value)
+			return inv, err == nil, err
+		})
 		switch err {
 		case nil:
 			n.CacheHits.Add(1)
-			n.broadcastInvalidation(inv)
-			// A view flip may have excised a counted peer between the
-			// write's live-set snapshot and the broadcast — or this node may
-			// be the only live member — in which case no further ack will
-			// arrive; re-run the completion check so the write can never
-			// wait on a peer that is gone. Guarded by one atomic view load:
-			// at full membership (the common case) no recheck — and no
-			// second entry-lock acquisition — is needed, and flips after
-			// this point are covered by Cache.SetLive's scan.
-			if v := n.cluster.view.Load(); v.LiveCount() < n.cluster.cfg.Nodes {
-				if upd, done := n.cache.RecheckPending(key); done {
-					n.completeLinWrite(key, upd)
-				}
-			}
 			// Block until the last ack completes the write (§5.2: "writes
 			// are synchronous").
-			upd := <-ch
-			n.broadcastUpdate(upd)
+			n.broadcastUpdate(<-ch)
 			return true, nil
-		case core.ErrWritePending:
-			// Another session on this node is writing the key; wait for
-			// it and retry — writes must serialize.
-			n.unregisterLinWaiter(key, ch)
-			n.WritePendingRetries.Add(1)
+		case core.ErrWritePending, core.ErrFrozen:
+			// Another session on this node is writing the key (writes must
+			// serialize), or the key is being demoted — retry until it
+			// leaves the hot set and the write misses to the home shard
+			// (which by then holds the demotion's write-back).
+			n.countRefusal(err)
 			yield()
-			continue
-		case core.ErrFrozen:
-			// The key is being demoted; retry until it leaves the hot set
-			// and the write misses to the home shard (which by then holds
-			// the demotion's write-back).
-			n.unregisterLinWaiter(key, ch)
-			n.FrozenRetries.Add(1)
-			yield()
-			continue
 		case core.ErrMiss:
-			n.unregisterLinWaiter(key, ch)
 			return false, nil
 		default:
-			n.unregisterLinWaiter(key, ch)
 			return false, err
 		}
+	}
+}
+
+// startLinWrite is the one staged-Lin-write sequence (§5.2), shared by plain
+// puts and hot RMWs: register the key's completion waiter, run stage under
+// the entry lock (WriteLinStart, or RMWLinStart with its fused
+// read-compute), and broadcast the staged write's invalidation. The waiter
+// goes in first because acks can arrive the moment the invalidations hit the
+// wire; registration doubles as the node-local write mutex for the key, so a
+// second writer is refused with core.ErrWritePending exactly as if the entry
+// itself had said so. Every refusal — stage's error, or staged=false (a
+// declined CAS) with a nil one — unregisters the waiter and returns a nil
+// channel. Otherwise the caller receives the completing update from ch,
+// however it chooses to wait, and broadcasts it.
+func (n *Node) startLinWrite(key uint64, stage func() (inv core.Invalidation, staged bool, err error)) (<-chan core.Update, error) {
+	ch, ok := n.tryRegisterLinWaiter(key)
+	if !ok {
+		return nil, core.ErrWritePending
+	}
+	inv, staged, err := stage()
+	if !staged {
+		n.unregisterLinWaiter(key, ch)
+		return nil, err
+	}
+	n.broadcastInvalidation(inv)
+	// A view flip may have excised a counted peer between the write's
+	// live-set snapshot and the broadcast — or this node may be the only live
+	// member — in which case no further ack will arrive; re-run the completion
+	// check so the write can never wait on a peer that is gone. Guarded by one
+	// atomic view load: at full membership (the common case) no recheck — and
+	// no second entry-lock acquisition — is needed, and flips after this point
+	// are covered by Cache.SetLive's scan.
+	if v := n.cluster.view.Load(); v.LiveCount() < n.cluster.cfg.Nodes {
+		if upd, done := n.cache.RecheckPending(key); done {
+			n.completeLinWrite(key, upd)
+		}
+	}
+	return ch, nil
+}
+
+// countRefusal bumps the retry counter matching a refused cache write.
+func (n *Node) countRefusal(err error) {
+	switch err {
+	case core.ErrWritePending:
+		n.WritePendingRetries.Add(1)
+	case core.ErrFrozen:
+		n.FrozenRetries.Add(1)
+	case core.ErrInvalid:
+		n.InvalidRetries.Add(1)
 	}
 }
 

@@ -1,0 +1,261 @@
+package cluster
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/store"
+)
+
+// Path parity: the op executor is the single serving path, so the same op
+// list must produce the same per-op values and error classes whichever door
+// it comes through — Node.Batch, the one-op Node calls, Client.Batch, the
+// single-op Client calls — under both protocols, with and without shard
+// replication, before and after a member dies.
+//
+// Every path gets a fresh, identically populated deployment and issues its
+// ops at node 0. Within a phase every op touches its own key: a batch scans
+// all its ops before it collects any (a deferred put executes after a later
+// get was started), so ops of one batch are concurrent by contract and only
+// independent ops can be compared against a sequential path. Written keys
+// are read back by the following phase — except hot keys RMW'd at a remote
+// coordinator, whose update reaches node 0 asynchronously under SC.
+
+// parityOutcome is what is compared across paths: the value and the
+// errors.Is class of the error.
+type parityOutcome struct {
+	val   []byte
+	class string
+}
+
+func parityClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, store.ErrNotFound):
+		return "not-found"
+	case errors.Is(err, ErrHomeDown):
+		return "home-down"
+	case errors.Is(err, ErrCASMismatch):
+		return "cas-mismatch"
+	}
+	return "other: " + err.Error()
+}
+
+// parityPath issues one phase's ops at node 0 and reports their outcomes.
+type parityPath func(t *testing.T, n *Node, cl *Client, ops []Op) []parityOutcome
+
+// paritySingle adapts the one-op calls of a Node or a Client (they differ
+// only in the Client's leading node argument).
+func paritySingle(get func(uint64) ([]byte, error), put func(uint64, []byte) error,
+	cas func(uint64, []byte, []byte) ([]byte, bool, error), faa func(uint64, uint64) (uint64, error), ops []Op) []parityOutcome {
+	out := make([]parityOutcome, len(ops))
+	for i, op := range ops {
+		var v []byte
+		var err error
+		switch op.Kind {
+		case OpGet:
+			v, err = get(op.Key)
+		case OpPut:
+			err = put(op.Key, op.Value)
+		case OpCAS:
+			var swapped bool
+			if v, swapped, err = cas(op.Key, op.Expect, op.Value); err == nil && !swapped {
+				err = ErrCASMismatch
+			}
+		case OpFAA:
+			var old uint64
+			if old, err = faa(op.Key, op.Delta); err == nil {
+				v = EncodeCounter(old)
+			}
+		}
+		out[i] = parityOutcome{val: v, class: parityClass(err)}
+	}
+	return out
+}
+
+func parityResults(rs []Result) []parityOutcome {
+	out := make([]parityOutcome, len(rs))
+	for i := range rs {
+		out[i] = parityOutcome{val: rs[i].ValueCopy(), class: parityClass(rs[i].Err)}
+		rs[i].Release()
+	}
+	return out
+}
+
+var parityPaths = []struct {
+	name string
+	run  parityPath
+}{
+	{"Node.Batch", func(t *testing.T, n *Node, _ *Client, ops []Op) []parityOutcome {
+		rs := make([]Result, len(ops))
+		n.Batch(ops, rs)
+		return parityResults(rs)
+	}},
+	{"Node single-op", func(t *testing.T, n *Node, _ *Client, ops []Op) []parityOutcome {
+		return paritySingle(n.Get, n.Put, n.CompareAndSwap, n.FetchAndAdd, ops)
+	}},
+	{"Client.Batch", func(t *testing.T, _ *Node, cl *Client, ops []Op) []parityOutcome {
+		rs, err := cl.Batch(0, ops)
+		if err != nil {
+			t.Fatalf("Client.Batch frame: %v", err)
+		}
+		return parityResults(rs)
+	}},
+	{"Client single-op", func(t *testing.T, _ *Node, cl *Client, ops []Op) []parityOutcome {
+		return paritySingle(
+			func(k uint64) ([]byte, error) { return cl.Get(0, k) },
+			func(k uint64, v []byte) error { return cl.Put(0, k, v) },
+			func(k uint64, e, v []byte) ([]byte, bool, error) { return cl.CompareAndSwap(0, k, e, v) },
+			func(k, d uint64) (uint64, error) { return cl.FetchAndAdd(0, k, d) }, ops)
+	}},
+}
+
+func TestPathParity(t *testing.T) {
+	const doomed = 2
+	for _, proto := range []core.Protocol{core.SC, core.Lin} {
+		for _, replicas := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/replicas=%d", proto, replicas), func(t *testing.T) {
+				cfg := Config{
+					Nodes: 3, System: CCKVS, Protocol: proto, ReplicasPerShard: replicas,
+					NumKeys: 2048, CacheItems: 32, ValueSize: 8, WorkersPerNode: 2,
+					PingInterval: 5 * time.Millisecond, PingTimeout: chaosSuspicion(60 * time.Millisecond),
+				}
+				// populated(k) is what Populate stored under k.
+				populated := func(k uint64) []byte {
+					v := make([]byte, cfg.ValueSize)
+					for j := range v {
+						v[j] = byte(k) ^ byte(j)
+					}
+					return v
+				}
+				// cold(home, i) is the i-th cold key homed on home; absent(home)
+				// a key beyond the populated range homed there.
+				pick := func(from uint64, home, i int) uint64 {
+					for k := from; ; k++ {
+						if HomeOf(k, cfg.Nodes) == home {
+							if i == 0 {
+								return k
+							}
+							i--
+						}
+					}
+				}
+				cold := func(home, i int) uint64 { return pick(cfg.NumKeys/2, home, i) }
+				hotOn := func(home, i int) uint64 { return pick(0, home, i) } // hot set = keys [0, CacheItems)
+				absent := func(home int) uint64 { return pick(cfg.NumKeys, home, 0) }
+				val := func(b byte) []byte { return bytes.Repeat([]byte{b}, cfg.ValueSize) }
+
+				phases := []struct {
+					name string
+					kill bool // kill the doomed member before this phase
+					ops  []Op
+				}{
+					{name: "mixed", ops: []Op{
+						{Key: hotOn(2, 1)},
+						{Kind: OpPut, Key: hotOn(2, 0), Value: val(0xA1)},
+						{Key: cold(0, 0)},
+						{Kind: OpPut, Key: cold(0, 1), Value: val(0xA2)},
+						{Key: cold(1, 0)},
+						{Kind: OpPut, Key: cold(1, 1), Value: val(0xA3)},
+						{Key: absent(0)},
+						{Key: absent(1)},
+						{Kind: OpCAS, Key: cold(1, 2), Expect: populated(cold(1, 2)), Value: val(0xA4)},
+						{Kind: OpCAS, Key: cold(1, 3), Expect: val(0xEE), Value: val(0xA5)},
+						{Kind: OpFAA, Key: cold(1, 4), Delta: 5},
+						{Kind: OpFAA, Key: cold(0, 2), Delta: 1},
+						// Hot RMWs: node 0 is the coordinator of its own hot keys
+						// (applied locally, so readable back at once), node 1 of its.
+						{Kind: OpCAS, Key: hotOn(0, 0), Expect: populated(hotOn(0, 0)), Value: val(0xA6)},
+						{Kind: OpCAS, Key: hotOn(0, 1), Expect: val(0xEE), Value: val(0xA7)},
+						{Kind: OpFAA, Key: hotOn(0, 2), Delta: 7},
+						{Kind: OpCAS, Key: hotOn(1, 0), Expect: populated(hotOn(1, 0)), Value: val(0xA8)},
+						{Kind: OpFAA, Key: hotOn(1, 1), Delta: 9},
+					}},
+					{name: "read-back", ops: []Op{
+						{Key: hotOn(2, 0)}, {Key: cold(0, 1)}, {Key: cold(1, 1)}, {Key: cold(1, 2)}, {Key: cold(1, 3)},
+						{Key: cold(1, 4)}, {Key: cold(0, 2)}, {Key: hotOn(0, 0)}, {Key: hotOn(0, 1)}, {Key: hotOn(0, 2)},
+					}},
+					{name: "dead-homed", kill: true, ops: []Op{
+						{Key: cold(doomed, 0)},
+						{Kind: OpPut, Key: cold(doomed, 1), Value: val(0xB1)},
+						{Kind: OpCAS, Key: cold(doomed, 2), Expect: populated(cold(doomed, 2)), Value: val(0xB2)},
+						{Kind: OpFAA, Key: cold(doomed, 3), Delta: 3},
+						{Key: absent(doomed)},
+						// Hot keys keep serving whoever their home was.
+						{Key: hotOn(doomed, 1)},
+						{Kind: OpPut, Key: hotOn(doomed, 2), Value: val(0xB3)},
+					}},
+					{name: "dead-homed read-back", ops: []Op{
+						{Key: cold(doomed, 1)}, {Key: cold(doomed, 2)}, {Key: cold(doomed, 3)}, {Key: hotOn(doomed, 2)},
+					}},
+				}
+
+				var want [][]parityOutcome // the first path's outcomes, per phase
+				for pi, path := range parityPaths {
+					members, cl := newChanClient(t, cfg)
+					if _, err := members[0].ApplyHotSet(0, DefaultHotSet(cfg.CacheItems)); err != nil {
+						t.Fatal(err)
+					}
+					n := members[0].LocalNode()
+					for phi, ph := range phases {
+						if ph.kill {
+							members[doomed].Kill()
+							waitViewDown(t, members[:doomed], doomed, 10*time.Second)
+						}
+						got := path.run(t, n, cl, ph.ops)
+						if pi == 0 {
+							want = append(want, got)
+							continue
+						}
+						for i := range got {
+							if got[i].class != want[phi][i].class || !bytes.Equal(got[i].val, want[phi][i].val) {
+								t.Errorf("%s, phase %q, op %d (%+v): got (%x, %s), %s got (%x, %s)",
+									path.name, ph.name, i, ph.ops[i], got[i].val, got[i].class,
+									parityPaths[0].name, want[phi][i].val, want[phi][i].class)
+							}
+						}
+					}
+				}
+
+				// The shared outcome is also the right one (spot checks; the
+				// per-feature tests own the details).
+				expect := func(phase, op int, class string, v []byte) {
+					t.Helper()
+					if o := want[phase][op]; o.class != class || (v != nil && !bytes.Equal(o.val, v)) {
+						t.Errorf("phase %q op %d: (%x, %s), want (%x, %s)", phases[phase].name, op, o.val, o.class, v, class)
+					}
+				}
+				expect(0, 0, "ok", populated(hotOn(2, 1)))
+				expect(0, 6, "not-found", nil)
+				expect(0, 7, "not-found", nil)
+				expect(0, 9, "cas-mismatch", populated(cold(1, 3)))
+				expect(0, 10, "ok", populated(cold(1, 4)))
+				expect(0, 13, "cas-mismatch", populated(hotOn(0, 1)))
+				expect(0, 16, "ok", populated(hotOn(1, 1)))
+				expect(1, 0, "ok", val(0xA1))
+				expect(1, 2, "ok", val(0xA3))
+				expect(1, 3, "ok", val(0xA4))
+				expect(1, 4, "ok", populated(cold(1, 3)))
+				expect(1, 7, "ok", val(0xA6))
+				// Dead-homed cold keys: ErrHomeDown unreplicated, served by the
+				// promoted backup under replication.
+				deadClass, deadPut := "home-down", []byte(nil)
+				if replicas > 1 {
+					deadClass, deadPut = "ok", val(0xB1)
+				}
+				for op := 0; op < 4; op++ {
+					expect(2, op, deadClass, nil)
+				}
+				expect(2, 5, "ok", populated(hotOn(doomed, 1)))
+				expect(2, 6, "ok", nil)
+				expect(3, 0, deadClass, deadPut)
+				expect(3, 3, "ok", val(0xB3))
+			})
+		}
+	}
+}

@@ -22,10 +22,10 @@ import (
 // (wireReq); the sender drains whatever is pending — up to maxMsgs requests
 // or maxBytes payload per packet — encoding each entry straight into the
 // packet buffer, and flushes immediately when the pipeline runs dry, so an
-// isolated request never waits for company (opportunistic batching, exactly
-// like fabric.Batcher's contract). Concurrency is the only source of
-// coalescing: a single closed-loop client sees one request per packet, many
-// clients (or one MultiGet/MultiPut) see multi-request packets.
+// isolated request never waits for company (opportunistic batching).
+// Concurrency is the only source of coalescing: a single closed-loop client
+// sees one request per packet, many clients (or one executor run over a
+// batch) see multi-request packets.
 //
 // Flow control: one credit is acquired per request *packet*; the batched
 // response packet is the implicit credit update (see rpcClient.handleResponse).
@@ -152,6 +152,10 @@ func (pl *pipeline) sender(home uint8, q chan wireReq) {
 			w.rpc.fail(ids, fmt.Errorf("cluster: request for node %d dropped (%w)", home, ErrNodeDown))
 			continue
 		}
+		// Counted before the send (so: packets handed to the transport),
+		// because a caller that saw the response must also see the count.
+		n.RemoteReqPackets.Add(1)
+		n.RemoteReqMsgs.Add(uint64(len(ids)))
 		err := n.cluster.transport.Send(fabric.Packet{
 			Src:   srcAddr,
 			Dst:   kvsAddr,
@@ -163,10 +167,7 @@ func (pl *pipeline) sender(home uint8, q chan wireReq) {
 			// the drain of a closing pipeline cannot starve.
 			w.credits.Grant(kvsAddr, 1)
 			w.rpc.fail(ids, err)
-			continue
 		}
-		n.RemoteReqPackets.Add(1)
-		n.RemoteReqMsgs.Add(uint64(len(ids)))
 	}
 }
 

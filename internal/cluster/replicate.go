@@ -62,44 +62,6 @@ var errReplicaMoved = errors.New("cluster: acting primary changed mid-put")
 // move, so the bound is generous.
 const replicaRetryBudget = 64
 
-// getReplicated serves a cache-missing read in a replicated deployment:
-// route to the key's acting primary, chasing at most replicaRetryBudget
-// promotions if primaries keep dying mid-read.
-func (n *Node) getReplicated(key uint64) ([]byte, error) {
-	c := n.cluster
-	for attempt := 0; ; attempt++ {
-		if attempt > replicaRetryBudget {
-			return nil, fmt.Errorf("cluster: read could not settle on a primary for key %d", key)
-		}
-		view := c.view.Load()
-		primary := c.primaryFor(key, view)
-		if primary < 0 {
-			return nil, homeDownErr(c.HomeNode(key), key)
-		}
-		if primary == int(n.id) {
-			// Reads at the acting primary wait out a rejoin re-sync: the
-			// local shard may hold pre-crash state until the seeds land.
-			for spin := 0; c.syncing.Load(); spin++ {
-				if spin > frozenRetryLimit {
-					return nil, ErrFrozenRetriesExhausted
-				}
-				yield()
-			}
-			n.LocalOps.Add(1)
-			v, _, err := n.kvs.Get(key, nil)
-			return v, err
-		}
-		n.RemoteOps.Add(1)
-		v, _, err := n.RemoteGet(uint8(primary), key)
-		if err != nil {
-			if nv := c.view.Load(); c.primaryFor(key, nv) != primary {
-				continue // primary died mid-read; the promoted backup serves
-			}
-		}
-		return v, err
-	}
-}
-
 // replicatedPut runs the three-phase stamped put for a cache-missing key.
 // bounced=true (nil error) reports the key went hot mid-flight at some
 // replica; the caller re-probes its cache and re-executes.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -36,6 +37,10 @@ import (
 //     commit carrying the pin's stamp clears it), serializing RMWs without
 //     ever holding homeMu across the blocking fan-out.
 //   - COLD unreplicated key: the home shard, whole op under homeMu.
+//
+// Which of these an attempt goes to is decided in one place, the op
+// executor's rmwAttempt (exec.go); this file holds what runs once it got
+// there, on either side of the wire.
 //
 // Semantics: CAS returns the witnessed value on failure (no extra round
 // trip); FAA is computed at the serialization point, so contention never
@@ -109,15 +114,11 @@ func (c *Cluster) rmwCoordinator(key uint64, v *View) int {
 // witness is the value the comparison observed — on failure it is the answer
 // a retry loop needs, saving the read round trip.
 func (n *Node) CompareAndSwap(key uint64, expect, newVal []byte) (witness []byte, swapped bool, err error) {
-	expectC := expect
-	newC := newVal
-	compute := func(cur []byte) ([]byte, bool) {
-		if !bytes.Equal(cur, expectC) {
-			return nil, false
-		}
-		return newC, true
+	r := n.execOne(&Op{Kind: OpCAS, Key: key, Expect: expect, Value: newVal})
+	if errors.Is(r.err, ErrCASMismatch) {
+		return r.val, false, nil
 	}
-	return n.rmw(key, wireReq{op: rpcOpCAS, key: key, expect: expect, value: newVal}, compute)
+	return r.val, r.err == nil, r.err
 }
 
 // FetchAndAdd atomically adds delta to the counter stored under key (8-byte
@@ -125,103 +126,35 @@ func (n *Node) CompareAndSwap(key uint64, expect, newVal []byte) (witness []byte
 // The addition happens at the key's serialization point, so hot contended
 // counters cost one exchange per op, not a CAS retry loop over the wire.
 func (n *Node) FetchAndAdd(key uint64, delta uint64) (old uint64, err error) {
-	var decErr error
-	compute := func(cur []byte) ([]byte, bool) {
-		v, derr := DecodeCounter(cur)
-		if derr != nil {
-			decErr = derr
+	r := n.execOne(&Op{Kind: OpFAA, Key: key, Delta: delta})
+	if r.err != nil {
+		return 0, r.err
+	}
+	return DecodeCounter(r.val)
+}
+
+// rmwCompute builds an RMW's compute step — its local form at the
+// serialization point, also used origin-side to build the committed value of
+// a stamped replicated RMW. A declined compute (failed comparison, stored
+// value not a counter) applies nothing and the witness is the answer. The
+// inputs may alias a packet buffer that is only valid while its handler
+// runs: every path either copies (the cache stages and the shard stores by
+// copy) or finishes before returning.
+func rmwCompute(cas bool, expect, newVal []byte, delta uint64) func([]byte) ([]byte, bool) {
+	if cas {
+		return func(cur []byte) ([]byte, bool) {
+			if !bytes.Equal(cur, expect) {
+				return nil, false
+			}
+			return newVal, true
+		}
+	}
+	return func(cur []byte) ([]byte, bool) {
+		v, err := DecodeCounter(cur)
+		if err != nil {
 			return nil, false
 		}
 		return EncodeCounter(v + delta), true
-	}
-	w, applied, err := n.rmw(key, wireReq{op: rpcOpFAA, key: key, delta: delta}, compute)
-	if err != nil {
-		return 0, err
-	}
-	if !applied {
-		// compute declined — the stored value is not a counter. A local
-		// decline recorded the decode error; a remote one answered with the
-		// witness, which reproduces it.
-		if decErr != nil {
-			return 0, decErr
-		}
-		if _, derr := DecodeCounter(w); derr != nil {
-			return 0, derr
-		}
-		return 0, fmt.Errorf("cluster: fetch-and-add declined unexpectedly (key %d)", key)
-	}
-	return DecodeCounter(w)
-}
-
-// rmw routes one read-modify-write to key's serialization point and executes
-// it there, retrying only on answers that prove the op did not run (Retry
-// bounces, local refusals). req names the op for remote execution; compute
-// is its local form (also used origin-side to build the committed value of a
-// stamped replicated RMW).
-func (n *Node) rmw(key uint64, req wireReq, compute func([]byte) ([]byte, bool)) (witness []byte, applied bool, err error) {
-	c := n.cluster
-	for attempt := 0; ; attempt++ {
-		if attempt > frozenRetryLimit {
-			return nil, false, ErrFrozenRetriesExhausted
-		}
-		view := c.view.Load()
-		if n.cache != nil && n.cache.Contains(key) {
-			coord := c.rmwCoordinator(key, view)
-			if coord < 0 {
-				return nil, false, homeDownErr(c.HomeNode(key), key)
-			}
-			var retry bool
-			if coord == int(n.id) {
-				witness, applied, retry, err = n.rmwLocalHot(key, compute)
-			} else {
-				n.RemoteOps.Add(1)
-				witness, applied, retry, err = n.rmwRemote(uint8(coord), key, req, compute)
-			}
-			if err != nil || !retry {
-				return witness, applied, err
-			}
-			yield()
-			continue
-		}
-		if n.cache != nil {
-			n.CacheMisses.Add(1)
-		}
-		if c.replicated() {
-			primary := c.primaryFor(key, view)
-			if primary < 0 {
-				return nil, false, homeDownErr(c.HomeNode(key), key)
-			}
-			var retry bool
-			if primary == int(n.id) {
-				witness, applied, retry, err = n.rmwLocalReplicated(key, compute, view)
-			} else {
-				n.RemoteOps.Add(1)
-				witness, applied, retry, err = n.rmwRemote(uint8(primary), key, req, compute)
-			}
-			if err != nil || !retry {
-				return witness, applied, err
-			}
-			yield()
-			continue
-		}
-		home := c.HomeNode(key)
-		if home == int(n.id) {
-			w, a, retry := n.rmwLocalCold(key, compute)
-			if !retry {
-				return w, a, nil
-			}
-			yield()
-			continue
-		}
-		if !view.Live(home) {
-			return nil, false, homeDownErr(home, key)
-		}
-		n.RemoteOps.Add(1)
-		witness, applied, retry, err := n.rmwRemote(uint8(home), key, req, compute)
-		if err != nil || !retry {
-			return witness, applied, err
-		}
-		yield()
 	}
 }
 
@@ -239,58 +172,33 @@ func (n *Node) rmwLocalHot(key uint64, compute func([]byte) ([]byte, bool)) (wit
 				n.broadcastUpdate(upd)
 			}
 			return w, applied, false, nil
-		case core.ErrFrozen:
-			n.FrozenRetries.Add(1)
-			return nil, false, true, nil
-		case core.ErrMiss:
+		case core.ErrFrozen, core.ErrMiss:
+			n.countRefusal(err)
 			return nil, false, true, nil
 		default:
 			return nil, false, false, err
 		}
 	}
 	// Lin: the ordinary blocking write protocol with the read-compute step
-	// fused in under the entry lock (putLin with RMWLinStart for
-	// WriteLinStart); a declined compute (failed CAS) stages nothing and
-	// answers immediately.
-	ch, ok := n.tryRegisterLinWaiter(key)
-	if !ok {
-		n.WritePendingRetries.Add(1)
-		return nil, false, true, nil
-	}
-	inv, w, applied, err := n.cache.RMWLinStart(key, compute)
+	// fused in under the entry lock; a declined compute (failed CAS) stages
+	// nothing and answers immediately.
+	var w []byte
+	ch, err := n.startLinWrite(key, func() (core.Invalidation, bool, error) {
+		inv, wit, applied, err := n.cache.RMWLinStart(key, compute)
+		w = wit
+		return inv, applied, err
+	})
 	switch err {
 	case nil:
 		n.CacheHits.Add(1)
-		if !applied {
-			n.unregisterLinWaiter(key, ch)
-			return w, false, false, nil
+		if ch != nil {
+			n.broadcastUpdate(<-ch)
 		}
-		n.broadcastInvalidation(inv)
-		if v := n.cluster.view.Load(); v.LiveCount() < n.cluster.cfg.Nodes {
-			if upd, done := n.cache.RecheckPending(key); done {
-				n.completeLinWrite(key, upd)
-			}
-		}
-		upd := <-ch
-		n.broadcastUpdate(upd)
-		return w, true, false, nil
-	case core.ErrInvalid:
-		n.unregisterLinWaiter(key, ch)
-		n.InvalidRetries.Add(1)
-		return nil, false, true, nil
-	case core.ErrWritePending:
-		n.unregisterLinWaiter(key, ch)
-		n.WritePendingRetries.Add(1)
-		return nil, false, true, nil
-	case core.ErrFrozen:
-		n.unregisterLinWaiter(key, ch)
-		n.FrozenRetries.Add(1)
-		return nil, false, true, nil
-	case core.ErrMiss:
-		n.unregisterLinWaiter(key, ch)
+		return w, ch != nil, false, nil
+	case core.ErrInvalid, core.ErrWritePending, core.ErrFrozen, core.ErrMiss:
+		n.countRefusal(err)
 		return nil, false, true, nil
 	default:
-		n.unregisterLinWaiter(key, ch)
 		return nil, false, false, err
 	}
 }
@@ -475,30 +383,6 @@ func (n *Node) rmwRemote(target uint8, key uint64, req wireReq, compute func([]b
 	}
 }
 
-// rmwComputeFor builds the server-side compute closure for a decoded RMW
-// request. The closure's inputs alias the packet buffer, which is only valid
-// while the handler runs — every path below either copies (the cache stages
-// and the shard stores by copy) or finishes before returning.
-func rmwComputeFor(req rpcRequest) func([]byte) ([]byte, bool) {
-	if req.op == rpcOpCAS {
-		expect, newVal := req.expect, req.value
-		return func(cur []byte) ([]byte, bool) {
-			if !bytes.Equal(cur, expect) {
-				return nil, false
-			}
-			return newVal, true
-		}
-	}
-	delta := req.delta
-	return func(cur []byte) ([]byte, bool) {
-		v, err := DecodeCounter(cur)
-		if err != nil {
-			return nil, false // origin decodes the witness and surfaces it
-		}
-		return EncodeCounter(v + delta), true
-	}
-}
-
 // serveRMW serves one remote CAS/FAA at this node (rpc.go dispatch). Every
 // refusal that must re-route (not the serialization point, mid-transition
 // entry, pinned key) answers Retry — the one status that proves the op did
@@ -507,7 +391,7 @@ func (n *Node) serveRMW(src uint8, req rpcRequest, resp []byte) []byte {
 	if n.cluster.syncing.Load() {
 		return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
 	}
-	compute := rmwComputeFor(req)
+	compute := rmwCompute(req.op == rpcOpCAS, req.expect, req.value, req.delta)
 	view := n.cluster.view.Load()
 	if n.cache != nil && n.cache.Contains(req.key) {
 		if n.cluster.rmwCoordinator(req.key, view) != int(n.id) {
@@ -589,38 +473,30 @@ func (n *Node) serveRMW(src uint8, req rpcRequest, resp []byte) []byte {
 }
 
 // serveRMWLin serves a remote hot Lin RMW at the coordinator: stage the
-// write under the entry lock, broadcast its invalidation, answer
+// write and broadcast its invalidation (startLinWrite), answer
 // rpcStatusRMWStarted immediately (the response cannot wait for acks —
 // request/response credit symmetry forbids holding it back), and finish the
 // protocol on a goroutine when the last ack lands. The waiter registration
 // is what keeps a concurrent local putLin from registering an orphan waiter
 // that would steal this write's completion.
 func (n *Node) serveRMWLin(req rpcRequest, resp []byte, compute func([]byte) ([]byte, bool)) []byte {
-	ch, ok := n.tryRegisterLinWaiter(req.key)
-	if !ok {
+	var inv core.Invalidation
+	var w []byte
+	ch, err := n.startLinWrite(req.key, func() (core.Invalidation, bool, error) {
+		var applied bool
+		var err error
+		inv, w, applied, err = n.cache.RMWLinStart(req.key, compute)
+		return inv, applied, err
+	})
+	switch {
+	case err != nil:
+		// Write-pending, invalid, frozen, or the key left the hot set — every
+		// case bounces; the origin re-dispatches.
 		return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
-	}
-	inv, w, applied, err := n.cache.RMWLinStart(req.key, compute)
-	if err != nil {
-		// Invalid, write-pending, frozen, or the key left the hot set —
-		// every case bounces; the origin re-dispatches.
-		n.unregisterLinWaiter(req.key, ch)
-		return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
-	}
-	if !applied {
-		n.unregisterLinWaiter(req.key, ch)
+	case ch == nil:
 		return appendPayloadResponse(resp, req.reqID, rpcStatusCASFail, timestamp.TS{}, w)
 	}
-	go func() {
-		upd := <-ch
-		n.broadcastUpdate(upd)
-	}()
-	n.broadcastInvalidation(inv)
-	if v := n.cluster.view.Load(); v.LiveCount() < n.cluster.cfg.Nodes {
-		if upd, done := n.cache.RecheckPending(req.key); done {
-			n.completeLinWrite(req.key, upd)
-		}
-	}
+	go func() { n.broadcastUpdate(<-ch) }()
 	return appendPayloadResponse(resp, req.reqID, rpcStatusRMWStarted, inv.TS, w)
 }
 

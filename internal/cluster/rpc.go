@@ -96,7 +96,7 @@ const (
 	rpcOpDemoteRetire byte = 12
 	// rpcOpPutStamp reserves a replicated put's write timestamp at the
 	// key's acting primary (phase 1 of the replicated miss-path put,
-	// ops.go): strictly above both the shard's stored version and every
+	// replicate.go): strictly above both the shard's stored version and every
 	// previously stamped write, so the commits that follow can use
 	// PutIfNewer everywhere without an acked write ever losing to the
 	// stored value. Answers Retry when the key is cached (stale probe, as
@@ -442,31 +442,8 @@ func appendVersionedReq(buf []byte, op byte, id, key uint64, ts timestamp.TS, va
 	return append(buf, value...)
 }
 
-// RemoteGet fetches key from its home node over the fabric. A Retry answer
-// (the server is re-syncing its shard after a rejoin) re-issues the call,
-// bounded like every other protocol spin.
-func (n *Node) RemoteGet(home uint8, key uint64) ([]byte, timestamp.TS, error) {
-	for attempt := 0; ; attempt++ {
-		res, err := n.workerFor(key).rpc.call(home, wireReq{op: rpcOpGet, key: key})
-		if err != nil {
-			return nil, timestamp.TS{}, err
-		}
-		switch res.status {
-		case rpcStatusOK:
-			return res.value, res.ts, nil
-		case rpcStatusRetry:
-			if attempt > frozenRetryLimit {
-				return nil, timestamp.TS{}, ErrFrozenRetriesExhausted
-			}
-			yield()
-		default:
-			return nil, timestamp.TS{}, store.ErrNotFound
-		}
-	}
-}
-
 // remoteStamp reserves a replicated put's write timestamp at the key's
-// acting primary (phase 1, ops.go replicatedPut). errPutBounced reports the
+// acting primary (phase 1, replicate.go replicatedPut). errPutBounced reports the
 // primary caches the key or is re-syncing; the origin re-probes and
 // re-executes.
 func (n *Node) remoteStamp(primary uint8, key uint64) (timestamp.TS, error) {
@@ -484,84 +461,10 @@ func (n *Node) remoteStamp(primary uint8, key uint64) (timestamp.TS, error) {
 	}
 }
 
-// remoteMultiGet fetches a batch of keys homed on one node with a single
-// pipelined exchange (few multi-request packets instead of len(keys)
-// round-trips). values[i] is nil when keys[i] is absent; a non-nil error
-// reports the first transport or protocol failure. It exists to exercise
-// the coalescing pipeline in isolation (tests); production batch reads go
-// through Node.MultiGet, which interleaves cache probes with the remote
-// fan-out.
-func (n *Node) remoteMultiGet(home uint8, keys []uint64) ([][]byte, []timestamp.TS, error) {
-	chs := make([]chan rpcResult, len(keys))
-	for i, key := range keys {
-		chs[i] = n.workerFor(key).rpc.start(home, wireReq{op: rpcOpGet, key: key})
-	}
-	values := make([][]byte, len(keys))
-	tss := make([]timestamp.TS, len(keys))
-	var firstErr error
-	for i, ch := range chs {
-		res, err := awaitRPC(ch)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if res.status == rpcStatusOK {
-			values[i] = res.value
-			tss[i] = res.ts
-		}
-	}
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	return values, tss, nil
-}
-
-// errPutBounced reports that the home node refused a miss-path put because
-// it currently caches the key (the probe was stale); the origin re-probes
-// its own cache and re-executes the write.
+// errPutBounced reports that the acting primary refused a put stamp because
+// it currently caches the key (the probe was stale) or is re-syncing; the
+// origin re-probes its own cache and re-executes the write.
 var errPutBounced = errors.New("cluster: put bounced by home (key is hot)")
-
-// RemotePut forwards a put for key to its home node.
-func (n *Node) RemotePut(home uint8, key uint64, value []byte) error {
-	res, err := n.workerFor(key).rpc.call(home, wireReq{op: rpcOpPut, key: key, value: value})
-	if err != nil {
-		return err
-	}
-	switch res.status {
-	case rpcStatusOK:
-		return nil
-	case rpcStatusRetry:
-		return errPutBounced
-	default:
-		return fmt.Errorf("cluster: remote put failed (status %d)", res.status)
-	}
-}
-
-// remoteMultiPut forwards a batch of puts homed on one node with a single
-// pipelined exchange. Like remoteMultiGet it exists to exercise the
-// pipeline in isolation; production batch writes go through Node.MultiPut,
-// which owns the bounce-and-re-execute handling for keys that went hot
-// mid-flight (a bounce here, on the cache-less clusters the tests drive,
-// would be a protocol error).
-func (n *Node) remoteMultiPut(home uint8, keys []uint64, values [][]byte) error {
-	chs := make([]chan rpcResult, len(keys))
-	for i, key := range keys {
-		chs[i] = n.workerFor(key).rpc.start(home, wireReq{op: rpcOpPut, key: key, value: values[i]})
-	}
-	var firstErr error
-	for _, ch := range chs {
-		res, err := awaitRPC(ch)
-		if err == nil && res.status != rpcStatusOK {
-			err = fmt.Errorf("cluster: remote put failed (status %d)", res.status)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
 
 // errPrimaryMiss reports that the primary no longer caches the key (the hot
 // set shifted); the origin re-probes its own cache and falls back to the
@@ -883,7 +786,7 @@ func (n *Node) serveRequest(src uint8, req rpcRequest, resp []byte, scratch *srv
 	case rpcOpGet:
 		if n.cluster.syncing.Load() {
 			// Re-syncing after a rejoin: the shard may still hold pre-crash
-			// state; readers wait for the seed stream (RemoteGet re-issues).
+			// state; readers wait for the seed stream (the executor re-issues).
 			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
 		}
 		if ra != nil {

@@ -215,16 +215,25 @@ func TestBatchedRequestOneResponsePacket(t *testing.T) {
 	for i := range keys {
 		want[i] = bytes.Repeat([]byte{byte(0x10 + i)}, 40)
 	}
-	if err := n.remoteMultiPut(1, keys, want); err != nil {
-		t.Fatal(err)
+	// A cache-less cluster makes Node.Batch a pure pipeline driver: every op
+	// is a remote access toward node 1, all started before any is awaited.
+	puts := make([]Op, len(keys))
+	gets := make([]Op, len(keys))
+	for i, k := range keys {
+		puts[i] = Op{Kind: OpPut, Key: k, Value: want[i]}
+		gets[i] = Op{Key: k}
 	}
-	values, _, err := n.remoteMultiGet(1, keys)
-	if err != nil {
-		t.Fatal(err)
+	rs := make([]Result, len(keys))
+	n.Batch(puts, rs)
+	for i := range rs {
+		if rs[i].Err != nil {
+			t.Fatalf("put key %d: %v", keys[i], rs[i].Err)
+		}
 	}
-	for i, v := range values {
-		if !bytes.Equal(v, want[i]) {
-			t.Fatalf("key %d: got %v want %v", keys[i], v, want[i])
+	n.Batch(gets, rs)
+	for i := range rs {
+		if rs[i].Err != nil || !bytes.Equal(rs[i].Value, want[i]) {
+			t.Fatalf("key %d: got %v (%v) want %v", keys[i], rs[i].Value, rs[i].Err, want[i])
 		}
 	}
 	if got := n.RemoteReqMsgs.Load(); got != uint64(2*len(keys)) {
@@ -243,9 +252,13 @@ func TestCallAfterCloseFails(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+	key := uint64(0)
+	for c.HomeNode(key) != 1 {
+		key++
+	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Node(0).RemoteGet(1, 5)
+		_, err := c.Node(0).Get(key)
 		done <- err
 	}()
 	select {
@@ -307,8 +320,16 @@ func TestPipelineRespectsByteBound(t *testing.T) {
 	}
 	// Each put request is 21+60 = 81 bytes; two would exceed the 100-byte
 	// bound, so every packet must carry exactly one request.
-	if err := n.remoteMultiPut(1, keys, vals); err != nil {
-		t.Fatal(err)
+	puts := make([]Op, len(keys))
+	for i, k := range keys {
+		puts[i] = Op{Kind: OpPut, Key: k, Value: vals[i]}
+	}
+	rs := make([]Result, len(keys))
+	n.Batch(puts, rs)
+	for i := range rs {
+		if rs[i].Err != nil {
+			t.Fatalf("put key %d: %v", keys[i], rs[i].Err)
+		}
 	}
 	if msgs, pkts := n.RemoteReqMsgs.Load(), n.RemoteReqPackets.Load(); pkts != msgs {
 		t.Fatalf("byte bound violated: %d requests in %d packets", msgs, pkts)

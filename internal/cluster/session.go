@@ -57,9 +57,11 @@ import (
 // Dispatch: session ops are steered by key hash to the owning worker's
 // session lane (Config.workerOf — the same EREW steering the inter-node
 // fabric uses), replacing the old goroutine-per-request model. Each lane
-// drains a burst of queued jobs and overlaps their remote fetches on the
-// coalescing pipeline before encoding the responses, so concurrent clients
-// keep many remote accesses in flight without per-request goroutines.
+// drains a burst of queued jobs and runs it through the op executor
+// (exec.go) — which owns every serving decision and overlaps the burst's
+// remote fetches on the coalescing pipeline — before encoding the responses,
+// so concurrent clients keep many remote accesses in flight without
+// per-request goroutines. The lane itself only drains, encodes and emits.
 // Ping/stats are answered inline on the dispatcher (non-blocking); refresh
 // keeps its own goroutine (a long-blocking control op that fans out its own
 // RPCs).
@@ -105,16 +107,25 @@ const sessBatchMaxBytes = 1 << 20
 const sessLaneBurst = 64
 
 // sessOp is one parsed client operation (a single-op request or one entry of
-// a batch). kind is the op byte (sessOpGet/Put/CAS/FAA). value and expect
-// are private copies — never aliases of the packet buffer, which the TCP
-// transport reuses the moment the handler returns.
+// a batch) in the executor's Op form. Value and Expect are private copies —
+// never aliases of the packet buffer, which the TCP transport reuses the
+// moment the handler returns.
 type sessOp struct {
-	idx    int // position in the batch (response entries are emitted in request order)
-	kind   byte
-	key    uint64
-	value  []byte // put: new value; cas: replacement value
-	expect []byte // cas only
-	delta  uint64 // faa only
+	idx int // position in the batch (response entries are emitted in request order)
+	Op
+}
+
+// sessOpKind maps a wire op byte onto the executor's op kind.
+func sessOpKind(b byte) OpKind {
+	switch b {
+	case sessOpPut:
+		return OpPut
+	case sessOpCAS:
+		return OpCAS
+	case sessOpFAA:
+		return OpFAA
+	}
+	return OpGet
 }
 
 // sessJob is one unit of lane work: either a single-op request (batch == nil)
@@ -188,7 +199,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 			return
 		}
 		key := binary.LittleEndian.Uint64(body[:8])
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpGet, key: key}})
+		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{Op: Op{Key: key}}})
 	case sessOpPut:
 		if len(body) < 12 {
 			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
@@ -203,7 +214,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 		// The value aliases the packet buffer; copy before it escapes into
 		// the store or the consistency broadcast.
 		val := append([]byte(nil), body[12:12+vlen]...)
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpPut, key: key, value: val}})
+		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{Op: Op{Kind: OpPut, Key: key, Value: val}}})
 	case sessOpCAS:
 		if len(body) < 12 {
 			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
@@ -222,7 +233,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 		}
 		expect := append([]byte(nil), body[12:12+elen]...)
 		val := append([]byte(nil), body[16+elen:16+elen+vlen]...)
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpCAS, key: key, expect: expect, value: val}})
+		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{Op: Op{Kind: OpCAS, Key: key, Expect: expect, Value: val}}})
 	case sessOpFAA:
 		if len(body) < 16 {
 			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
@@ -230,7 +241,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 		}
 		key := binary.LittleEndian.Uint64(body[:8])
 		delta := binary.LittleEndian.Uint64(body[8:16])
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpFAA, key: key, delta: delta}})
+		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{Op: Op{Kind: OpFAA, Key: key, Delta: delta}}})
 	case sessOpBatch:
 		n.dispatchSessionBatch(p.Src, reqID, body)
 	case sessOpPing:
@@ -358,31 +369,31 @@ func (n *Node) dispatchSessionBatch(src fabric.Addr, reqID uint64, body []byte) 
 	}
 	buf = body[4:]
 	for i := 0; i < count; i++ {
-		op := sessOp{idx: i, kind: buf[0], key: binary.LittleEndian.Uint64(buf[1:9])}
+		op := sessOp{idx: i, Op: Op{Kind: sessOpKind(buf[0]), Key: binary.LittleEndian.Uint64(buf[1:9])}}
 		switch buf[0] {
 		case sessOpPut:
 			vlen := int(binary.LittleEndian.Uint32(buf[9:13]))
 			off := len(vals)
 			vals = append(vals, buf[13:13+vlen]...)
-			op.value = vals[off:len(vals):len(vals)]
+			op.Value = vals[off:len(vals):len(vals)]
 			buf = buf[13+vlen:]
 		case sessOpCAS:
 			elen := int(binary.LittleEndian.Uint32(buf[9:13]))
 			vlen := int(binary.LittleEndian.Uint32(buf[13+elen : 17+elen]))
 			off := len(vals)
 			vals = append(vals, buf[13:13+elen]...)
-			op.expect = vals[off:len(vals):len(vals)]
+			op.Expect = vals[off:len(vals):len(vals)]
 			off = len(vals)
 			vals = append(vals, buf[17+elen:17+elen+vlen]...)
-			op.value = vals[off:len(vals):len(vals)]
+			op.Value = vals[off:len(vals):len(vals)]
 			buf = buf[17+elen+vlen:]
 		case sessOpFAA:
-			op.delta = binary.LittleEndian.Uint64(buf[9:17])
+			op.Delta = binary.LittleEndian.Uint64(buf[9:17])
 			buf = buf[17:]
 		default:
 			buf = buf[9:]
 		}
-		w := n.cluster.cfg.workerOf(op.key)
+		w := n.cluster.cfg.workerOf(op.Key)
 		gi := groupOf[w]
 		if gi < 0 {
 			gi = int32(len(b.groups))
@@ -469,49 +480,21 @@ func (n *Node) sessSendVec(dst fabric.Addr, segs [][]byte, meta []byte, pooled *
 	}
 }
 
-// sessOpRes is one op's outcome, staged before encoding (remote completions
-// arrive out of order; response entries are emitted in request order). A
-// local get pins its value with a store lease instead of copying it: val
-// then aliases store memory and lease must be released once the value has
-// been copied or handed to the transport (emit owns that).
-type sessOpRes struct {
-	status byte
-	hasVal bool   // get served OK: val travels (even when empty)
-	val    []byte // get payload
-	msg    string // error text (sessStatusErr)
-	lease  store.Lease
-}
-
-// sessLanePend is one started remote RPC of a burst — or, with ch == nil, a
-// blocking multi-phase operation (a replicated put, an RMW, a read against a
-// re-syncing primary) deferred to collect so the rest of the burst's remote
-// accesses start first.
-type sessLanePend struct {
-	res    int // index into the lane's result scratch
-	kind   byte
-	key    uint64
-	value  []byte
-	expect []byte
-	delta  uint64
-	ch     chan rpcResult
-}
-
-// sessLane is one worker's session serving loop state. The scratch slices
-// are reused across bursts, so a steady-state lane allocates only what the
-// ops themselves require.
+// sessLane is one worker's session serving loop state: burst-drain and wire
+// encode/emit on top of the op executor, which owns every serving decision.
+// The executor and the scratch slices are reused across bursts, so a
+// steady-state lane allocates only what the ops themselves require.
 type sessLane struct {
-	n     *Node
 	burst []sessJob
-	res   []sessOpRes
-	pend  []sessLanePend
+	x     opExec
 	segs  [][]byte // scratch for vectored single-op replies
 }
 
 // sessionLane serves one worker's session jobs until the lane closes. Each
-// iteration drains a burst of queued jobs and serves them with their remote
-// accesses overlapped — the client-edge mirror of Node.MultiGet/MultiPut.
+// iteration drains a burst of queued jobs and serves them in one executor
+// run, so concurrent clients' remote accesses overlap.
 func (n *Node) sessionLane(q chan sessJob) {
-	l := &sessLane{n: n}
+	l := &sessLane{x: opExec{n: n}}
 	for job := range q {
 		l.burst = l.burst[:0]
 		l.burst = append(l.burst, job)
@@ -532,255 +515,36 @@ func (n *Node) sessionLane(q chan sessJob) {
 	}
 }
 
-// serveBurst runs the three lane phases: scan every op (starting remote
-// fetches without waiting), collect the remote completions, then encode and
-// emit each job's response.
+// serveBurst runs the burst through the executor — scan every op (remote
+// accesses start without waiting), collect — then encodes and emits each
+// job's response.
 func (l *sessLane) serveBurst() {
-	l.res = l.res[:0]
-	l.pend = l.pend[:0]
+	l.x.res = l.x.res[:0]
 	for ji := range l.burst {
 		job := &l.burst[ji]
-		job.resOff = len(l.res)
+		job.resOff = len(l.x.res)
 		if job.batch == nil {
-			l.res = append(l.res, sessOpRes{})
-			l.scanOp(len(l.res)-1, job.op)
+			l.x.scan(&job.op.Op)
 			continue
 		}
 		g := &job.batch.groups[job.gidx]
-		for _, op := range g.ops {
-			l.res = append(l.res, sessOpRes{})
-			l.scanOp(len(l.res)-1, op)
+		for k := range g.ops {
+			l.x.scan(&g.ops[k].Op)
 		}
 	}
-	l.collect()
+	l.x.collect()
 	l.emit()
 }
-
-// scanOp serves one op as far as it can without waiting: cache probes, local
-// shard accesses and blocking cache-protocol writes complete here; remote
-// accesses are started on the coalescing pipeline and recorded for collect.
-func (l *sessLane) scanOp(ri int, op sessOp) {
-	n := l.n
-	r := &l.res[ri]
-	if op.kind == sessOpCAS || op.kind == sessOpFAA {
-		// An RMW is a blocking multi-phase exchange wherever it routes;
-		// defer it to collect so the burst's plain remote accesses start
-		// first (same treatment as a replicated put).
-		l.pend = append(l.pend, sessLanePend{res: ri, kind: op.kind, key: op.key, value: op.value, expect: op.expect, delta: op.delta})
-		return
-	}
-	if op.kind == sessOpPut {
-		done, err := n.putCached(op.key, op.value)
-		if err != nil {
-			setSessErr(r, err)
-			return
-		}
-		if done {
-			r.status = sessStatusOK
-			return
-		}
-		if n.cluster.replicated() {
-			// A replicated put is a blocking multi-phase exchange of its
-			// own; defer it to collect so the rest of the burst's remote
-			// accesses start first.
-			l.pend = append(l.pend, sessLanePend{res: ri, kind: sessOpPut, key: op.key, value: op.value})
-			return
-		}
-		home := n.cluster.HomeNode(op.key)
-		if home == int(n.id) {
-			if n.localHomePut(op.key, op.value) {
-				// Stale probe: the key (re)entered the hot set; re-execute
-				// through the full write path.
-				n.FrozenRetries.Add(1)
-				setSessPutRes(r, n.Put(op.key, op.value))
-				return
-			}
-			r.status = sessStatusOK
-			return
-		}
-		if !n.cluster.view.Load().Live(home) {
-			r.status = sessStatusHomeDown
-			return
-		}
-		n.RemoteOps.Add(1)
-		ch := n.workerFor(op.key).rpc.start(uint8(home), wireReq{op: rpcOpPut, key: op.key, value: op.value})
-		l.pend = append(l.pend, sessLanePend{res: ri, kind: sessOpPut, key: op.key, value: op.value, ch: ch})
-		return
-	}
-	if n.cache != nil {
-		v, hit, err := n.cacheRead(op.key)
-		if err != nil {
-			setSessErr(r, err)
-			return
-		}
-		if hit {
-			n.CacheHits.Add(1)
-			r.status = sessStatusOK
-			r.hasVal = true
-			r.val = v
-			return
-		}
-		n.CacheMisses.Add(1)
-	}
-	home := n.cluster.HomeNode(op.key)
-	if n.cluster.replicated() {
-		primary := n.cluster.primaryFor(op.key, n.cluster.view.Load())
-		if primary < 0 {
-			r.status = sessStatusHomeDown
-			return
-		}
-		if primary == int(n.id) {
-			if n.cluster.syncing.Load() {
-				// Re-syncing after a rejoin: defer to collect, where the
-				// single-op path waits out the seed stream.
-				l.pend = append(l.pend, sessLanePend{res: ri, key: op.key})
-				return
-			}
-			n.LocalOps.Add(1)
-			lv, _, err := n.kvs.GetLease(op.key)
-			if err != nil {
-				r.status = sessStatusNotFound
-				return
-			}
-			r.status = sessStatusOK
-			r.hasVal = true
-			r.val = lv.Value()
-			r.lease = lv
-			return
-		}
-		n.RemoteOps.Add(1)
-		ch := n.workerFor(op.key).rpc.start(uint8(primary), wireReq{op: rpcOpGet, key: op.key})
-		l.pend = append(l.pend, sessLanePend{res: ri, key: op.key, ch: ch})
-		return
-	}
-	if home == int(n.id) {
-		n.LocalOps.Add(1)
-		lv, _, err := n.kvs.GetLease(op.key)
-		if err != nil {
-			r.status = sessStatusNotFound
-			return
-		}
-		r.status = sessStatusOK
-		r.hasVal = true
-		r.val = lv.Value()
-		r.lease = lv
-		return
-	}
-	if !n.cluster.view.Load().Live(home) {
-		r.status = sessStatusHomeDown
-		return
-	}
-	n.RemoteOps.Add(1)
-	ch := n.workerFor(op.key).rpc.start(uint8(home), wireReq{op: rpcOpGet, key: op.key})
-	l.pend = append(l.pend, sessLanePend{res: ri, ch: ch})
-}
-
-// collect settles the burst's started remote accesses.
-func (l *sessLane) collect() {
-	n := l.n
-	for i := range l.pend {
-		p := &l.pend[i]
-		r := &l.res[p.res]
-		if p.ch == nil {
-			// Deferred blocking op: run it through the single-op path, which
-			// owns the multi-phase protocol and its promotion/bounce retries.
-			switch p.kind {
-			case sessOpPut:
-				setSessPutRes(r, n.Put(p.key, p.value))
-			case sessOpCAS:
-				w, swapped, err := n.CompareAndSwap(p.key, p.expect, p.value)
-				if err != nil {
-					setSessErr(r, err)
-					break
-				}
-				if swapped {
-					r.status = sessStatusOK
-				} else {
-					r.status = sessStatusCASFail
-				}
-				r.hasVal = true
-				r.val = w
-			case sessOpFAA:
-				old, err := n.FetchAndAdd(p.key, p.delta)
-				if err != nil {
-					setSessErr(r, err)
-					break
-				}
-				r.status = sessStatusOK
-				r.hasVal = true
-				r.val = EncodeCounter(old)
-			default:
-				l.sessReplicatedGet(r, p.key)
-			}
-			continue
-		}
-		res, err := awaitRPC(p.ch)
-		if err != nil {
-			if n.cluster.replicated() {
-				// The acting primary died mid-op; chase the promotion.
-				if p.kind == sessOpPut {
-					setSessPutRes(r, n.Put(p.key, p.value))
-				} else {
-					l.sessReplicatedGet(r, p.key)
-				}
-				continue
-			}
-			setSessErr(r, err)
-			continue
-		}
-		if p.kind == sessOpPut {
-			switch res.status {
-			case rpcStatusOK:
-				r.status = sessStatusOK
-			case rpcStatusRetry:
-				// Bounced by the home: the key went hot mid-flight; re-probe
-				// and re-execute through the cache protocol.
-				n.FrozenRetries.Add(1)
-				setSessPutRes(r, n.Put(p.key, p.value))
-			default:
-				setSessErr(r, errRemotePutFailed)
-			}
-			continue
-		}
-		if res.status == rpcStatusRetry && n.cluster.replicated() {
-			// The primary is re-syncing; the single-op path waits it out.
-			l.sessReplicatedGet(r, p.key)
-			continue
-		}
-		if res.status == rpcStatusOK {
-			r.status = sessStatusOK
-			r.hasVal = true
-			r.val = res.value
-		} else {
-			r.status = sessStatusNotFound
-		}
-	}
-}
-
-// sessReplicatedGet settles a replicated read through the promotion-chasing
-// single-op path.
-func (l *sessLane) sessReplicatedGet(r *sessOpRes, key uint64) {
-	v, err := l.n.getReplicated(key)
-	if err != nil {
-		setSessErr(r, err)
-		return
-	}
-	r.status = sessStatusOK
-	r.hasVal = true
-	r.val = v
-}
-
-var errRemotePutFailed = errors.New("cluster: remote put failed")
 
 // emit encodes and sends each job's response. Single-op jobs reply directly;
 // batch groups encode their entries into a pooled group buffer, and the last
 // group to finish assembles the frame in request order.
 func (l *sessLane) emit() {
-	n := l.n
+	n := l.x.n
 	for ji := range l.burst {
 		job := &l.burst[ji]
 		if job.batch == nil {
-			r := &l.res[job.resOff]
+			r := &l.x.res[job.resOff]
 			var pooled *srvBuf
 			var resp []byte
 			if n.cluster.trCopies {
@@ -791,7 +555,7 @@ func (l *sessLane) emit() {
 					// value as its own wire segment; the transport consumes
 					// both during Send, after which the lease drops.
 					resp = binary.LittleEndian.AppendUint64(resp, job.reqID)
-					resp = append(resp, r.status)
+					resp = append(resp, sessStatusOK)
 					resp = binary.LittleEndian.AppendUint32(resp, uint32(len(r.val)))
 					l.segs = append(l.segs[:0], resp, r.val)
 					n.sessSendVec(job.src, l.segs, resp, pooled)
@@ -803,7 +567,7 @@ func (l *sessLane) emit() {
 				resp = make([]byte, 0, 64)
 			}
 			resp = binary.LittleEndian.AppendUint64(resp, job.reqID)
-			resp = appendSessOpRes(resp, r)
+			resp = appendSessOpRes(resp, job.op.kind(), r)
 			n.sessSend(job.src, resp, pooled)
 			r.lease.Release() // flat path copied the value into resp
 			continue
@@ -815,19 +579,19 @@ func (l *sessLane) emit() {
 		pooled := respBufPool.Get().(*srvBuf)
 		buf := pooled.b[:0]
 		for k := range g.ops {
-			r := &l.res[job.resOff+k]
+			r := &l.x.res[job.resOff+k]
 			off := len(buf)
 			sp := sessSpan{group: job.gidx}
 			if r.lease.Held() {
 				// Leased get: the group buffer holds only the metadata; the
 				// value travels as the span's lease, spliced in (and
 				// released) by the lane that assembles the frame.
-				buf = append(buf, r.status)
+				buf = append(buf, sessStatusOK)
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.val)))
 				sp.lease = r.lease
 				r.lease = store.Lease{} // ownership moved to the span
 			} else {
-				buf = appendSessOpRes(buf, r)
+				buf = appendSessOpRes(buf, g.ops[k].kind(), r)
 			}
 			sp.off, sp.end = int32(off), int32(len(buf))
 			b.spans[g.ops[k].idx] = sp
@@ -898,42 +662,32 @@ func (n *Node) finishSessionBatch(b *sessBatch) {
 	}
 }
 
-// appendSessOpRes encodes one op result: the status byte plus the payload the
-// status implies (value for a served get, message for an error, nothing
-// otherwise) — the same layout as a single-op response after its request id.
-func appendSessOpRes(buf []byte, r *sessOpRes) []byte {
-	buf = append(buf, r.status)
+// appendSessOpRes encodes one op result — the same layout as a single-op
+// response after its request id: the status its error maps to (nil: OK;
+// ErrCASMismatch, store.ErrNotFound and ErrHomeDown have dedicated statuses
+// the client surfaces typed; anything else travels as text) plus the payload
+// that status implies — the value for everything served but a put (which
+// answers the bare status) and for a failed CAS's witness, the message for an
+// error, nothing otherwise. Only a served get can hold a lease, so callers
+// splicing leased values write sessStatusOK themselves.
+func appendSessOpRes(buf []byte, kind OpKind, r *opRes) []byte {
 	switch {
-	case r.status == sessStatusOK && r.hasVal, r.status == sessStatusCASFail:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.val)))
-		buf = append(buf, r.val...)
-	case r.status == sessStatusErr:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.msg)))
-		buf = append(buf, r.msg...)
-	}
-	return buf
-}
-
-// setSessErr maps an operation error onto its wire status.
-func setSessErr(r *sessOpRes, err error) {
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		r.status = sessStatusNotFound
-	case errors.Is(err, ErrHomeDown):
-		r.status = sessStatusHomeDown
+	case r.err == nil:
+		buf = append(buf, sessStatusOK)
+		if kind == OpPut {
+			return buf
+		}
+	case errors.Is(r.err, ErrCASMismatch):
+		buf = append(buf, sessStatusCASFail)
+	case errors.Is(r.err, store.ErrNotFound):
+		return append(buf, sessStatusNotFound)
+	case errors.Is(r.err, ErrHomeDown):
+		return append(buf, sessStatusHomeDown)
 	default:
-		r.status = sessStatusErr
-		r.msg = err.Error()
+		return appendSessError(buf, r.err)
 	}
-}
-
-// setSessPutRes records a completed put.
-func setSessPutRes(r *sessOpRes, err error) {
-	if err == nil {
-		r.status = sessStatusOK
-		return
-	}
-	setSessErr(r, err)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.val)))
+	return append(buf, r.val...)
 }
 
 // appendSessError encodes a failed operation: the error text travels to the

@@ -223,14 +223,15 @@ func TestTCPPeerDisconnectFailsPendingRPCs(t *testing.T) {
 	// Warm the connection so the failure path is a broken established
 	// stream, not a refused dial.
 	k := coldKeyHomedOn(t, members[0], 2, cfg.NumKeys)
-	if _, _, err := members[0].Node(0).RemoteGet(2, k); err != nil {
+	if _, err := members[0].Node(0).Get(k); err != nil {
 		t.Fatalf("warm-up remote get: %v", err)
 	}
 
 	// Kill member 2 abruptly (transport teardown, not a graceful protocol
 	// exit), then hammer it with remote accesses. Every call must complete
 	// with an error — whether it raced onto the broken stream (failed by the
-	// peer-down handler) or found the connection gone (failed at send).
+	// peer-down handler), found the connection gone (failed at send), or
+	// arrived after the view flip (failed fast with ErrHomeDown).
 	if err := members[2].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestTCPPeerDisconnectFailsPendingRPCs(t *testing.T) {
 	done := make(chan error, calls)
 	for i := 0; i < calls; i++ {
 		go func() {
-			_, _, err := members[0].Node(0).RemoteGet(2, k)
+			_, err := members[0].Node(0).Get(k)
 			done <- err
 		}()
 	}
@@ -255,7 +256,7 @@ func TestTCPPeerDisconnectFailsPendingRPCs(t *testing.T) {
 
 	// The two survivors keep serving each other.
 	k01 := coldKeyHomedOn(t, members[0], 1, cfg.NumKeys)
-	if _, _, err := members[0].Node(0).RemoteGet(1, k01); err != nil {
+	if _, err := members[0].Node(0).Get(k01); err != nil {
 		t.Fatalf("survivor remote get: %v", err)
 	}
 }

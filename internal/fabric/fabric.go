@@ -132,23 +132,25 @@ type Transport interface {
 var ErrClosed = errors.New("fabric: transport closed")
 
 // Stats collects transport-level counters: packets/bytes by class plus the
-// RDMA-flavored bookkeeping (inlined sends, selective-signal completions,
-// doorbell batches).
+// RDMA-flavored bookkeeping (inlined sends).
 type Stats struct {
 	Traffic     *metrics.Traffic
 	Inlined     metrics.Counter
-	Signaled    metrics.Counter
-	Doorbells   metrics.Counter
 	SendsTotal  metrics.Counter
 	RecvsTotal  metrics.Counter
 	SendBlocked metrics.Counter // sends that found a full queue (backpressure)
 	// Vectored/flattened account how segmented payloads (Packet.Segs) left
-	// the process: VectoredBytes went to the wire by scatter-gather write
-	// (zero copies of the segment memory), FlattenedBytes were copied into
-	// one buffer first (in-process transports, which must break aliasing).
-	// The zero-copy assertions in internal/cluster read these.
+	// the process: VectoredBytes were handed to a scatter-gather write (zero
+	// copies of the segment memory), FlattenedBytes were copied into one
+	// buffer first (in-process transports, which must break aliasing). Both
+	// — like SendsTotal — are bumped before the packet can reach its
+	// receiver, so a test that saw the packet's effect reads a settled
+	// count. The zero-copy assertions in internal/cluster read these.
 	VectoredBytes  metrics.Counter
 	FlattenedBytes metrics.Counter
+	// OversizeFrames counts inbound TCP frames refused (and connections
+	// closed) for claiming more than MaxFrameBytes.
+	OversizeFrames metrics.Counter
 	// Coalesce holds the messages-per-packet histograms fed by span-carrying
 	// packets (the coalesced consistency plane): one histogram per class, so
 	// the achieved §6.3 coalescing factor is observable per message class.

@@ -252,127 +252,3 @@ func TestCreditBatcherZeroEvery(t *testing.T) {
 		t.Fatalf("every<=0 must emit per message")
 	}
 }
-
-func TestBatcherFlushOnMaxMsgs(t *testing.T) {
-	stats := NewStats()
-	tr := NewChanTransport(16, stats)
-	defer tr.Close()
-	var pkts []Packet
-	var mu sync.Mutex
-	recvd := make(chan struct{}, 16)
-	dst := Addr{Node: 1}
-	tr.Register(dst, func(p Packet) {
-		mu.Lock()
-		pkts = append(pkts, p)
-		mu.Unlock()
-		recvd <- struct{}{}
-	})
-
-	b := NewBatcher(tr, BatcherConfig{Src: Addr{Node: 0}, Class: metrics.ClassCacheMiss, MaxMsgs: 3, MaxBytes: 1 << 20}, stats)
-	for i := 0; i < 3; i++ {
-		if err := b.Add(dst, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-recvd
-	mu.Lock()
-	if len(pkts) != 1 || len(pkts[0].Data) != 3 {
-		t.Fatalf("coalescing failed: %d packets, data %v", len(pkts), pkts)
-	}
-	mu.Unlock()
-	if stats.Doorbells.Load() != 1 {
-		t.Fatalf("doorbells = %d", stats.Doorbells.Load())
-	}
-}
-
-func TestBatcherFlushOnMaxBytes(t *testing.T) {
-	tr := NewChanTransport(16, NewStats())
-	defer tr.Close()
-	var count atomic.Int32
-	dst := Addr{Node: 1}
-	tr.Register(dst, func(p Packet) { count.Add(1) })
-
-	b := NewBatcher(tr, BatcherConfig{Src: Addr{Node: 0}, MaxMsgs: 1000, MaxBytes: 10}, nil)
-	b.Add(dst, make([]byte, 6))
-	b.Add(dst, make([]byte, 6)) // 12 > 10: first batch flushes alone
-	b.FlushAll()
-	deadline := time.Now().Add(2 * time.Second)
-	for count.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if count.Load() != 2 {
-		t.Fatalf("packets = %d, want 2", count.Load())
-	}
-}
-
-func TestBatcherExplicitFlush(t *testing.T) {
-	tr := NewChanTransport(16, NewStats())
-	defer tr.Close()
-	got := make(chan Packet, 1)
-	dst := Addr{Node: 1}
-	tr.Register(dst, func(p Packet) { got <- p })
-
-	b := NewBatcher(tr, BatcherConfig{Src: Addr{Node: 0}}, nil)
-	b.Add(dst, []byte("x"))
-	select {
-	case <-got:
-		t.Fatal("message sent before flush")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if err := b.Flush(dst); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-got:
-		if string(p.Data) != "x" {
-			t.Fatalf("data = %q", p.Data)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("flush did not send")
-	}
-	// Flushing an address with nothing pending is a no-op.
-	if err := b.Flush(Addr{Node: 9}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBroadcastSkipsSelf(t *testing.T) {
-	stats := NewStats()
-	tr := NewChanTransport(16, stats)
-	defer tr.Close()
-	var count atomic.Int32
-	for n := uint8(0); n < 3; n++ {
-		tr.Register(Addr{Node: n}, func(Packet) { count.Add(1) })
-	}
-	self := Addr{Node: 0}
-	dsts := []Addr{{Node: 0}, {Node: 1}, {Node: 2}}
-	if err := Broadcast(tr, self, dsts, metrics.ClassUpdate, []byte("u"), stats); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for count.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if count.Load() != 2 {
-		t.Fatalf("broadcast delivered %d, want 2 (self excluded)", count.Load())
-	}
-	if stats.Doorbells.Load() != 1 {
-		t.Fatalf("broadcast must cost one doorbell, got %d", stats.Doorbells.Load())
-	}
-}
-
-func TestSelectiveSignaling(t *testing.T) {
-	stats := NewStats()
-	tr := NewChanTransport(64, stats)
-	defer tr.Close()
-	dst := Addr{Node: 1}
-	tr.Register(dst, func(Packet) {})
-	b := NewBatcher(tr, BatcherConfig{Src: Addr{Node: 0}, MaxMsgs: 1, SignalEvery: 4}, stats)
-	for i := 0; i < 8; i++ {
-		b.Add(dst, []byte{1})
-	}
-	if got := stats.Signaled.Load(); got != 2 {
-		t.Fatalf("signaled completions = %d, want 2 (8 sends / batch of 4)", got)
-	}
-}

@@ -49,6 +49,15 @@ type tcpConn struct {
 
 const tcpFrameHeader = 1 + 1 + 1 + 1 + 1 + 4
 
+// MaxFrameBytes is the largest payload the read loop accepts. The length
+// field comes straight off the socket, so it is untrusted: a frame claiming
+// more is refused before anything is allocated for it, the connection is
+// closed and Stats.OversizeFrames counts it. 16 MiB comfortably covers the
+// largest legal frame any layer builds today (1 MiB session batches,
+// Config.BatchMaxBytes-bounded rpc and consistency packets, single-value
+// reseed write-backs).
+const MaxFrameBytes = 16 << 20
+
 // framePool recycles outbound frame buffers: Send fully serializes a packet
 // into one buffer before writing, so without a pool every send allocates a
 // frame-sized slice. Buffers are returned after the socket write completes.
@@ -192,6 +201,13 @@ func (t *TCPTransport) readLoop(c net.Conn, peer int) {
 			t.noteRoute(hdr[2], c)
 		}
 		n := binary.LittleEndian.Uint32(hdr[5:9])
+		if n > MaxFrameBytes {
+			if t.stats != nil {
+				t.stats.OversizeFrames.Add(1)
+			}
+			t.notePeerDown(uint8(peer), c, fmt.Errorf("fabric: frame of %d bytes exceeds MaxFrameBytes", n))
+			return
+		}
 		if uint32(cap(data)) < n {
 			data = make([]byte, n)
 		}
@@ -268,7 +284,9 @@ func (t *TCPTransport) Send(p Packet) error {
 // as a scatter list, so value memory — store leases on the get path — is
 // handed to the kernel without ever being copied in user space. The
 // segments are fully consumed before return (net.Buffers.WriteTo drains the
-// list), honoring the Packet.Segs contract.
+// list), honoring the Packet.Segs contract. VectoredBytes counts the bytes
+// *handed to* the write, before it starts: whoever observes the packet's
+// effect (a reply to it, say) then also observes the count.
 func (t *TCPTransport) sendVectored(conn *tcpConn, p Packet) error {
 	n := 0
 	for _, s := range p.Segs {
@@ -290,12 +308,12 @@ func (t *TCPTransport) sendVectored(conn *tcpConn, p Packet) error {
 	bufs := append(vb.v[:0], hdr)
 	bufs = append(bufs, p.Segs...)
 	v := bufs // WriteTo consumes v in place; bufs keeps the full backing array
-	conn.mu.Lock()
-	_, werr := v.WriteTo(conn.c)
-	conn.mu.Unlock()
 	if t.stats != nil {
 		t.stats.VectoredBytes.Add(uint64(n))
 	}
+	conn.mu.Lock()
+	_, werr := v.WriteTo(conn.c)
+	conn.mu.Unlock()
 	for i := range bufs {
 		bufs[i] = nil
 	}

@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -266,5 +269,57 @@ func TestTCPLargePayload(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("large payload never arrived")
+	}
+}
+
+// The frame length is untrusted: a header claiming 4 GiB must be refused
+// before anything is allocated for it, the connection closed, and the refusal
+// counted.
+func TestTCPOversizeFrameRefused(t *testing.T) {
+	stats := NewStats()
+	tr, err := NewTCPTransport(0, "127.0.0.1:0", stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c, err := net.Dial("tcp", tr.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hdr := []byte{0, 3, 9, 3, byte(metrics.ClassCacheMiss), 0xff, 0xff, 0xff, 0xff}
+	if _, err := c.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	// The transport hangs up instead of waiting for 4 GiB of payload.
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after oversize header = %v, want EOF (connection closed)", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxFrameBytes {
+		t.Fatalf("allocated %d bytes while refusing the frame", grew)
+	}
+	if got := stats.OversizeFrames.Load(); got != 1 {
+		t.Fatalf("OversizeFrames = %d, want 1", got)
+	}
+
+	// A frame at the ceiling's legal side still flows.
+	a, b := newTCPPair(t)
+	got := make(chan int, 1)
+	b.Register(Addr{Node: 1, Thread: 3}, func(p Packet) { got <- len(p.Data) })
+	if err := a.Send(Packet{Dst: Addr{Node: 1, Thread: 3}, Data: make([]byte, 1<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-got:
+		if n != 1<<20 {
+			t.Fatalf("1 MiB frame arrived as %d bytes", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("1 MiB frame never arrived")
 	}
 }

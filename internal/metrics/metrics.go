@@ -7,9 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -327,44 +325,4 @@ func (c *Coalescing) String() string {
 		return "no coalesced packets"
 	}
 	return strings.Join(parts, ", ")
-}
-
-// Registry is a small named-counter registry for ad-hoc instrumentation of
-// subsystems (used by the fabric and cluster packages for busy-wait and
-// batching statistics, mirroring the paper's §8.4 methodology).
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{counters: map[string]*Counter{}} }
-
-// Counter returns (creating if needed) the counter with the given name.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Dump returns all counters sorted by name, for test assertions and debug
-// output.
-func (r *Registry) Dump() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = fmt.Sprintf("%s=%d", n, r.counters[n].Load())
-	}
-	return out
 }

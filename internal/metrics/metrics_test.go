@@ -195,17 +195,6 @@ func TestMsgClassString(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Add(3)
-	r.Counter("b").Inc()
-	r.Counter("a").Inc()
-	dump := r.Dump()
-	if len(dump) != 2 || dump[0] != "a=4" || dump[1] != "b=1" {
-		t.Fatalf("dump = %v", dump)
-	}
-}
-
 func BenchmarkHistogramRecord(b *testing.B) {
 	h := NewHistogram()
 	for i := 0; i < b.N; i++ {
