@@ -44,12 +44,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		churn   = fs.Bool("churn", false, "run the hot-set reconfiguration (full reinstall vs incremental) ablation under a moving hotspot")
 		workers = fs.Bool("workers", false, "run the per-node worker-scaling ablation (WorkersPerNode in {1,2,4,8}) on the live cluster")
 		reqScal = fs.Bool("require-scaling", false, "with -workers: exit non-zero unless 4-worker remote throughput beats 1-worker (skipped on a single hardware thread)")
-		edge    = fs.Bool("clientedge", false, "run the client-edge session framing ablation (single-op vs pipelined vs batched frames) on the live cluster")
-		reqEdge = fs.Bool("require-edge", false, "with -clientedge: exit non-zero unless batch-32 throughput reaches 1.5x single-op")
 		rmw     = fs.Bool("rmw", false, "run the contended-counter atomic RMW ablation (client-side CAS loop vs server-side fetch-and-add, SC and Lin) on the live cluster")
 		fanout  = fs.Bool("writefanout", false, "run the consistency-plane coalescing ablation (uncoalesced vs batched write fan-out, SC and Lin) on the live cluster")
 		reqFan  = fs.Bool("require-fanout", false, "with -writefanout: exit non-zero unless Lin batch-32 reaches 1.4x its uncoalesced row with > 1.5 msgs/pkt")
-		ops     = fs.Int("ops", 2000, "operations per client for -local/-fig4/-coalesce/-churn/-workers/-clientedge/-rmw/-writefanout")
+		ops     = fs.Int("ops", 2000, "operations per client for -local/-fig4/-coalesce/-churn/-workers/-rmw/-writefanout")
 		jsonOut = fs.String("json", "", "additionally write the produced tables as JSON to this file (CI benchmark artifacts)")
 		compare = fs.String("compare", "", "compare a fresh run's JSON (-json output) against this committed baseline JSON and exit non-zero on regression")
 		against = fs.String("against", "", "with -compare: the fresh run JSON to check (defaults to the file written by -json)")
@@ -118,15 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "worker scaling ablation: %v\n", err)
-			exit = 1
-		}
-	case *edge:
-		tab, err := experiments.LocalClientEdgeAblation(*ops, *reqEdge)
-		if len(tab.Rows) > 0 {
-			emit(tab)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "client-edge ablation: %v\n", err)
 			exit = 1
 		}
 	case *rmw:

@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rmwFrac    = fs.Float64("rmw-frac", 0, "fraction of ops issued as atomic fetch-and-adds (start the nodes with -value 8 so populated values decode as counters; forces -value 8 here)")
 		ops        = fs.Int("ops", 5000, "operations per client")
 		clients    = fs.Int("clients", 4, "concurrent clients")
-		batch      = fs.Int("batch", 1, "operations per session frame (>1 drives the batched v2 wire format)")
+		batch      = fs.Int("batch", 1, "operations per session frame: 1 sends each op as its own point call, >1 packs that many into one Client.Batch call (the wire frame is the same batch frame either way)")
 		valSize    = fs.Int("value", 40, "value size in bytes")
 		hotset     = fs.Int("hotset", 0, "install ranks [0,hotset) as the hot set before the run (0 = skip)")
 		refreshAt  = fs.Float64("refresh-at", 0, "apply an online hot-set refresh after this fraction of ops (0 = never)")
@@ -90,13 +90,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	nodes := len(addrs)
 
-	cl, err := cluster.DialTCP(250, addrs)
+	cl, err := cluster.DialTCP(250, addrs, cluster.WithTimeout(*timeout))
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer cl.Close()
-	cl.SetTimeout(*timeout)
 	if err := cl.WaitReady(*waitReady); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -524,7 +523,7 @@ func batchOutcome(ops []cluster.Op, rs []cluster.Result, chaos *chaosState) erro
 		if err == nil {
 			continue
 		}
-		if ops[i].EffectiveKind() == cluster.OpGet && errors.Is(err, store.ErrNotFound) {
+		if ops[i].Kind == cluster.OpGet && errors.Is(err, store.ErrNotFound) {
 			continue
 		}
 		if chaos != nil && !chaos.replicated && errors.Is(err, cluster.ErrHomeDown) {

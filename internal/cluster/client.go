@@ -20,10 +20,11 @@ import (
 // matched to its caller by request id, so a single TCP connection per server
 // carries the whole process's traffic.
 //
-// The connection is pipelined: up to SetPipelineWindow in-flight requests per
+// The connection is pipelined: up to WithPipelineWindow in-flight requests per
 // server ride the wire concurrently (callers block for a window slot beyond
-// that). Batch/MultiGet/MultiPut pack many operations into one v2 frame, and
-// SetAutoBatch transparently coalesces concurrent Get/Put callers into such
+// that). Every operation travels as an entry of a batch frame: Batch/MultiGet/
+// MultiPut pack many into one, a point call sends a frame of one, and
+// WithAutoBatch transparently coalesces concurrent point callers into shared
 // frames — the client edge's version of the fabric's request coalescing.
 type Client struct {
 	id      uint8
@@ -41,8 +42,9 @@ type Client struct {
 	winCh []chan struct{}
 
 	nextID atomic.Uint64
-	// ab, when non-nil, routes Get/Put through per-node auto-batchers.
-	ab atomic.Pointer[autoBatchState]
+	// ab, when non-nil (WithAutoBatch), routes point ops through per-node
+	// auto-batchers.
+	ab []*autoBatch
 
 	mu     sync.Mutex
 	closed bool
@@ -52,12 +54,11 @@ type Client struct {
 type sessPending struct {
 	ch   chan sessResult
 	node uint8
-	// lease marks a batch request: the response payload is staged in a
-	// pooled, refcounted buffer that the decoded Results can hand back via
-	// Release instead of leaving it to the garbage collector.
-	lease bool
 }
 
+// sessResult is one response as staged by onResponse. lease, when non-nil,
+// is the pooled buffer backing payload; the receiver of the result owns one
+// reference on it.
 type sessResult struct {
 	status  byte
 	payload []byte
@@ -108,7 +109,7 @@ const defaultPipelineWindow = 256
 var sessChPool = sync.Pool{New: func() any { return make(chan sessResult, 1) }}
 
 // abChPool recycles the auto-batcher's per-op completion channels.
-var abChPool = sync.Pool{New: func() any { return make(chan BatchResult, 1) }}
+var abChPool = sync.Pool{New: func() any { return make(chan Result, 1) }}
 
 // timerPool recycles timeout timers across calls; pooled timers are always
 // stopped and drained.
@@ -126,20 +127,42 @@ type ClientOption func(*Client)
 // WithPipelineWindow bounds the in-flight requests per server connection
 // (default 256): callers beyond the window block until a slot frees.
 func WithPipelineWindow(w int) ClientOption {
-	return func(cl *Client) { cl.setPipelineWindow(w) }
+	return func(cl *Client) {
+		for i := range cl.winCh {
+			cl.winCh[i] = make(chan struct{}, max(w, 1))
+		}
+	}
 }
 
-// WithAutoBatch routes the client's Get/Put calls through per-node
-// auto-batchers: concurrent operations are coalesced into one batch frame,
+// WithAutoBatch routes the client's point calls (Get, Put, CompareAndSwap,
+// FetchAndAdd) through per-node auto-batchers: concurrent operations are
+// coalesced into one batch frame,
 // flushed when maxOps accumulate or the armed delay passes since the batch
 // opened, whichever comes first — the client edge's version of the fabric's
 // request coalescing. maxDelay (default 200µs) is a ceiling, not a fixed
 // delay: the armed delay adapts to load, collapsing toward maxDelay/16 when
 // recent batches ran near empty and widening back as they fill (a lone
 // caller skips the timer entirely). Callers still observe per-op results
-// and errors; batching only changes the framing.
+// and errors; batching only changes the framing. maxOps <= 1 leaves
+// auto-batching off.
 func WithAutoBatch(maxOps int, maxDelay time.Duration) ClientOption {
-	return func(cl *Client) { cl.setAutoBatch(maxOps, maxDelay) }
+	return func(cl *Client) {
+		if maxOps <= 1 {
+			return
+		}
+		if maxDelay <= 0 {
+			maxDelay = 200 * time.Microsecond
+		}
+		maxOps = min(maxOps, sessBatchMaxOps)
+		floor := min(max(maxDelay/16, time.Microsecond), maxDelay)
+		cl.ab = make([]*autoBatch, cl.nodes)
+		for i := range cl.ab {
+			a := &autoBatch{cl: cl, node: uint8(i), maxOps: maxOps, delay: maxDelay, floor: floor}
+			a.timer = time.AfterFunc(time.Hour, a.flushTimed)
+			a.timer.Stop()
+			cl.ab[i] = a
+		}
+	}
 }
 
 // WithTimeout bounds each call (default 10s).
@@ -192,62 +215,6 @@ func DialTCP(id uint8, peers []string, opts ...ClientOption) (*Client, error) {
 	return cl, nil
 }
 
-// SetTimeout bounds each call (default 10s).
-func (cl *Client) SetTimeout(d time.Duration) { cl.timeout = d }
-
-// SetPipelineWindow resizes the pipelining window after construction.
-//
-// Deprecated: pass WithPipelineWindow to NewClient/DialTCP — resizing a live
-// client does not migrate slots held by in-flight requests.
-func (cl *Client) SetPipelineWindow(w int) { cl.setPipelineWindow(w) }
-
-func (cl *Client) setPipelineWindow(w int) {
-	if w < 1 {
-		w = 1
-	}
-	for i := range cl.winCh {
-		cl.winCh[i] = make(chan struct{}, w)
-	}
-}
-
-// SetAutoBatch reconfigures auto-batching after construction. maxOps <= 1
-// disables it (any buffered operations are flushed).
-//
-// Deprecated: pass WithAutoBatch to NewClient/DialTCP; keep SetAutoBatch for
-// the disable case or mid-life reconfiguration.
-func (cl *Client) SetAutoBatch(maxOps int, maxDelay time.Duration) {
-	cl.setAutoBatch(maxOps, maxDelay)
-}
-
-func (cl *Client) setAutoBatch(maxOps int, maxDelay time.Duration) {
-	var next *autoBatchState
-	if maxOps > 1 {
-		if maxDelay <= 0 {
-			maxDelay = 200 * time.Microsecond
-		}
-		if maxOps > sessBatchMaxOps {
-			maxOps = sessBatchMaxOps
-		}
-		floor := maxDelay / 16
-		if floor < time.Microsecond {
-			floor = time.Microsecond
-		}
-		if floor > maxDelay {
-			floor = maxDelay
-		}
-		next = &autoBatchState{per: make([]*autoBatch, cl.nodes)}
-		for i := range next.per {
-			a := &autoBatch{cl: cl, node: uint8(i), maxOps: maxOps, delay: maxDelay, floor: floor}
-			a.timer = time.AfterFunc(time.Hour, a.flushTimed)
-			a.timer.Stop()
-			next.per[i] = a
-		}
-	}
-	if old := cl.ab.Swap(next); old != nil {
-		old.flush()
-	}
-}
-
 // NumNodes returns the deployment size the client was built for.
 func (cl *Client) NumNodes() int { return cl.nodes }
 
@@ -270,8 +237,8 @@ func (cl *Client) Close() error {
 	}
 	// Flush after the closed flag is visible: the flush's batch calls fail
 	// fast with ErrClientClosed, completing every buffered operation.
-	if st := cl.ab.Load(); st != nil {
-		st.flush()
+	for _, a := range cl.ab {
+		a.flushTimed()
 	}
 	if cl.owns {
 		return cl.tr.Close()
@@ -295,26 +262,20 @@ func (cl *Client) onResponse(p fabric.Packet) {
 		return // abandoned (timed out) or duplicate; nothing waits
 	}
 	res := sessResult{status: p.Data[8]}
-	switch {
-	case !cl.trCopies:
+	if !cl.trCopies {
 		// By-reference transport: the server builds a fresh response buffer
 		// per reply (it only pools encode buffers on copying transports), so
 		// the payload is ours to alias — the zero-copy receive path.
 		res.payload = p.Data[9:]
-	case pd.lease:
-		// Copying transport, batch request: stage the payload in a pooled
-		// refcounted buffer. The decoded Results inherit references and the
-		// caller returns the buffer via Release.
+	} else {
+		// Copying transport: the packet buffer is reused after this handler,
+		// so stage the payload in a pooled refcounted buffer. Decoded Results
+		// inherit references and the last Release returns the buffer.
 		l := respLeasePool.Get().(*respLease)
 		l.refs.Store(1)
 		l.buf = append(l.buf[:0], p.Data[9:]...)
 		res.payload = l.buf
 		res.lease = l
-	default:
-		// Copying transport, point op: the packet buffer is reused after
-		// this handler and the caller may hold the value forever, so copy
-		// into a buffer the garbage collector owns.
-		res.payload = append([]byte(nil), p.Data[9:]...)
 	}
 	pd.ch <- res
 	cl.releaseSlot(pd.node)
@@ -381,11 +342,11 @@ func (cl *Client) newFrame(capHint int) ([]byte, *srvBuf) {
 
 // exchange sends one encoded request frame to node and waits for its
 // response or the timeout. It owns the frame: pooled buffers are recycled
-// once the transport is done with them. wantLease asks onResponse to stage
-// the payload in a pooled refcounted buffer (batch path); a timed-out
-// exchange abandons its channel, so a lease parked there falls to the
-// garbage collector rather than the pool — safe, just unrecycled.
-func (cl *Client) exchange(node uint8, id uint64, frame []byte, pooled *srvBuf, timeout time.Duration, wantLease bool) (sessResult, error) {
+// once the transport is done with them. The caller owns the result's lease
+// reference. A timed-out exchange abandons its channel, so a lease parked
+// there falls to the garbage collector rather than the pool — safe, just
+// unrecycled.
+func (cl *Client) exchange(node uint8, id uint64, frame []byte, pooled *srvBuf, timeout time.Duration) (sessResult, error) {
 	cl.acquireSlot(node)
 	ch := sessChPool.Get().(chan sessResult)
 	cl.mu.Lock()
@@ -399,7 +360,7 @@ func (cl *Client) exchange(node uint8, id uint64, frame []byte, pooled *srvBuf, 
 		}
 		return sessResult{}, ErrClientClosed
 	}
-	cl.pend[id] = sessPending{ch: ch, node: node, lease: wantLease}
+	cl.pend[id] = sessPending{ch: ch, node: node}
 	cl.mu.Unlock()
 
 	err := cl.tr.Send(fabric.Packet{
@@ -442,58 +403,52 @@ func (cl *Client) exchange(node uint8, id uint64, frame []byte, pooled *srvBuf, 
 	}
 }
 
-// mapStatus converts a frame-level response status into its typed error.
+// mapStatus converts a frame-level response status into its error; per-op
+// statuses live inside a batch response's entries (decodeBatch).
 func (cl *Client) mapStatus(node uint8, res sessResult) error {
 	switch res.status {
+	case sessStatusOK:
+		return nil
 	case sessStatusErr:
 		return fmt.Errorf("cluster: node %d: %s", node, sessErrorText(res.payload))
 	case sessStatusBad:
 		return fmt.Errorf("cluster: node %d rejected session request (bad request)", node)
-	case sessStatusHomeDown:
-		return fmt.Errorf("node %d reports %w", node, ErrHomeDown)
 	}
-	return nil
+	return fmt.Errorf("cluster: node %d: unexpected frame status %d", node, res.status)
 }
 
-// call sends one framed session request to node and waits for its response
-// or the default timeout.
-func (cl *Client) call(node uint8, op byte, body []byte) (sessResult, error) {
-	return cl.callT(node, op, body, cl.timeout)
-}
-
-// callT is call with an explicit per-request timeout (ready probes poll
-// fast; epoch changes get extra room).
-func (cl *Client) callT(node uint8, op byte, body []byte, timeout time.Duration) (sessResult, error) {
+// callT sends one control frame (ping, stats, refresh) to node and waits for
+// its response or the timeout (ready probes poll fast; epoch changes get
+// extra room). The returned payload is the caller's own.
+func (cl *Client) callT(node uint8, op byte, body []byte, timeout time.Duration) ([]byte, error) {
 	id := cl.nextID.Add(1)
 	frame, pooled := cl.newFrame(sessHeader + len(body))
 	frame = append(frame, op)
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	frame = append(frame, body...)
-	res, err := cl.exchange(node, id, frame, pooled, timeout, false)
+	res, err := cl.exchange(node, id, frame, pooled, timeout)
 	if err != nil {
-		return sessResult{}, err
+		return nil, err
 	}
+	defer res.lease.release()
 	if err := cl.mapStatus(node, res); err != nil {
-		return sessResult{}, err
+		return nil, err
 	}
-	return res, nil
+	return append([]byte(nil), res.payload...), nil
 }
 
 // sessErrorText decodes the message of a sessStatusErr payload.
 func sessErrorText(payload []byte) string {
-	if len(payload) < 4 {
-		return "(no message)"
-	}
-	n := int(binary.LittleEndian.Uint32(payload[:4]))
-	if n < 0 || len(payload) < 4+n {
+	msg, _, ok := sessBytesAt(payload, 0)
+	if !ok {
 		return "(truncated message)"
 	}
-	return string(payload[4 : 4+n])
+	return string(msg)
 }
 
 // Ping checks that node answers session requests.
 func (cl *Client) Ping(node int) error {
-	_, err := cl.call(uint8(node), sessOpPing, nil)
+	_, err := cl.callT(uint8(node), sessOpPing, nil, cl.timeout)
 	return err
 }
 
@@ -517,62 +472,38 @@ func (cl *Client) WaitReady(timeout time.Duration) error {
 	return nil
 }
 
+// do runs one point operation through node's session layer: an entry of the
+// node's auto-batcher when auto-batching is on, else a batch frame of its own.
+// Framing never changes what the caller gets back: the op's own error, and a
+// value it owns outright — detached from the frame's receive buffer, which is
+// released here on every path.
+func (cl *Client) do(node int, op Op) ([]byte, error) {
+	var r Result
+	if node >= 0 && node < len(cl.ab) {
+		r = cl.ab[node].do(op)
+	} else {
+		ops, rs := [1]Op{op}, [1]Result{}
+		_ = cl.batchChunk(node, ops[:], rs[:]) // a frame failure is rs[0].Err too
+		r = rs[0]
+	}
+	v := r.Value
+	if r.lease != nil {
+		v = r.ValueCopy()
+		r.Release()
+	}
+	return v, r.Err
+}
+
 // Get reads key through node's session layer (any node serves any key).
-// Absent keys return store.ErrNotFound. With auto-batching enabled the
-// operation rides a shared batch frame.
+// Absent keys return store.ErrNotFound.
 func (cl *Client) Get(node int, key uint64) ([]byte, error) {
-	if st := cl.ab.Load(); st != nil && node >= 0 && node < len(st.per) {
-		r := st.per[node].do(BatchOp{Key: key})
-		return r.Value, r.Err
-	}
-	id := cl.nextID.Add(1)
-	frame, pooled := cl.newFrame(sessHeader + 8)
-	frame = append(frame, sessOpGet)
-	frame = binary.LittleEndian.AppendUint64(frame, id)
-	frame = binary.LittleEndian.AppendUint64(frame, key)
-	res, err := cl.exchange(uint8(node), id, frame, pooled, cl.timeout, false)
-	if err != nil {
-		return nil, err
-	}
-	if res.status == sessStatusNotFound {
-		return nil, store.ErrNotFound
-	}
-	if err := cl.mapStatus(uint8(node), res); err != nil {
-		return nil, err
-	}
-	return decodeGetValue(node, res.payload)
+	return cl.do(node, Op{Key: key})
 }
 
-// decodeGetValue unwraps a served get's vlen-framed payload.
-func decodeGetValue(node int, payload []byte) ([]byte, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("cluster: malformed get response from node %d", node)
-	}
-	vlen := int(binary.LittleEndian.Uint32(payload[:4]))
-	if vlen < 0 || len(payload) < 4+vlen {
-		return nil, fmt.Errorf("cluster: truncated get response from node %d", node)
-	}
-	return payload[4 : 4+vlen], nil
-}
-
-// Put writes key through node's session layer. With auto-batching enabled
-// the operation rides a shared batch frame.
+// Put writes key through node's session layer.
 func (cl *Client) Put(node int, key uint64, value []byte) error {
-	if st := cl.ab.Load(); st != nil && node >= 0 && node < len(st.per) {
-		return st.per[node].do(BatchOp{Put: true, Key: key, Value: value}).Err
-	}
-	id := cl.nextID.Add(1)
-	frame, pooled := cl.newFrame(sessHeader + 12 + len(value))
-	frame = append(frame, sessOpPut)
-	frame = binary.LittleEndian.AppendUint64(frame, id)
-	frame = binary.LittleEndian.AppendUint64(frame, key)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(value)))
-	frame = append(frame, value...)
-	res, err := cl.exchange(uint8(node), id, frame, pooled, cl.timeout, false)
-	if err != nil {
-		return err
-	}
-	return cl.mapStatus(uint8(node), res)
+	_, err := cl.do(node, Op{Kind: OpPut, Key: key, Value: value})
+	return err
 }
 
 // CompareAndSwap atomically replaces key's value with newVal iff the stored
@@ -584,35 +515,11 @@ func (cl *Client) Put(node int, key uint64, value []byte) error {
 // may or may not have applied, and neither the server nor this client will
 // guess by re-running it.
 func (cl *Client) CompareAndSwap(node int, key uint64, expect, newVal []byte) (witness []byte, swapped bool, err error) {
-	if st := cl.ab.Load(); st != nil && node >= 0 && node < len(st.per) {
-		r := st.per[node].do(Op{Kind: OpCAS, Key: key, Expect: expect, Value: newVal})
-		if errors.Is(r.Err, ErrCASMismatch) {
-			return r.Value, false, nil
-		}
-		return r.Value, r.Err == nil, r.Err
+	witness, err = cl.do(node, Op{Kind: OpCAS, Key: key, Expect: expect, Value: newVal})
+	if errors.Is(err, ErrCASMismatch) {
+		return witness, false, nil
 	}
-	id := cl.nextID.Add(1)
-	frame, pooled := cl.newFrame(sessHeader + 16 + len(expect) + len(newVal))
-	frame = append(frame, sessOpCAS)
-	frame = binary.LittleEndian.AppendUint64(frame, id)
-	frame = binary.LittleEndian.AppendUint64(frame, key)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(expect)))
-	frame = append(frame, expect...)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(newVal)))
-	frame = append(frame, newVal...)
-	res, err := cl.exchange(uint8(node), id, frame, pooled, cl.timeout, false)
-	if err != nil {
-		return nil, false, err
-	}
-	if res.status == sessStatusCASFail {
-		w, derr := decodeGetValue(node, res.payload)
-		return w, false, derr
-	}
-	if err := cl.mapStatus(uint8(node), res); err != nil {
-		return nil, false, err
-	}
-	w, derr := decodeGetValue(node, res.payload)
-	return w, derr == nil, derr
+	return witness, err == nil, err
 }
 
 // FetchAndAdd atomically adds delta to the 8-byte big-endian counter stored
@@ -621,29 +528,9 @@ func (cl *Client) CompareAndSwap(node int, key uint64, expect, newVal []byte) (w
 // serialization point: a hot contended counter costs one exchange per op
 // instead of a CAS retry loop over the wire.
 func (cl *Client) FetchAndAdd(node int, key uint64, delta uint64) (old uint64, err error) {
-	if st := cl.ab.Load(); st != nil && node >= 0 && node < len(st.per) {
-		r := st.per[node].do(Op{Kind: OpFAA, Key: key, Delta: delta})
-		if r.Err != nil {
-			return 0, r.Err
-		}
-		return DecodeCounter(r.Value)
-	}
-	id := cl.nextID.Add(1)
-	frame, pooled := cl.newFrame(sessHeader + 16)
-	frame = append(frame, sessOpFAA)
-	frame = binary.LittleEndian.AppendUint64(frame, id)
-	frame = binary.LittleEndian.AppendUint64(frame, key)
-	frame = binary.LittleEndian.AppendUint64(frame, delta)
-	res, err := cl.exchange(uint8(node), id, frame, pooled, cl.timeout, false)
+	v, err := cl.do(node, Op{Kind: OpFAA, Key: key, Delta: delta})
 	if err != nil {
 		return 0, err
-	}
-	if err := cl.mapStatus(uint8(node), res); err != nil {
-		return 0, err
-	}
-	v, derr := decodeGetValue(node, res.payload)
-	if derr != nil {
-		return 0, derr
 	}
 	return DecodeCounter(v)
 }
@@ -663,32 +550,15 @@ const (
 )
 
 // Op is one operation of the unified client surface: Batch, MultiGet,
-// MultiPut, the RMW calls and the auto-batcher all speak it. Zero value is a
-// get of Key. The legacy Put flag (from the original get/put-only BatchOp)
-// is honored when Kind is OpGet — existing callers keep compiling and
-// working unchanged.
+// MultiPut, the point calls and the auto-batcher all speak it. Zero value is a
+// get of Key.
 type Op struct {
-	Kind OpKind
-	// Put is the deprecated pre-Kind way to mark a put.
-	//
-	// Deprecated: set Kind to OpPut instead.
-	Put    bool
+	Kind   OpKind
 	Key    uint64
 	Value  []byte // put/cas: the (replacement) value
 	Expect []byte // cas only: the expected current value
 	Delta  uint64 // faa only
 }
-
-// EffectiveKind returns the op's kind with the legacy Put flag honored —
-// what the op will execute as.
-func (o *Op) EffectiveKind() OpKind {
-	if o.Kind == OpGet && o.Put {
-		return OpPut
-	}
-	return o.Kind
-}
-
-func (o *Op) kind() OpKind { return o.EffectiveKind() }
 
 // Result is one operation's outcome. Value carries the read value (get), the
 // witnessed value (cas — on both success and ErrCASMismatch), or the 8-byte
@@ -697,12 +567,13 @@ func (o *Op) kind() OpKind { return o.EffectiveKind() }
 // when the key's home left the view, ErrNodeUnreachable / ErrSessionTimeout /
 // ErrClientClosed when the op's frame failed.
 //
-// Value ownership: on a copying transport (TCP), a batch Result's Value
+// Value ownership: on a copying transport (TCP), a Batch Result's Value
 // aliases a pooled response buffer shared by the whole frame. Callers that
 // are done with Value should call Release so the buffer can be recycled;
 // callers that keep values past the batch must take ValueCopy first. Never
 // calling Release is always safe — the buffer just falls to the garbage
-// collector instead of the pool.
+// collector instead of the pool. The point calls (Get, CompareAndSwap,
+// FetchAndAdd) do both for their caller: what they return is never pooled.
 type Result struct {
 	Value []byte
 	Err   error
@@ -736,20 +607,9 @@ func (r *Result) ValueCopy() []byte {
 	return append([]byte(nil), r.Value...)
 }
 
-// BatchOp is the unified Op type's original name.
-//
-// Deprecated: use Op. The alias keeps existing callers compiling (and costs
-// nothing — it is the identical type).
-type BatchOp = Op
-
-// BatchResult is the unified Result type's original name.
-//
-// Deprecated: use Result.
-type BatchResult = Result
-
 // opWireSize returns an op's encoded size as a batch entry.
 func opWireSize(o *Op) int {
-	switch o.kind() {
+	switch o.Kind {
 	case OpPut:
 		return 13 + len(o.Value)
 	case OpCAS:
@@ -761,9 +621,10 @@ func opWireSize(o *Op) int {
 	}
 }
 
-// appendBatchEntry encodes one op as a batch entry.
+// appendBatchEntry encodes one op as a batch entry — the one place the client
+// writes a get/put/CAS/FAA onto the wire.
 func appendBatchEntry(frame []byte, o *Op) []byte {
-	switch o.kind() {
+	switch o.Kind {
 	case OpPut:
 		frame = append(frame, sessOpPut)
 		frame = binary.LittleEndian.AppendUint64(frame, o.Key)
@@ -791,11 +652,11 @@ func appendBatchEntry(frame []byte, o *Op) []byte {
 // always has len(ops), in request order, with per-op outcomes; the error
 // return reports the first frame-level failure (unreachable node, timeout) —
 // per-op statuses such as an absent key never raise it.
-func (cl *Client) Batch(node int, ops []BatchOp) ([]BatchResult, error) {
+func (cl *Client) Batch(node int, ops []Op) ([]Result, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	rs := make([]BatchResult, len(ops))
+	rs := make([]Result, len(ops))
 	var firstErr error
 	dead := false
 	start := 0
@@ -813,7 +674,7 @@ func (cl *Client) Batch(node int, ops []BatchOp) ([]BatchResult, error) {
 				// immediately instead of burning one full timeout per
 				// remaining chunk against the same dead connection.
 				for j := start; j < i; j++ {
-					rs[j] = BatchResult{Err: firstErr}
+					rs[j] = Result{Err: firstErr}
 				}
 			} else if err := cl.batchChunk(node, ops[start:i], rs[start:i]); err != nil {
 				if firstErr == nil {
@@ -834,7 +695,7 @@ func (cl *Client) Batch(node int, ops []BatchOp) ([]BatchResult, error) {
 // batchChunk sends one batch frame and decodes its results in place. A
 // frame-level failure is both returned and fanned out to every op of the
 // chunk, so callers that only look at per-op results still observe it.
-func (cl *Client) batchChunk(node int, ops []BatchOp, rs []BatchResult) error {
+func (cl *Client) batchChunk(node int, ops []Op, rs []Result) error {
 	id := cl.nextID.Add(1)
 	size := sessHeader + 4
 	for i := range ops {
@@ -847,21 +708,17 @@ func (cl *Client) batchChunk(node int, ops []BatchOp, rs []BatchResult) error {
 	for i := range ops {
 		frame = appendBatchEntry(frame, &ops[i])
 	}
-	res, err := cl.exchange(uint8(node), id, frame, pooled, cl.timeout, true)
+	res, err := cl.exchange(uint8(node), id, frame, pooled, cl.timeout)
 	if err == nil {
-		err = cl.mapStatus(uint8(node), res)
-	}
-	if err == nil {
-		err = cl.decodeBatch(node, ops, rs, res.payload, res.lease)
-		res.lease.release() // value-bearing Results hold their own refs now
-		if err == nil {
-			return nil
+		if err = cl.mapStatus(uint8(node), res); err == nil {
+			err = cl.decodeBatch(node, ops, rs, res.payload, res.lease)
 		}
-	} else {
-		res.lease.release()
+		res.lease.release() // value-bearing Results hold their own refs now
 	}
-	for i := range rs {
-		rs[i] = BatchResult{Err: err}
+	if err != nil {
+		for i := range rs {
+			rs[i] = Result{Err: err}
+		}
 	}
 	return err
 }
@@ -895,22 +752,19 @@ func (cl *Client) decodeBatch(node int, ops []Op, rs []Result, payload []byte, l
 		buf = buf[1:]
 		switch status {
 		case sessStatusOK, sessStatusCASFail:
-			if ops[i].kind() == OpPut {
+			if ops[i].Kind == OpPut {
 				break // bare status, no payload
 			}
-			if len(buf) < 4 {
+			v, end, ok := sessBytesAt(buf, 0)
+			if !ok {
 				return malformed()
 			}
-			vlen := int(binary.LittleEndian.Uint32(buf[:4]))
-			if vlen < 0 || len(buf) < 4+vlen {
-				return malformed()
-			}
-			rs[i].Value = buf[4 : 4+vlen]
+			rs[i].Value = v
 			if lease != nil {
 				lease.refs.Add(1)
 				rs[i].lease = lease
 			}
-			buf = buf[4+vlen:]
+			buf = buf[end:]
 			if status == sessStatusCASFail {
 				rs[i].Err = ErrCASMismatch
 			}
@@ -919,15 +773,12 @@ func (cl *Client) decodeBatch(node int, ops []Op, rs []Result, payload []byte, l
 		case sessStatusHomeDown:
 			rs[i].Err = fmt.Errorf("node %d reports %w", node, ErrHomeDown)
 		case sessStatusErr:
-			if len(buf) < 4 {
+			msg, end, ok := sessBytesAt(buf, 0)
+			if !ok {
 				return malformed()
 			}
-			mlen := int(binary.LittleEndian.Uint32(buf[:4]))
-			if mlen < 0 || len(buf) < 4+mlen {
-				return malformed()
-			}
-			rs[i].Err = fmt.Errorf("cluster: node %d: %s", node, string(buf[4:4+mlen]))
-			buf = buf[4+mlen:]
+			rs[i].Err = fmt.Errorf("cluster: node %d: %s", node, msg)
+			buf = buf[end:]
 		default:
 			rs[i].Err = fmt.Errorf("cluster: node %d: unexpected batch op status %d", node, status)
 		}
@@ -939,7 +790,7 @@ func (cl *Client) decodeBatch(node int, ops []Op, rs []Result, payload []byte, l
 // nil when keys[i] is absent; the first hard failure is returned after the
 // whole batch settled — same contract as Node.MultiGet.
 func (cl *Client) MultiGet(node int, keys []uint64) ([][]byte, error) {
-	ops := make([]BatchOp, len(keys))
+	ops := make([]Op, len(keys))
 	for i, k := range keys {
 		ops[i].Key = k
 	}
@@ -963,9 +814,9 @@ func (cl *Client) MultiGet(node int, keys []uint64) ([][]byte, error) {
 // MultiPut writes keys[i]=values[i] through node in one batched round trip,
 // returning the first failure after the whole batch settled.
 func (cl *Client) MultiPut(node int, keys []uint64, values [][]byte) error {
-	ops := make([]BatchOp, len(keys))
+	ops := make([]Op, len(keys))
 	for i, k := range keys {
-		ops[i] = BatchOp{Put: true, Key: k, Value: values[i]}
+		ops[i] = Op{Kind: OpPut, Key: k, Value: values[i]}
 	}
 	rs, firstErr := cl.Batch(node, ops)
 	for i := range rs {
@@ -976,19 +827,7 @@ func (cl *Client) MultiPut(node int, keys []uint64, values [][]byte) error {
 	return firstErr
 }
 
-// autoBatchState is one SetAutoBatch configuration: a batcher per server.
-type autoBatchState struct {
-	per []*autoBatch
-}
-
-// flush forces out whatever every batcher buffered.
-func (st *autoBatchState) flush() {
-	for _, a := range st.per {
-		a.flushTimed()
-	}
-}
-
-// autoBatch coalesces concurrent Get/Put callers toward one server into
+// autoBatch coalesces concurrent point-op callers toward one server into
 // batch frames: the first op of a batch arms the flush timer, the maxOps-th
 // flushes inline on its caller.
 //
@@ -1018,8 +857,8 @@ type autoBatch struct {
 	fill atomic.Int32
 
 	mu    sync.Mutex
-	ops   []BatchOp
-	chs   []chan BatchResult
+	ops   []Op
+	chs   []chan Result
 	timer *time.Timer
 }
 
@@ -1053,8 +892,8 @@ func (a *autoBatch) noteFill(n int) {
 }
 
 // do enqueues one operation and blocks for its result.
-func (a *autoBatch) do(op BatchOp) BatchResult {
-	ch := abChPool.Get().(chan BatchResult)
+func (a *autoBatch) do(op Op) Result {
+	ch := abChPool.Get().(chan Result)
 	alone := a.inflight.Add(1) == 1
 	a.mu.Lock()
 	a.ops = append(a.ops, op)
@@ -1095,14 +934,14 @@ func (a *autoBatch) flushIfStranded() {
 }
 
 // takeLocked claims the buffered batch; the caller holds a.mu.
-func (a *autoBatch) takeLocked() ([]BatchOp, []chan BatchResult) {
+func (a *autoBatch) takeLocked() ([]Op, []chan Result) {
 	ops, chs := a.ops, a.chs
 	a.ops, a.chs = nil, nil
 	a.timer.Stop()
 	return ops, chs
 }
 
-// flushTimed flushes on the timer (or on reconfiguration/close).
+// flushTimed flushes on the timer (or on close).
 func (a *autoBatch) flushTimed() {
 	a.mu.Lock()
 	ops, chs := a.takeLocked()
@@ -1111,7 +950,7 @@ func (a *autoBatch) flushTimed() {
 }
 
 // run executes one claimed batch and distributes the per-op results.
-func (a *autoBatch) run(ops []BatchOp, chs []chan BatchResult) {
+func (a *autoBatch) run(ops []Op, chs []chan Result) {
 	if len(ops) == 0 {
 		return
 	}
@@ -1144,15 +983,15 @@ func (cl *Client) RefreshT(node int, target []uint64, timeout time.Duration) (pr
 	for _, k := range target {
 		body = binary.LittleEndian.AppendUint64(body, k)
 	}
-	res, err := cl.callT(uint8(node), sessOpRefresh, body, timeout)
+	payload, err := cl.callT(uint8(node), sessOpRefresh, body, timeout)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(res.payload) < 12 {
+	if len(payload) < 12 {
 		return 0, 0, fmt.Errorf("cluster: malformed refresh response from node %d", node)
 	}
-	return int(binary.LittleEndian.Uint32(res.payload[:4])),
-		int(binary.LittleEndian.Uint32(res.payload[4:8])), nil
+	return int(binary.LittleEndian.Uint32(payload[:4])),
+		int(binary.LittleEndian.Uint32(payload[4:8])), nil
 }
 
 // SessionStats is one node's counters as reported over the session layer.
@@ -1174,19 +1013,19 @@ func (s SessionStats) HitRate() float64 {
 
 // Stats fetches node's operation counters.
 func (cl *Client) Stats(node int) (SessionStats, error) {
-	res, err := cl.call(uint8(node), sessOpStats, nil)
+	payload, err := cl.callT(uint8(node), sessOpStats, nil, cl.timeout)
 	if err != nil {
 		return SessionStats{}, err
 	}
-	if len(res.payload) < 48 {
+	if len(payload) < 48 {
 		return SessionStats{}, fmt.Errorf("cluster: malformed stats response from node %d", node)
 	}
 	return SessionStats{
-		CacheHits:     binary.LittleEndian.Uint64(res.payload[0:8]),
-		CacheMisses:   binary.LittleEndian.Uint64(res.payload[8:16]),
-		LocalOps:      binary.LittleEndian.Uint64(res.payload[16:24]),
-		RemoteOps:     binary.LittleEndian.Uint64(res.payload[24:32]),
-		HotKeys:       binary.LittleEndian.Uint64(res.payload[32:40]),
-		FrozenRetries: binary.LittleEndian.Uint64(res.payload[40:48]),
+		CacheHits:     binary.LittleEndian.Uint64(payload[0:8]),
+		CacheMisses:   binary.LittleEndian.Uint64(payload[8:16]),
+		LocalOps:      binary.LittleEndian.Uint64(payload[16:24]),
+		RemoteOps:     binary.LittleEndian.Uint64(payload[24:32]),
+		HotKeys:       binary.LittleEndian.Uint64(payload[32:40]),
+		FrozenRetries: binary.LittleEndian.Uint64(payload[40:48]),
 	}, nil
 }

@@ -22,12 +22,11 @@ func TestClientDialFailureIsTyped(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	cl, err := DialTCP(200, []string{addr})
+	cl, err := DialTCP(200, []string{addr}, WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	cl.SetTimeout(5 * time.Second)
 
 	start := time.Now()
 	_, gerr := cl.Get(0, 1)
@@ -62,12 +61,11 @@ func TestClientServerClosesConnectionMidRequest(t *testing.T) {
 		close(accepted)
 	}()
 
-	cl, err := DialTCP(201, []string{ln.Addr().String()})
+	cl, err := DialTCP(201, []string{ln.Addr().String()}, WithTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	cl.SetTimeout(10 * time.Second)
 
 	start := time.Now()
 	_, gerr := cl.Get(0, 7)
@@ -100,12 +98,11 @@ func TestClientTimeoutOnSilentServer(t *testing.T) {
 		<-stop
 	}()
 
-	cl, err := DialTCP(202, []string{ln.Addr().String()})
+	cl, err := DialTCP(202, []string{ln.Addr().String()}, WithTimeout(200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	cl.SetTimeout(200 * time.Millisecond)
 
 	if _, gerr := cl.Get(0, 7); !errors.Is(gerr, ErrSessionTimeout) {
 		t.Fatalf("silent server: err = %v, want ErrSessionTimeout", gerr)

@@ -116,7 +116,7 @@ func (n *Node) execOne(op *Op) (r opRes) {
 func (n *Node) opStart(op *Op, r *opRes, first bool) (target int, ch chan rpcResult, pending bool) {
 	c := n.cluster
 	key := op.Key
-	switch op.kind() {
+	switch op.Kind {
 	case OpCAS, OpFAA:
 		// Blocking multi-phase exchange wherever it routes: collect runs it,
 		// after the batch's plain remote accesses are on the wire.
@@ -198,7 +198,7 @@ func (n *Node) opFinish(p *execPend, r *opRes) {
 // which case it asks for a re-run.
 func (n *Node) opSettle(p *execPend, r *opRes) (rerun bool) {
 	c := n.cluster
-	kind := p.op.kind()
+	kind := p.op.Kind
 	if p.ch == nil {
 		switch kind {
 		case OpPut:
@@ -255,7 +255,7 @@ func (n *Node) opSettle(p *execPend, r *opRes) (rerun bool) {
 // mid-exchange surfaces as ErrRMWUnknown, never as a retry.
 func (n *Node) rmwAttempt(p *execPend, r *opRes) (rerun bool) {
 	c := n.cluster
-	key, cas := p.op.Key, p.op.kind() == OpCAS
+	key, cas := p.op.Key, p.op.Kind == OpCAS
 	if p.compute == nil {
 		p.compute = rmwCompute(cas, p.op.Expect, p.op.Value, p.op.Delta)
 	}

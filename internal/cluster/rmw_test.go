@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/store"
 )
 
@@ -222,17 +221,18 @@ func TestRMWContentionExactCount(t *testing.T) {
 	}
 }
 
-// The session layer end to end: single-op RMW frames (v1), the same calls
-// routed through the auto-batcher, and v2 batch frames carrying CAS/FAA
-// alongside gets and puts with mixed statuses.
+// The session layer end to end: point RMW calls on frames of their own, the
+// same calls routed through the auto-batcher, and batch frames carrying
+// CAS/FAA alongside gets and puts with mixed statuses.
 func TestClientRMWSingleOpAndAutoBatch(t *testing.T) {
 	for _, auto := range []bool{false, true} {
-		t.Run(map[bool]string{false: "v1", true: "auto-batch"}[auto], func(t *testing.T) {
+		t.Run(map[bool]string{false: "own-frame", true: "auto-batch"}[auto], func(t *testing.T) {
 			cfg := Config{Nodes: 3, System: Base, NumKeys: 1024, ValueSize: 8}
-			_, cl := newChanClient(t, cfg)
+			var opts []ClientOption
 			if auto {
-				cl.SetAutoBatch(8, 100*time.Microsecond)
+				opts = append(opts, WithAutoBatch(8, 100*time.Microsecond))
 			}
+			_, cl := newChanClient(t, cfg, opts...)
 			const key = 77
 			if err := cl.Put(0, key, EncodeCounter(5)); err != nil {
 				t.Fatal(err)
@@ -433,52 +433,25 @@ func TestChaosReplicatedKillPrimaryMidRMW(t *testing.T) {
 	}
 }
 
-// The redesigned construction surface: functional options must configure
-// exactly what the deprecated setters do.
-func TestClientOptionsMatchDeprecatedSetters(t *testing.T) {
+// The construction surface: each functional option configures what it names,
+// and the optioned client is live.
+func TestClientOptions(t *testing.T) {
 	cfg := Config{Nodes: 2, System: Base, NumKeys: 256}
-	stats := fabric.NewStats()
-	tr := fabric.NewChanTransport(cfg.QueueDepth, stats)
-	members := make([]*Cluster, cfg.Nodes)
-	for i := range members {
-		m, err := NewMember(cfg, i, tr, stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Populate()
-		members[i] = m
-	}
-	viaSetters := NewClient(200, cfg.Nodes, tr)
-	viaSetters.SetPipelineWindow(7)
-	viaSetters.SetAutoBatch(16, time.Millisecond)
-	viaSetters.SetTimeout(3 * time.Second)
-
-	viaOpts := NewClient(201, cfg.Nodes, tr,
+	_, cl := newChanClient(t, cfg,
 		WithPipelineWindow(7), WithAutoBatch(16, time.Millisecond), WithTimeout(3*time.Second))
-	t.Cleanup(func() {
-		viaSetters.Close()
-		viaOpts.Close()
-		for _, m := range members {
-			m.Close()
-		}
-	})
-
-	for name, cl := range map[string]*Client{"setters": viaSetters, "options": viaOpts} {
-		if got := cap(cl.winCh[0]); got != 7 {
-			t.Fatalf("%s: pipeline window %d, want 7", name, got)
-		}
-		if cl.ab.Load() == nil {
-			t.Fatalf("%s: auto-batcher not armed", name)
-		}
-		if cl.timeout != 3*time.Second {
-			t.Fatalf("%s: timeout %v", name, cl.timeout)
-		}
+	if got := cap(cl.winCh[0]); got != 7 {
+		t.Fatalf("pipeline window %d, want 7", got)
 	}
-	// The optioned client is live, not just configured.
-	if err := viaOpts.Put(0, 9, []byte("via-options")); err != nil {
+	if len(cl.ab) != cfg.Nodes {
+		t.Fatalf("auto-batcher not armed: %d batchers, want %d", len(cl.ab), cfg.Nodes)
+	}
+	if cl.timeout != 3*time.Second {
+		t.Fatalf("timeout %v", cl.timeout)
+	}
+	if err := cl.Put(0, 9, []byte("via-options")); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := viaOpts.Get(1, 9); err != nil || string(v) != "via-options" {
+	if v, err := cl.Get(1, 9); err != nil || string(v) != "via-options" {
 		t.Fatalf("get through optioned client: %q %v", v, err)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/fabric"
@@ -19,65 +20,62 @@ import (
 // black-box load-balancer abstraction of §3: a client may send any request
 // to any node.
 //
-// Wire formats (little endian). The v1 single-op format carries exactly one
-// request per packet; the v2 batch op (sessOpBatch) packs many get/put
-// entries into one frame, amortizing per-packet costs on the client edge the
-// same way the inter-node coalescing pipeline does on the fabric (§6.3/§8.5).
-// Both formats are served side by side — the op byte versions the frame.
+// Wire format (little endian): one data frame and three control frames. Every
+// get/put/CAS/FAA travels as an entry of a batch frame — §6.3's workers speak
+// one request format whose batch size varies (1 when the pipeline is dry),
+// like this repo's rpc and consistency packets — so a frame's per-packet costs
+// amortize over however many operations the client had ready.
 //
 //	request:  op(1) reqID(8) rest
-//	  get:     key(8)
-//	  put:     key(8) vlen(4) value
-//	  cas:     key(8) elen(4) expect vlen(4) value — atomic compare-and-swap
-//	  faa:     key(8) delta(8)                     — atomic fetch-and-add
+//	  batch:   count(4) entry*count      — entry: kind(1) key(8) body
+//	    get:     -
+//	    put:     vlen(4) value
+//	    cas:     elen(4) expect vlen(4) value — atomic compare-and-swap
+//	    faa:     delta(8)                     — atomic fetch-and-add
 //	  ping:    -
 //	  refresh: count(4) key(8)*count     — ApplyHotSet(target) at this node
 //	  stats:   -
-//	  batch:   count(4) entry*count      — entry: kind(1) key(8) [rest]
-//	                                       kind: sessOpGet, sessOpPut,
-//	                                       sessOpCAS or sessOpFAA, each with
-//	                                       the single-op body shape after key
 //	response: reqID(8) status(1) payload
-//	  ok get:     vlen(4) value
-//	  ok cas:     vlen(4) witness   — swapped; witness is the replaced value
-//	  ok faa:     vlen(4) value     — the 8-byte pre-add counter value
+//	  ok batch:   count(4) result*count  — result: status(1) [payload], one per
+//	                                       entry in request order
+//	    ok get:     vlen(4) value
+//	    ok put:     -
+//	    ok cas:     vlen(4) witness   — swapped; witness is the replaced value
+//	    ok faa:     vlen(4) value     — the 8-byte pre-add counter value
+//	    cas-fail:   vlen(4) witness   — the comparison failed; witness is the
+//	                                    value it observed (no extra read needed)
+//	    not-found:  -
+//	    home-down:  -                 — the key's home node left the membership
+//	                                    view; fail fast, retry after rejoin
+//	    error:      vlen(4) message
 //	  ok refresh: promoted(4) demoted(4) writebacks(4)
 //	  ok stats:   hits(8) misses(8) local(8) remote(8) hot(8) frozenRetries(8)
-//	  ok batch:   count(4) result*count  — result: status(1) [payload], one per
-//	                                       entry in request order; get results
-//	                                       carry vlen(4) value, errors carry
-//	                                       vlen(4) message, everything else is
-//	                                       the bare status
-//	  cas-fail:   vlen(4) witness   — the comparison failed; witness is the
-//	                                  value it observed (no extra read needed)
 //	  error:      vlen(4) message
-//	  home-down:  -                 — the key's home node left the membership
-//	                                  view; fail fast, retry after rejoin
+//	  bad:        -                 — malformed or oversize frame, unknown op
 //
-// Dispatch: session ops are steered by key hash to the owning worker's
-// session lane (Config.workerOf — the same EREW steering the inter-node
-// fabric uses), replacing the old goroutine-per-request model. Each lane
-// drains a burst of queued jobs and runs it through the op executor
-// (exec.go) — which owns every serving decision and overlaps the burst's
-// remote fetches on the coalescing pipeline — before encoding the responses,
-// so concurrent clients keep many remote accesses in flight without
-// per-request goroutines. The lane itself only drains, encodes and emits.
-// Ping/stats are answered inline on the dispatcher (non-blocking); refresh
-// keeps its own goroutine (a long-blocking control op that fans out its own
-// RPCs).
+// Dispatch: a batch's entries are steered by key hash to the owning workers'
+// session lanes (Config.workerOf — the same EREW steering the inter-node
+// fabric uses). Each lane drains a burst of queued groups and runs it through
+// the op executor (exec.go) — which owns every serving decision and overlaps
+// the burst's remote fetches on the coalescing pipeline — so concurrent
+// clients keep many remote accesses in flight without per-request goroutines.
+// The lane itself only drains and hands results back; the last lane to finish
+// a batch encodes and sends its response. Ping/stats are answered inline on
+// the dispatcher (non-blocking); refresh keeps its own goroutine (a
+// long-blocking control op that fans out its own RPCs).
 const (
+	// sessOpGet, sessOpPut, sessOpCAS and sessOpFAA are batch entry kinds; as
+	// a frame's op byte they are refused like any unknown op.
 	sessOpGet     byte = 0
 	sessOpPut     byte = 1
 	sessOpPing    byte = 2
 	sessOpRefresh byte = 3
 	sessOpStats   byte = 4
-	// sessOpBatch is the v2 many-ops-per-frame format (see above).
-	sessOpBatch byte = 5
-	// sessOpCAS and sessOpFAA are the atomic read-modify-writes, valid both
-	// as single-op frames and as batch entry kinds.
-	sessOpCAS byte = 6
-	sessOpFAA byte = 7
+	sessOpBatch   byte = 5
+	sessOpCAS     byte = 6
+	sessOpFAA     byte = 7
 
+	// Frame statuses: OK, Bad and Err. Per-entry statuses: all but Bad.
 	sessStatusOK       byte = 0
 	sessStatusNotFound byte = 1
 	sessStatusBad      byte = 2
@@ -106,81 +104,51 @@ const sessBatchMaxBytes = 1 << 20
 // overlapped serving pass.
 const sessLaneBurst = 64
 
-// sessOp is one parsed client operation (a single-op request or one entry of
-// a batch) in the executor's Op form. Value and Expect are private copies —
-// never aliases of the packet buffer, which the TCP transport reuses the
-// moment the handler returns.
-type sessOp struct {
-	idx int // position in the batch (response entries are emitted in request order)
-	Op
-}
-
-// sessOpKind maps a wire op byte onto the executor's op kind.
-func sessOpKind(b byte) OpKind {
-	switch b {
-	case sessOpPut:
-		return OpPut
-	case sessOpCAS:
-		return OpCAS
-	case sessOpFAA:
-		return OpFAA
-	}
-	return OpGet
-}
-
-// sessJob is one unit of lane work: either a single-op request (batch == nil)
-// or one worker's group of a batch.
+// sessJob is one unit of lane work: one worker's group of a batch.
 type sessJob struct {
 	batch *sessBatch
 	gidx  int32
-	// Single-op fields (batch == nil):
-	src   fabric.Addr
-	reqID uint64
-	op    sessOp
 	// resOff is lane-local bookkeeping: the job's first result index within
 	// the lane's burst scratch.
 	resOff int
 }
 
-// sessBatch is one in-flight batch frame, split into per-worker groups. Each
-// group is served on its owning worker's lane; the last lane to finish
+// sessBatch is one in-flight batch frame. Its ops are chained into per-worker
+// groups, each served on its owning worker's lane; the last lane to finish
 // (remaining hits zero — the atomic ordering makes every group's results
-// visible to it) assembles the response frame in request order and sends it.
+// visible to it) encodes the response frame in request order and sends it.
+// Pooled: that lane recycles it once the response left.
 type sessBatch struct {
 	src       fabric.Addr
 	reqID     uint64
 	remaining atomic.Int32
+	ops       []sessOp // request order
 	groups    []sessGroup
-	// spans locates each op's encoded result entry: spans[i] names the group
-	// buffer slice holding entry i. Disjoint slots are written by the lanes
-	// serving their groups.
-	spans []sessSpan
 }
 
-// sessGroup is the subset of a batch owned by one worker.
+var sessBatchPool = sync.Pool{New: func() any { return new(sessBatch) }}
+
+// sessOp is one parsed batch entry in the executor's Op form plus its outcome.
+// Value and Expect are private copies — never aliases of the packet buffer,
+// which the TCP transport reuses the moment the handler returns. res is
+// written by the lane serving the op's group (disjoint slots); a zero-copy
+// get's store lease travels in it to the lane that sends the response.
+type sessOp struct {
+	Op
+	next int32 // the next op of the same group, -1 at its end
+	res  opRes
+}
+
+// sessGroup is the subset of a batch owned by one worker: a chain through
+// sessBatch.ops from head to tail, in request order.
 type sessGroup struct {
-	worker int
-	ops    []sessOp
-	// buf holds the group's encoded result entries (pooled; recycled by the
-	// assembling lane after the response frame is built).
-	buf    []byte
-	pooled *srvBuf
+	worker     int
+	head, tail int32
 }
 
-// sessSpan is one op's encoded result entry within its group buffer. A
-// zero-copy get carries its value as a store lease instead of encoded bytes:
-// the group buffer holds only the entry's metadata (status + vlen) and the
-// lease — owned by the span once the serving lane emitted it — is spliced
-// into the response frame and released by the assembling lane.
-type sessSpan struct {
-	group    int32
-	off, end int32
-	lease    store.Lease
-}
-
-// handleSession dispatches one client request frame: singles and batch
-// groups are steered to their workers' session lanes; ping/stats answer
-// inline; refresh runs on its own goroutine.
+// handleSession dispatches one client request frame: a batch's groups are
+// steered to their workers' session lanes; ping/stats answer inline; refresh
+// runs on its own goroutine.
 func (n *Node) handleSession(p fabric.Packet) {
 	if n.cluster.killed.Load() {
 		return // a dead process answers nothing; the client's timeout cleans up
@@ -193,55 +161,6 @@ func (n *Node) handleSession(p fabric.Packet) {
 	body := p.Data[sessHeader:]
 
 	switch op {
-	case sessOpGet:
-		if len(body) < 8 {
-			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
-			return
-		}
-		key := binary.LittleEndian.Uint64(body[:8])
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{Op: Op{Key: key}}})
-	case sessOpPut:
-		if len(body) < 12 {
-			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
-			return
-		}
-		key := binary.LittleEndian.Uint64(body[:8])
-		vlen := int(binary.LittleEndian.Uint32(body[8:12]))
-		if vlen < 0 || len(body) < 12+vlen {
-			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
-			return
-		}
-		// The value aliases the packet buffer; copy before it escapes into
-		// the store or the consistency broadcast.
-		val := append([]byte(nil), body[12:12+vlen]...)
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{Op: Op{Kind: OpPut, Key: key, Value: val}}})
-	case sessOpCAS:
-		if len(body) < 12 {
-			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
-			return
-		}
-		key := binary.LittleEndian.Uint64(body[:8])
-		elen := int(binary.LittleEndian.Uint32(body[8:12]))
-		if elen < 0 || len(body) < 16+elen {
-			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
-			return
-		}
-		vlen := int(binary.LittleEndian.Uint32(body[12+elen : 16+elen]))
-		if vlen < 0 || len(body) < 16+elen+vlen {
-			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
-			return
-		}
-		expect := append([]byte(nil), body[12:12+elen]...)
-		val := append([]byte(nil), body[16+elen:16+elen+vlen]...)
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{Op: Op{Kind: OpCAS, Key: key, Expect: expect, Value: val}}})
-	case sessOpFAA:
-		if len(body) < 16 {
-			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
-			return
-		}
-		key := binary.LittleEndian.Uint64(body[:8])
-		delta := binary.LittleEndian.Uint64(body[8:16])
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{Op: Op{Kind: OpFAA, Key: key, Delta: delta}}})
 	case sessOpBatch:
 		n.dispatchSessionBatch(p.Src, reqID, body)
 	case sessOpPing:
@@ -259,7 +178,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 		}
 		resp = binary.LittleEndian.AppendUint64(resp, hot)
 		resp = binary.LittleEndian.AppendUint64(resp, n.FrozenRetries.Load())
-		n.sessSend(p.Src, resp, nil)
+		n.sessSend(p.Src, resp, nil, nil)
 	case sessOpRefresh:
 		if len(body) < 4 {
 			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
@@ -283,9 +202,52 @@ func (n *Node) handleSession(p fabric.Packet) {
 	}
 }
 
-// dispatchSessionBatch parses a v2 batch frame, splits its entries into
-// per-worker groups (same key steering as the inter-node fabric) and
-// enqueues one job per group.
+// parseSessEntry decodes the batch entry at the head of buf — the one place
+// the server reads a get/put/CAS/FAA off the wire. Value and Expect alias
+// buf. size is the entry's encoded length; ok is false for a truncated entry
+// or an unknown kind.
+func parseSessEntry(buf []byte) (op Op, size int, ok bool) {
+	if len(buf) < 9 {
+		return op, 0, false
+	}
+	op.Key = binary.LittleEndian.Uint64(buf[1:9])
+	switch buf[0] {
+	case sessOpGet:
+		return op, 9, true
+	case sessOpPut:
+		op.Kind = OpPut
+		op.Value, size, ok = sessBytesAt(buf, 9)
+	case sessOpCAS:
+		op.Kind = OpCAS
+		if op.Expect, size, ok = sessBytesAt(buf, 9); ok {
+			op.Value, size, ok = sessBytesAt(buf, size)
+		}
+	case sessOpFAA:
+		if len(buf) >= 17 {
+			op.Kind, op.Delta = OpFAA, binary.LittleEndian.Uint64(buf[9:17])
+			size, ok = 17, true
+		}
+	}
+	return op, size, ok
+}
+
+// sessBytesAt reads the len(4)-prefixed byte string at buf[off:] and returns
+// it with the offset just past it; ok is false when buf ends first.
+func sessBytesAt(buf []byte, off int) (b []byte, end int, ok bool) {
+	if len(buf) < off+4 {
+		return nil, 0, false
+	}
+	n := int(binary.LittleEndian.Uint32(buf[off:]))
+	if n < 0 || len(buf)-off-4 < n {
+		return nil, 0, false
+	}
+	end = off + 4 + n
+	return buf[off+4 : end], end, true
+}
+
+// dispatchSessionBatch parses a batch frame, chains its entries into
+// per-worker groups (same key steering as the inter-node fabric) and enqueues
+// one job per group.
 func (n *Node) dispatchSessionBatch(src fabric.Addr, reqID uint64, body []byte) {
 	if len(body) < 4 || len(body) > sessBatchMaxBytes {
 		n.sessReplyStatus(src, reqID, sessStatusBad)
@@ -296,112 +258,55 @@ func (n *Node) dispatchSessionBatch(src fabric.Addr, reqID uint64, body []byte) 
 		n.sessReplyStatus(src, reqID, sessStatusBad)
 		return
 	}
-	if count == 0 {
-		resp := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), reqID)
-		resp = append(resp, sessStatusOK)
-		resp = binary.LittleEndian.AppendUint32(resp, 0)
-		n.sessSend(src, resp, nil)
-		return
-	}
 
-	// Pass 1: validate the framing and size the shared value backing, so the
-	// copies in pass 2 never reallocate it (the sub-slices must stay stable).
+	// Validate pass: check the framing before anything is built, and size the
+	// shared value backing so the build pass's copies never reallocate it (the
+	// sub-slices must stay stable).
 	buf := body[4:]
 	totalVal := 0
 	for i := 0; i < count; i++ {
-		if len(buf) < 9 {
+		op, size, ok := parseSessEntry(buf)
+		if !ok {
 			n.sessReplyStatus(src, reqID, sessStatusBad)
 			return
 		}
-		switch buf[0] {
-		case sessOpGet:
-			buf = buf[9:]
-		case sessOpPut:
-			if len(buf) < 13 {
-				n.sessReplyStatus(src, reqID, sessStatusBad)
-				return
-			}
-			vlen := int(binary.LittleEndian.Uint32(buf[9:13]))
-			if vlen < 0 || len(buf) < 13+vlen {
-				n.sessReplyStatus(src, reqID, sessStatusBad)
-				return
-			}
-			totalVal += vlen
-			buf = buf[13+vlen:]
-		case sessOpCAS:
-			if len(buf) < 13 {
-				n.sessReplyStatus(src, reqID, sessStatusBad)
-				return
-			}
-			elen := int(binary.LittleEndian.Uint32(buf[9:13]))
-			if elen < 0 || len(buf) < 17+elen {
-				n.sessReplyStatus(src, reqID, sessStatusBad)
-				return
-			}
-			vlen := int(binary.LittleEndian.Uint32(buf[13+elen : 17+elen]))
-			if vlen < 0 || len(buf) < 17+elen+vlen {
-				n.sessReplyStatus(src, reqID, sessStatusBad)
-				return
-			}
-			totalVal += elen + vlen
-			buf = buf[17+elen+vlen:]
-		case sessOpFAA:
-			if len(buf) < 17 {
-				n.sessReplyStatus(src, reqID, sessStatusBad)
-				return
-			}
-			buf = buf[17:]
-		default:
-			n.sessReplyStatus(src, reqID, sessStatusBad)
-			return
-		}
+		totalVal += len(op.Expect) + len(op.Value)
+		buf = buf[size:]
 	}
 
-	// Pass 2: build the batch. Put values are copied into one shared backing
-	// buffer (one allocation per frame, not per put); the backing is never
-	// pooled, so a value that outlives the batch (a staged Lin write) stays
-	// valid.
-	b := &sessBatch{src: src, reqID: reqID, spans: make([]sessSpan, count)}
+	// Build pass. Put/CAS values are copied into one shared backing buffer
+	// (one allocation per frame, not per put); the backing is never pooled, so
+	// a value that outlives the batch (a staged Lin write) stays valid.
+	b := sessBatchPool.Get().(*sessBatch)
+	b.src, b.reqID = src, reqID
 	vals := make([]byte, 0, totalVal)
-	var groupOf [MaxWorkersPerNode]int32
-	for i := range n.workers {
-		groupOf[i] = -1
-	}
+	var groupOf [MaxWorkersPerNode]int32 // worker -> its group's index + 1
 	buf = body[4:]
-	for i := 0; i < count; i++ {
-		op := sessOp{idx: i, Op: Op{Kind: sessOpKind(buf[0]), Key: binary.LittleEndian.Uint64(buf[1:9])}}
-		switch buf[0] {
-		case sessOpPut:
-			vlen := int(binary.LittleEndian.Uint32(buf[9:13]))
-			off := len(vals)
-			vals = append(vals, buf[13:13+vlen]...)
-			op.Value = vals[off:len(vals):len(vals)]
-			buf = buf[13+vlen:]
-		case sessOpCAS:
-			elen := int(binary.LittleEndian.Uint32(buf[9:13]))
-			vlen := int(binary.LittleEndian.Uint32(buf[13+elen : 17+elen]))
-			off := len(vals)
-			vals = append(vals, buf[13:13+elen]...)
-			op.Expect = vals[off:len(vals):len(vals)]
-			off = len(vals)
-			vals = append(vals, buf[17+elen:17+elen+vlen]...)
-			op.Value = vals[off:len(vals):len(vals)]
-			buf = buf[17+elen+vlen:]
-		case sessOpFAA:
-			op.Delta = binary.LittleEndian.Uint64(buf[9:17])
-			buf = buf[17:]
-		default:
-			buf = buf[9:]
-		}
+	for i := int32(0); i < int32(count); i++ {
+		op, size, _ := parseSessEntry(buf)
+		buf = buf[size:]
+		off := len(vals)
+		vals = append(append(vals, op.Expect...), op.Value...)
+		mid := off + len(op.Expect)
+		op.Expect, op.Value = vals[off:mid:mid], vals[mid:len(vals):len(vals)]
 		w := n.cluster.cfg.workerOf(op.Key)
-		gi := groupOf[w]
+		gi := groupOf[w] - 1
 		if gi < 0 {
 			gi = int32(len(b.groups))
-			groupOf[w] = gi
-			b.groups = append(b.groups, sessGroup{worker: w})
+			groupOf[w] = gi + 1
+			b.groups = append(b.groups, sessGroup{worker: w, head: i})
+		} else {
+			b.ops[b.groups[gi].tail].next = i
 		}
-		b.groups[gi].ops = append(b.groups[gi].ops, op)
+		b.groups[gi].tail = i
+		b.ops = append(b.ops, sessOp{Op: op, next: -1})
 	}
+	if count == 0 {
+		n.finishSessionBatch(b) // no lane will: answer the bare count inline
+		return
+	}
+	// The last enqueue may get b finished and recycled before this loop looks
+	// again: each pass reads b before its enqueue, and range fixed the bound.
 	b.remaining.Store(int32(len(b.groups)))
 	for gi := range b.groups {
 		n.sessEnqueue(n.workers[b.groups[gi].worker], sessJob{batch: b, gidx: int32(gi)})
@@ -433,28 +338,32 @@ func (n *Node) serveRefresh(src fabric.Addr, reqID uint64, target []uint64) {
 		resp = binary.LittleEndian.AppendUint32(resp, uint32(st.Demoted))
 		resp = binary.LittleEndian.AppendUint32(resp, uint32(st.WriteBacks))
 	}
-	n.sessSend(src, resp, nil)
+	n.sessSend(src, resp, nil, nil)
 }
 
 // sessReplyStatus answers a request with a bare status, inline on the caller.
 func (n *Node) sessReplyStatus(dst fabric.Addr, reqID uint64, status byte) {
 	resp := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), reqID)
 	resp = append(resp, status)
-	n.sessSend(dst, resp, nil)
+	n.sessSend(dst, resp, nil, nil)
 }
 
 // sessSend replies to wherever the request came from; the TCP transport
 // learned the return route from the inbound connection, so ephemeral clients
 // outside the peer table still get their answer. A failed send means the
-// client is gone (its timeout or peer-down handler cleans up). pooled, when
-// non-nil, is recycled after the send — only legal when the transport copies
-// on send (Cluster.trCopies).
-func (n *Node) sessSend(dst fabric.Addr, resp []byte, pooled *srvBuf) {
+// client is gone (its timeout or peer-down handler cleans up). A non-nil segs
+// makes the reply vectored: the wire payload is the in-order concatenation of
+// segs (spans of resp interleaved with leased store values) — only legal on
+// transports that consume segments during Send (Cluster.trCopies); the caller
+// releases its leases right after. pooled, when non-nil, is resp's pooled
+// holder, recycled after the send — legal under the same condition.
+func (n *Node) sessSend(dst fabric.Addr, resp []byte, segs [][]byte, pooled *srvBuf) {
 	_ = n.cluster.transport.Send(fabric.Packet{
 		Src:   fabric.Addr{Node: n.id, Thread: threadSession},
 		Dst:   dst,
 		Class: metrics.ClassCacheMiss,
 		Data:  resp,
+		Segs:  segs,
 	})
 	if pooled != nil {
 		pooled.b = resp
@@ -462,32 +371,13 @@ func (n *Node) sessSend(dst fabric.Addr, resp []byte, pooled *srvBuf) {
 	}
 }
 
-// sessSendVec replies with a vectored frame: the wire payload is the
-// in-order concatenation of segs (metadata spans interleaved with leased
-// store values). Only legal on transports that consume segments during Send
-// (Cluster.trCopies) — the caller releases its leases right after. meta is
-// the metadata buffer backing the spans, recycled via pooled like sessSend.
-func (n *Node) sessSendVec(dst fabric.Addr, segs [][]byte, meta []byte, pooled *srvBuf) {
-	_ = n.cluster.transport.Send(fabric.Packet{
-		Src:   fabric.Addr{Node: n.id, Thread: threadSession},
-		Dst:   dst,
-		Class: metrics.ClassCacheMiss,
-		Segs:  segs,
-	})
-	if pooled != nil {
-		pooled.b = meta
-		respBufPool.Put(pooled)
-	}
-}
-
-// sessLane is one worker's session serving loop state: burst-drain and wire
-// encode/emit on top of the op executor, which owns every serving decision.
-// The executor and the scratch slices are reused across bursts, so a
-// steady-state lane allocates only what the ops themselves require.
+// sessLane is one worker's session serving loop state: burst-drain on top of
+// the op executor, which owns every serving decision. The executor and the
+// burst scratch are reused across bursts, so a steady-state lane allocates
+// only what the ops themselves require.
 type sessLane struct {
 	burst []sessJob
 	x     opExec
-	segs  [][]byte // scratch for vectored single-op replies
 }
 
 // sessionLane serves one worker's session jobs until the lane closes. Each
@@ -516,108 +406,39 @@ func (n *Node) sessionLane(q chan sessJob) {
 }
 
 // serveBurst runs the burst through the executor — scan every op (remote
-// accesses start without waiting), collect — then encodes and emits each
-// job's response.
+// accesses start without waiting), collect — then hands each group's results
+// to its batch. The last group of a batch to settle sends the response; a
+// zero-copy get's lease moves into the batch with its result.
 func (l *sessLane) serveBurst() {
 	l.x.res = l.x.res[:0]
 	for ji := range l.burst {
 		job := &l.burst[ji]
 		job.resOff = len(l.x.res)
-		if job.batch == nil {
-			l.x.scan(&job.op.Op)
-			continue
-		}
-		g := &job.batch.groups[job.gidx]
-		for k := range g.ops {
-			l.x.scan(&g.ops[k].Op)
+		b := job.batch
+		for i := b.groups[job.gidx].head; i >= 0; i = b.ops[i].next {
+			l.x.scan(&b.ops[i].Op)
 		}
 	}
 	l.x.collect()
-	l.emit()
-}
-
-// emit encodes and sends each job's response. Single-op jobs reply directly;
-// batch groups encode their entries into a pooled group buffer, and the last
-// group to finish assembles the frame in request order.
-func (l *sessLane) emit() {
-	n := l.x.n
-	for ji := range l.burst {
-		job := &l.burst[ji]
-		if job.batch == nil {
-			r := &l.x.res[job.resOff]
-			var pooled *srvBuf
-			var resp []byte
-			if n.cluster.trCopies {
-				pooled = respBufPool.Get().(*srvBuf)
-				resp = pooled.b[:0]
-				if r.lease.Held() {
-					// Zero-copy reply: metadata frame + the leased store
-					// value as its own wire segment; the transport consumes
-					// both during Send, after which the lease drops.
-					resp = binary.LittleEndian.AppendUint64(resp, job.reqID)
-					resp = append(resp, sessStatusOK)
-					resp = binary.LittleEndian.AppendUint32(resp, uint32(len(r.val)))
-					l.segs = append(l.segs[:0], resp, r.val)
-					n.sessSendVec(job.src, l.segs, resp, pooled)
-					l.segs[0], l.segs[1] = nil, nil
-					r.lease.Release()
-					continue
-				}
-			} else {
-				resp = make([]byte, 0, 64)
-			}
-			resp = binary.LittleEndian.AppendUint64(resp, job.reqID)
-			resp = appendSessOpRes(resp, job.op.kind(), r)
-			n.sessSend(job.src, resp, pooled)
-			r.lease.Release() // flat path copied the value into resp
-			continue
+	for _, job := range l.burst {
+		b, k := job.batch, job.resOff
+		for i := b.groups[job.gidx].head; i >= 0; i = b.ops[i].next {
+			b.ops[i].res = l.x.res[k]
+			k++
 		}
-		b := job.batch
-		g := &b.groups[job.gidx]
-		// Group buffers are intermediate (the assembly below copies out of
-		// them), so they are pooled on every transport.
-		pooled := respBufPool.Get().(*srvBuf)
-		buf := pooled.b[:0]
-		for k := range g.ops {
-			r := &l.x.res[job.resOff+k]
-			off := len(buf)
-			sp := sessSpan{group: job.gidx}
-			if r.lease.Held() {
-				// Leased get: the group buffer holds only the metadata; the
-				// value travels as the span's lease, spliced in (and
-				// released) by the lane that assembles the frame.
-				buf = append(buf, sessStatusOK)
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.val)))
-				sp.lease = r.lease
-				r.lease = store.Lease{} // ownership moved to the span
-			} else {
-				buf = appendSessOpRes(buf, g.ops[k].kind(), r)
-			}
-			sp.off, sp.end = int32(off), int32(len(buf))
-			b.spans[g.ops[k].idx] = sp
-		}
-		g.buf = buf
-		g.pooled = pooled
 		if b.remaining.Add(-1) == 0 {
-			n.finishSessionBatch(b)
+			l.x.n.finishSessionBatch(b)
 		}
 	}
 }
 
-// finishSessionBatch assembles a settled batch's response frame in request
-// order and sends it; the atomic decrement that elected this lane ordered
-// every other group's writes before its reads. Leased values (zero-copy
-// gets) are spliced between the metadata spans: as wire segments on
-// transports that consume them during Send, by one copy otherwise; either
-// way every lease is released here.
+// finishSessionBatch encodes a settled batch's response frame in request
+// order, sends it and recycles the batch; the atomic decrement that elected
+// this lane ordered every other group's writes before its reads. Leased values
+// (zero-copy gets) leave as wire segments on transports that consume them
+// during Send and by one copy otherwise; either way every lease is released
+// here.
 func (n *Node) finishSessionBatch(b *sessBatch) {
-	total := 13
-	for gi := range b.groups {
-		total += len(b.groups[gi].buf)
-	}
-	for i := range b.spans {
-		total += len(b.spans[i].lease.Value())
-	}
 	var pooled *srvBuf
 	var resp []byte
 	var ra *respAssembly
@@ -626,51 +447,44 @@ func (n *Node) finishSessionBatch(b *sessBatch) {
 		resp = pooled.b[:0]
 		ra = respAsmPool.Get().(*respAssembly)
 	} else {
+		// A by-reference transport hands this buffer to the client, which
+		// aliases it: fresh per response, sized for every value entry.
+		total := 13
+		for i := range b.ops {
+			total += 5 + len(b.ops[i].res.val)
+		}
 		resp = make([]byte, 0, total)
 	}
 	resp = binary.LittleEndian.AppendUint64(resp, b.reqID)
 	resp = append(resp, sessStatusOK)
-	resp = binary.LittleEndian.AppendUint32(resp, uint32(len(b.spans)))
-	for i := range b.spans {
-		sp := &b.spans[i]
-		resp = append(resp, b.groups[sp.group].buf[sp.off:sp.end]...)
-		if !sp.lease.Held() {
-			continue
-		}
-		if ra != nil {
-			ra.splice(resp, sp.lease) // released by ra.release below
-		} else {
-			resp = append(resp, sp.lease.Value()...)
-			sp.lease.Release()
-		}
-		sp.lease = store.Lease{}
+	resp = binary.LittleEndian.AppendUint32(resp, uint32(len(b.ops)))
+	for i := range b.ops {
+		resp = appendSessOpRes(resp, b.ops[i].Kind, &b.ops[i].res, ra)
 	}
-	for gi := range b.groups {
-		g := &b.groups[gi]
-		g.pooled.b = g.buf
-		respBufPool.Put(g.pooled)
-		g.pooled, g.buf = nil, nil
-	}
+	var segs [][]byte
 	if ra != nil && len(ra.cuts) > 0 {
-		n.sessSendVec(b.src, ra.vector(resp), resp, pooled)
-	} else {
-		n.sessSend(b.src, resp, pooled)
+		segs = ra.vector(resp)
 	}
+	n.sessSend(b.src, resp, segs, pooled)
 	if ra != nil {
 		ra.release()
 		respAsmPool.Put(ra)
 	}
+	clear(b.ops) // drop the value and error references before pooling
+	b.ops, b.groups = b.ops[:0], b.groups[:0]
+	sessBatchPool.Put(b)
 }
 
-// appendSessOpRes encodes one op result — the same layout as a single-op
-// response after its request id: the status its error maps to (nil: OK;
-// ErrCASMismatch, store.ErrNotFound and ErrHomeDown have dedicated statuses
-// the client surfaces typed; anything else travels as text) plus the payload
-// that status implies — the value for everything served but a put (which
-// answers the bare status) and for a failed CAS's witness, the message for an
-// error, nothing otherwise. Only a served get can hold a lease, so callers
-// splicing leased values write sessStatusOK themselves.
-func appendSessOpRes(buf []byte, kind OpKind, r *opRes) []byte {
+// appendSessOpRes encodes one op result entry and consumes its lease: the
+// status its error maps to (nil: OK; ErrCASMismatch, store.ErrNotFound and
+// ErrHomeDown have dedicated statuses the client surfaces typed; anything else
+// travels as text) plus the payload that status implies — the value for
+// everything served but a put (which answers the bare status) and for a failed
+// CAS's witness, the message for an error, nothing otherwise. Only a served
+// get can hold a lease: with ra non-nil its value is spliced in as a wire
+// segment after the entry's metadata (ra releases the lease once sent),
+// otherwise it is copied and released here.
+func appendSessOpRes(buf []byte, kind OpKind, r *opRes, ra *respAssembly) []byte {
 	switch {
 	case r.err == nil:
 		buf = append(buf, sessStatusOK)
@@ -687,7 +501,13 @@ func appendSessOpRes(buf []byte, kind OpKind, r *opRes) []byte {
 		return appendSessError(buf, r.err)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.val)))
-	return append(buf, r.val...)
+	if ra != nil && r.lease.Held() {
+		ra.splice(buf, r.lease)
+		return buf
+	}
+	buf = append(buf, r.val...)
+	r.lease.Release()
+	return buf
 }
 
 // appendSessError encodes a failed operation: the error text travels to the

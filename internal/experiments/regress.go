@@ -14,11 +14,6 @@ import (
 // (coalescing speeds up over per-request framing, batch frames speed up over
 // single-op frames) and transfer across hosts; a fresh run whose ratio falls
 // more than the tolerance below the committed ratio is a regression.
-//
-// Allocation columns ("allocs/op") are gated too, but absolutely: allocation
-// counts are a property of the code, not the host, so a fresh row may not
-// allocate more than the committed count grown by the tolerance (plus a
-// small absolute slack for background-work noise).
 
 // Regression names one failed comparison.
 type Regression struct {
@@ -76,87 +71,9 @@ func CompareRuns(baseline, fresh []Table, tolerance float64) (string, []Regressi
 			fmt.Fprintf(&b, "  %-16s committed %.2fx  fresh %.2fx  %s\n", label, baseR, curR, verdict)
 			compared++
 		}
-		n, allocRegs := compareAllocs(&b, base, cur, tolerance)
-		compared += n
-		regs = append(regs, allocRegs...)
 	}
 	fmt.Fprintf(&b, "compared %d rows, %d regressions\n", compared, len(regs))
 	return b.String(), regs
-}
-
-// allocSlack absorbs run-to-run noise in whole-process allocation counts
-// (GC bookkeeping, background flushers) when comparing allocs/op cells.
-const allocSlack = 0.5
-
-// compareAllocs gates a table's allocs/op column (when both runs carry one):
-// fresh allocations per op must not exceed the committed count by more than
-// the tolerance fraction plus allocSlack.
-func compareAllocs(b *strings.Builder, base, cur Table, tolerance float64) (int, []Regression) {
-	col := allocsColumn(base.Columns)
-	if col < 0 || col != allocsColumn(cur.Columns) {
-		return 0, nil
-	}
-	baseVals := rowValues(base, col)
-	curVals := rowValues(cur, col)
-	if len(baseVals) == 0 {
-		return 0, nil
-	}
-	fmt.Fprintf(b, "%s allocs/op (absolute, tolerance %.0f%% + %.1f):\n", base.ID, tolerance*100, allocSlack)
-	var regs []Regression
-	compared := 0
-	for label, baseA := range baseVals {
-		curA, ok := curVals[label]
-		if !ok {
-			// Missing from the fresh run (the throughput pass flags that)
-			// or gate-exempt there (a "~"-marked cell).
-			continue
-		}
-		ceiling := baseA*(1+tolerance) + allocSlack
-		verdict := "ok"
-		if curA > ceiling {
-			verdict = "REGRESSION"
-			regs = append(regs, Regression{
-				Table: base.ID, Row: label,
-				Detail: fmt.Sprintf("allocs/op %.2f, committed %.2f (ceiling %.2f)", curA, baseA, ceiling),
-			})
-		}
-		fmt.Fprintf(b, "  %-16s committed %.2f  fresh %.2f  %s\n", label, baseA, curA, verdict)
-		compared++
-	}
-	return compared, regs
-}
-
-// allocsColumn finds the allocations column, or -1.
-func allocsColumn(cols []string) int {
-	for i, c := range cols {
-		if strings.Contains(strings.ToLower(c), "allocs") {
-			return i
-		}
-	}
-	return -1
-}
-
-// rowValues maps each row label to its absolute value in col. Cells that
-// do not parse as a number are skipped, not errors: a row opts out of
-// absolute gating by marking its cell (e.g. the "~"-prefixed allocs of a
-// scheduling-dependent mode). Rows past the first with duplicate labels
-// are skipped too.
-func rowValues(t Table, col int) map[string]float64 {
-	out := map[string]float64{}
-	for _, row := range t.Rows {
-		if len(row) == 0 || col >= len(row) {
-			continue
-		}
-		v, err := strconv.ParseFloat(row[col], 64)
-		if err != nil {
-			continue
-		}
-		if _, dup := out[row[0]]; dup {
-			continue
-		}
-		out[row[0]] = v
-	}
-	return out
 }
 
 // throughputColumn finds the throughput column, or -1.
