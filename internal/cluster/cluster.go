@@ -301,6 +301,11 @@ type Cluster struct {
 	self   int
 	closed bool
 	mu     sync.Mutex
+	// stop is closed by Close and Kill: every caller parked on a cache entry
+	// or on its own Lin write's acks (ops.go: park, awaitLinWrite) fails
+	// instead of outliving the cluster.
+	stop     chan struct{}
+	stopOnce sync.Once
 	// reconfigMu serializes hot-set reconfigurations (reconfig.go).
 	reconfigMu sync.Mutex
 
@@ -377,9 +382,9 @@ type Node struct {
 // stripe workerOf(key) == idx: its own fabric endpoints (one cache, KVS and
 // resp thread), its own coalescing pipeline senders, its own credit budget
 // and completion table, and its own stripe of the serialization state that
-// used to be node-global (sequencer clocks, Lin waiters, the home-fetch
-// mutex). Two operations contend on a lock only if they touch the same
-// stripe; across stripes the hot path is lock-disjoint.
+// used to be node-global (sequencer clocks, the home-fetch mutex). Two
+// operations contend on a lock only if they touch the same stripe; across
+// stripes the hot path is lock-disjoint.
 type worker struct {
 	node *Node
 	idx  int
@@ -405,11 +410,6 @@ type worker struct {
 	// promotion fetches serialize on the home's KVS dispatcher for the
 	// key's worker (same key, same worker, same dispatcher).
 	homeMu sync.Mutex
-
-	// Lin write completion plumbing: one waiter per key (a node allows a
-	// single outstanding Lin write per key, see core.ErrWritePending).
-	waitMu  sync.Mutex
-	waiters map[uint64]chan core.Update
 
 	// rmwPins serializes cold replicated RMWs per key (rmw.go): the acting
 	// primary records the origin and stamp of an RMW it has stamped but whose
@@ -482,6 +482,7 @@ func build(cfg Config, tr fabric.Transport, stats *fabric.Stats, self int) (*Clu
 		transport: tr,
 		member:    self >= 0,
 		self:      self,
+		stop:      make(chan struct{}),
 	}
 	if ct, ok := tr.(interface{ SendCopiesData() bool }); ok {
 		c.trCopies = ct.SendCopiesData()
@@ -514,7 +515,6 @@ func build(cfg Config, tr fabric.Transport, stats *fabric.Stats, self int) (*Clu
 				idx:       w,
 				credits:   fabric.NewCredits(),
 				seqClocks: map[uint64]uint32{},
-				waiters:   map[uint64]chan core.Update{},
 				rmwPins:   map[uint64]rmwPin{},
 			}
 			wk.rpc = newRPCClient(wk)
@@ -637,6 +637,7 @@ func (c *Cluster) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.stopOnce.Do(func() { close(c.stop) })
 	c.stopProber()
 	// Drain the request pipelines while the transport is still up: queued
 	// requests flush and their responses complete the waiting callers;
@@ -848,105 +849,104 @@ func (wk *worker) handleConsistency(p fabric.Packet) {
 			n.sendAck(m.From, ack)
 		case core.Ack:
 			if upd, done := n.cache.ApplyAck(m); done {
-				n.completeLinWrite(m.Key, upd)
+				n.completeLinWrite(upd)
 			}
 		}
 	}
 }
 
 // sendAck returns an ack to the writer node for the key's worker (the
-// writer's completion table lives on that worker's stripe). The ack rides
-// the worker's consistency lane toward the writer, so it piggybacks onto
-// any update/invalidation packet already headed there. This runs on the
-// receive dispatcher, which must never block on a full lane — a dispatcher
-// stalled here would stop noting received packets toward credit updates,
-// and two nodes doing that to each other would starve both senders for
-// good — so a full lane falls back to an immediate uncoalesced send (the
-// pre-coalescing behavior: unacquired, with the receiver's matching grant
-// absorbed by the budget cap).
+// writer's ack accounting lives on that worker's stripe). The ack rides the
+// worker's consistency lane toward the writer, so it piggybacks onto any
+// update/invalidation packet already headed there. This runs on the receive
+// dispatcher, hence post: it never blocks on a full lane.
 func (n *Node) sendAck(to uint8, ack core.Ack) {
-	wk := n.workerFor(ack.Key)
-	if wk.con.tryEnqueue(to, conMsg{kind: core.MsgAck, key: ack.Key, ts: ack.TS, from: ack.From}) {
-		return
-	}
-	th := n.cluster.cfg.cacheThread(wk.idx)
-	n.cluster.transport.Send(fabric.Packet{
-		Src:   fabric.Addr{Node: n.id, Thread: th},
-		Dst:   fabric.Addr{Node: to, Thread: th},
-		Class: metrics.ClassAck,
-		Data:  ack.Encode(nil),
-	})
+	n.workerFor(ack.Key).con.post(to, conMsg{kind: core.MsgAck, key: ack.Key, ts: ack.TS, from: ack.From})
 }
 
-// broadcastUpdate fans an update out to every live peer via the key's
-// worker's consistency lanes. The value slice is enqueued as-is on every
+// broadcastUpdate fans an SC update out to every live peer via the key's
+// worker's consistency lanes, from the session that wrote it (a full lane is
+// backpressure on the writer). The value slice is enqueued as-is on every
 // lane — core hands out freshly-copied, immutable values, so coalescing
 // never re-copies them; on zero-copy transports they go to the wire as
 // their own packet segments (conPlane.sender).
 func (n *Node) broadcastUpdate(upd core.Update) {
-	n.broadcastConsistency(conMsg{kind: core.MsgUpdate, key: upd.Key, ts: upd.TS, value: upd.Value})
+	n.broadcastConsistency(conMsg{kind: core.MsgUpdate, key: upd.Key, ts: upd.TS, value: upd.Value}, true)
 }
 
-// broadcastInvalidation fans a Lin invalidation out to every live peer via
-// the key's worker's consistency lanes.
-func (n *Node) broadcastInvalidation(inv core.Invalidation) {
-	n.broadcastConsistency(conMsg{kind: core.MsgInvalidation, key: inv.Key, ts: inv.TS, from: inv.From})
-}
-
-// broadcastConsistency enqueues one consistency message onto the key's
-// worker's lane toward every *live* node. Dead peers are skipped here — no
-// enqueue, no credit — and a peer excised after the enqueue is handled by
-// the lane sender: the view change dropped its budget, so the sender's
-// per-packet Acquire returns false and the queued batch toward it is
-// discarded (mirroring how pipeline senders fail queued requests).
-func (n *Node) broadcastConsistency(m conMsg) {
+// broadcastConsistency hands one consistency message to the key's worker's
+// lane toward every *live* node — enqueued when the caller may block on a
+// full lane (a session), posted when it may not (a receive dispatcher). Dead
+// peers are skipped here — no enqueue, no credit — and a peer excised after
+// the enqueue is handled by the lane sender: the view change dropped its
+// budget, so the sender's per-packet Acquire returns false and the queued
+// batch toward it is discarded (mirroring how pipeline senders fail queued
+// requests).
+func (n *Node) broadcastConsistency(m conMsg, mayBlock bool) {
 	wk := n.workerFor(m.key)
 	view := n.cluster.view.Load()
 	for peer := 0; peer < n.cluster.cfg.Nodes; peer++ {
 		if peer == int(n.id) || !view.Live(peer) {
 			continue
 		}
-		wk.con.enqueue(uint8(peer), m)
+		if mayBlock {
+			wk.con.enqueue(uint8(peer), m)
+		} else {
+			wk.con.post(uint8(peer), m)
+		}
 	}
 }
 
-// completeLinWrite wakes the session blocked in Put. On a shrunken view it
-// additionally checks for an orphaned conflict-lost write: if this
-// completion lost to a winner that has since left the view, the winner's
-// update can never arrive, and the acknowledged staged value must be
-// re-driven through a fresh write (on its own goroutine — the re-publish
-// blocks on live acks, and this may be called under viewMu).
-func (n *Node) completeLinWrite(key uint64, upd core.Update) {
-	wk := n.workerFor(key)
-	wk.waitMu.Lock()
-	ch := wk.waiters[key]
-	delete(wk.waiters, key)
-	wk.waitMu.Unlock()
-	if ch != nil {
-		ch <- upd
-	}
+// startLinWrite puts a staged Lin write (§5.2) on the wire: inv is what
+// core.WriteLinStart — or RMWLinStart, with its fused read-compute — returned
+// for it. It is the one way a Lin write starts, for plain puts, local hot
+// RMWs and remote ones served here alike; completeLinWrite is the one way it
+// ends. Staging made the entry refuse further local writes to the key
+// (core.ErrWritePending — the key's node-local write mutex) and stamped the
+// write; whoever waits for it waits on that stamp (awaitLinWrite), so nothing
+// is registered here and the caller need not wait at all. mayBlock is false
+// on a receive dispatcher.
+func (n *Node) startLinWrite(inv core.Invalidation, mayBlock bool) {
+	n.broadcastConsistency(conMsg{kind: core.MsgInvalidation, key: inv.Key, ts: inv.TS, from: inv.From}, mayBlock)
+	// A view flip may have excised a counted peer between the write's
+	// live-set snapshot and the broadcast — or this node may be the only live
+	// member — in which case no further ack will arrive; re-run the completion
+	// check so the write can never wait on a peer that is gone. Guarded by one
+	// atomic view load: at full membership (the common case) no recheck — and
+	// no second entry-lock acquisition — is needed, and flips after this point
+	// are covered by Cache.SetLive's scan.
 	if v := n.cluster.view.Load(); v.LiveCount() < n.cluster.cfg.Nodes {
-		if u, ok := n.cache.TakeOrphanedLoserWrite(key); ok {
+		if upd, done := n.cache.RecheckPending(inv.Key); done {
+			n.completeLinWrite(upd)
+		}
+	}
+}
+
+// completeLinWrite finishes a Lin write whose last required ack is in — upd
+// is what core handed back with done=true (ApplyAck on the consistency
+// dispatcher, SetLive under a view flip, startLinWrite's recheck). The
+// completer publishes the update itself, never blocking (post), so no update
+// ever depends on the writer's lane or session being runnable: a reader
+// parked on the invalidated entry at another node is released by dispatchers
+// alone, whatever the lanes are waiting for (exec.go, I1). The writer and any
+// writer queued behind it were already woken inside core, under the entry
+// lock that completed the write.
+//
+// On a shrunken view it additionally checks for an orphaned conflict-lost
+// write: if this completion lost to a winner that has since left the view,
+// the winner's update can never arrive, and the acknowledged staged value
+// must be re-driven through a fresh write (on its own goroutine — the
+// re-publish waits for live acks, and this may be called under viewMu).
+func (n *Node) completeLinWrite(upd core.Update) {
+	n.broadcastConsistency(conMsg{kind: core.MsgUpdate, key: upd.Key, ts: upd.TS, value: upd.Value}, false)
+	if v := n.cluster.view.Load(); v.LiveCount() < n.cluster.cfg.Nodes {
+		if u, ok := n.cache.TakeOrphanedLoserWrite(upd.Key); ok {
 			go func() { _ = n.Put(u.Key, u.Value) }()
 		}
 	}
 }
 
-// tryRegisterLinWaiter installs the completion channel before the
-// invalidations are broadcast (the acks may race back immediately). It
-// fails if another session on this node already has a write in flight for
-// the key.
-func (n *Node) tryRegisterLinWaiter(key uint64) (chan core.Update, bool) {
-	wk := n.workerFor(key)
-	wk.waitMu.Lock()
-	defer wk.waitMu.Unlock()
-	if _, busy := wk.waiters[key]; busy {
-		return nil, false
-	}
-	ch := make(chan core.Update, 1)
-	wk.waiters[key] = ch
-	return ch, true
-}
-
-// yield lets dispatcher goroutines run on small GOMAXPROCS settings.
+// yield gives up the processor between two polls of something that cannot
+// wake its waiter (each call site says what). Nothing on the path of a get,
+// put, CAS or FAA of a hot key at its own node polls: those park (ops.go).
 func yield() { runtime.Gosched() }

@@ -30,7 +30,7 @@ import (
 // per packet keeps the ledger symmetric and is exactly the paper's
 // credits-per-packet economy.
 //
-// Acks piggyback for free: sendAck enqueues onto the same per-worker lane
+// Acks piggyback for free: sendAck posts onto the same per-worker lane
 // toward the writer, so an ack shares its packet with whatever updates or
 // invalidations are already headed there. Key steering makes the lane
 // well-defined — a key's messages always travel worker(key)'s lane — and
@@ -79,6 +79,18 @@ func (m *conMsg) encodedSize() int {
 		return core.Invalidation{}.EncodedSize()
 	default:
 		return core.Ack{}.EncodedSize()
+	}
+}
+
+// encode appends the message's wire form to buf.
+func (m *conMsg) encode(buf []byte) []byte {
+	switch m.kind {
+	case core.MsgUpdate:
+		return core.Update{Key: m.key, TS: m.ts, Value: m.value}.Encode(buf)
+	case core.MsgInvalidation:
+		return core.Invalidation{Key: m.key, TS: m.ts, From: m.from}.Encode(buf)
+	default:
+		return core.Ack{Key: m.key, TS: m.ts, From: m.from}.Encode(buf)
 	}
 }
 
@@ -140,24 +152,37 @@ func (cp *conPlane) enqueue(peer uint8, m conMsg) {
 	cp.mu.RUnlock()
 }
 
-// tryEnqueue is enqueue minus the blocking: it reports false when the lane
-// is full instead of waiting. Receive dispatchers use it for acks — a
-// dispatcher that blocked on a full lane would stop noting received packets
-// toward credit updates, and two nodes doing that to each other would
-// starve both senders for good.
-func (cp *conPlane) tryEnqueue(peer uint8, m conMsg) bool {
+// post hands one message to peer's lane without ever blocking — the form
+// receive dispatchers use, for the acks they return and for the update a
+// write's last ack publishes. A dispatcher that blocked on a full lane would
+// stop noting received packets toward credit updates, and two nodes doing
+// that to each other would starve both senders for good; so a full lane
+// falls back to an immediate uncoalesced send (the pre-coalescing behavior:
+// unacquired, with the receiver's matching grant absorbed by the budget cap).
+// Leaving the lane's order is safe for both kinds: an ack is matched by
+// timestamp, and a Lin update applies only on an exact timestamp match.
+func (cp *conPlane) post(peer uint8, m conMsg) {
 	cp.mu.RLock()
-	defer cp.mu.RUnlock()
 	ch := cp.queues[peer]
 	if cp.closed || ch == nil {
-		return true // dropped, but disposed of: nothing more to do
+		cp.mu.RUnlock()
+		return // dropped, like enqueue
 	}
 	select {
 	case ch <- m:
-		return true
+		cp.mu.RUnlock()
+		return
 	default:
-		return false
 	}
+	cp.mu.RUnlock()
+	n := cp.w.node
+	th := n.cluster.cfg.cacheThread(cp.w.idx)
+	n.cluster.transport.Send(fabric.Packet{
+		Src:   fabric.Addr{Node: n.id, Thread: th},
+		Dst:   fabric.Addr{Node: peer, Thread: th},
+		Class: classOf(m.kind),
+		Data:  m.encode(nil),
+	})
 }
 
 // sender drains peer's queue into multi-message consistency packets. Each
@@ -204,6 +229,7 @@ func (cp *conPlane) sender(peer uint8, q chan conMsg) {
 			// are actively ringing. One yield lets them enqueue what they are
 			// blocked on right now, deepening the packet without ever holding
 			// up an isolated write (a batch of one flushes immediately above).
+			// One shot, not a wait: there is no event to park on.
 			runtime.Gosched()
 			batch, size = cp.drain(q, batch, size, &carry)
 		}
@@ -230,18 +256,11 @@ func (cp *conPlane) sender(peer uint8, q chan conMsg) {
 			m := &batch[i]
 			msgs[m.kind]++
 			bytes[m.kind] += uint32(m.encodedSize())
-			switch m.kind {
-			case core.MsgUpdate:
+			if vectored && m.kind == core.MsgUpdate {
 				buf = core.Update{Key: m.key, TS: m.ts, Value: m.value}.EncodeHeader(buf)
-				if vectored {
-					cuts = append(cuts, conCut{off: len(buf), val: m.value})
-				} else {
-					buf = append(buf, m.value...)
-				}
-			case core.MsgInvalidation:
-				buf = core.Invalidation{Key: m.key, TS: m.ts, From: m.from}.Encode(buf)
-			default:
-				buf = core.Ack{Key: m.key, TS: m.ts, From: m.from}.Encode(buf)
+				cuts = append(cuts, conCut{off: len(buf), val: m.value})
+			} else {
+				buf = m.encode(buf)
 			}
 		}
 		for _, k := range [...]core.MsgType{core.MsgUpdate, core.MsgInvalidation, core.MsgAck} {

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/timestamp"
 )
 
 // The op executor: the single serving path of §6.1. Every client operation —
@@ -16,27 +18,52 @@ import (
 // replication); a hot write runs the cache protocol; an RMW goes to the key's
 // serialization point.
 //
-// An execution has two phases, so that one caller's remote accesses overlap
-// (one round trip for a whole batch, few multi-request packets per home —
-// the client side of §6.3's request coalescing) without spawning goroutines:
+// An execution has two phases, so that one caller's waits overlap (one round
+// trip for a whole batch, few multi-message packets per peer — the client
+// side of §6.3's coalescing) without spawning goroutines:
 //
-//   - scan serves an op as far as it can without waiting on another node's
-//     answer to *this* op: cache probe, local shard read (leased, zero-copy)
-//     or write, and the hot-key cache-protocol write. The cache protocol is
-//     the one thing scan waits on — a read spinning on an invalidated entry,
-//     a write on a frozen or write-pending one, a Lin put blocking for its
-//     acks (ROADMAP item 1 moves that into collect), the Figure 4a/4b
-//     primary/sequencer exchange. A cold access homed elsewhere is started
-//     on the coalescing pipeline and left pending; blocking multi-phase
-//     protocols (replicated puts, RMWs, reads at a primary still re-syncing
-//     after its rejoin) are only recorded.
-//   - collect awaits the started accesses and runs the recorded blocking
-//     steps, in scan order. An answer that proves the op did not execute
-//     where it was sent — a put bounced because the key went hot mid-flight,
-//     a read whose primary died or is re-syncing, a refused RMW attempt —
-//     re-runs the op from the routing decision (re-probing the cache for a
-//     put), after a yield, bounded by frozenRetryLimit. That loop is the one
-//     retry policy of the serving path.
+//   - scan serves an op as far as it can without waiting for anything: cache
+//     probe, local shard read (leased, zero-copy) or write, an SC cache write.
+//     Whatever must wait is started and left pending — a cold access homed
+//     elsewhere goes onto the coalescing pipeline, a hot Lin put is staged
+//     and its invalidations broadcast (startLinWrite) — or only recorded: an
+//     op the cache refused (a get on an invalidated entry, a put on a
+//     write-pending or frozen one), an op behind an unfinished op on its key
+//     (I2), and the blocking multi-phase protocols (replicated puts, RMWs,
+//     reads at a primary still re-syncing after its rejoin). Scan never waits
+//     on the cache protocol; the Figure 4a/4b strawmen's primary/sequencer
+//     exchange is the one synchronous round trip left in it.
+//   - collect settles the pending ops in scan order: awaits a remote answer
+//     or a staged write's last ack, parks on the entry that refused an op
+//     (core/park.go) and re-runs it, runs the recorded blocking steps. An
+//     answer that proves the op did not execute where it was sent — a put
+//     bounced because the key went hot mid-flight, a read whose primary died
+//     or is re-syncing, a refused RMW attempt — re-runs the op from the cache
+//     probe, bounded by frozenRetryLimit. That loop is the one retry policy
+//     of the serving path; every iteration of it slept on an entry or crossed
+//     the wire.
+//
+// Three invariants keep the overlap safe:
+//
+//   - I1, no cycle through lanes. Everything collect waits for is produced
+//     by a receive dispatcher — rpc answers, acks, and the update a write's
+//     last ack publishes (completeLinWrite) — and dispatchers never wait for
+//     a lane, a parked caller or consistency-lane capacity (conPlane.post).
+//     Were updates published by the writer's lane, A=[put k1, get k2] and
+//     B=[put k2, get k1] would deadlock: each lane parked on the other's
+//     invalidation, each update behind its lane — in scan or in collect alike.
+//   - I2, per-key order within a run. Once an op of the run is unfinished
+//     and nothing else orders it (it is not a plain access on a pipeline
+//     lane), every later op of the run on its key — get, put, CAS, FAA — is
+//     deferred behind it and settled in scan order: a later put can neither
+//     start first and lose to the earlier one's re-run, nor a later get
+//     return the pre-write value. The check is one length test while the run
+//     has no such op, which under SC is nearly always.
+//   - I3, writers of one key on one node. A staged write makes the entry
+//     refuse further local writes (core.ErrWritePending); the refused writer
+//     parks on the entry and is woken by the completion, under the lock that
+//     completed it. WritePendingRetries, InvalidRetries and FrozenRetries
+//     count those parks.
 //
 // Results are per op (opRes): a value, a typed error, never a batch-level
 // abort. A locally served get holds a store lease; the consumer of the
@@ -51,6 +78,9 @@ type opExec struct {
 	n    *Node
 	res  []opRes
 	pend []execPend
+	// busy holds the keys of this run's unfinished ops that I2 orders later
+	// ops behind. Nil until the first one; emptied by collect.
+	busy map[uint64]struct{}
 }
 
 // opRes is one op's outcome. val is the value read (get), the value
@@ -64,24 +94,50 @@ type opRes struct {
 	err   error
 }
 
-// execPend is one op scan could not finish: a remote access in flight toward
-// target (ch != nil), or a blocking step left for collect (ch == nil).
+// opWait says what an unfinished op waits for; at most one field is set. The
+// zero value is a blocking step left for collect (a replicated put, an RMW
+// attempt, the re-sync gate, a local-home put that bounced).
+type opWait struct {
+	target int            // the node ch's answer comes from
+	ch     chan rpcResult // a remote access in flight
+	lin    timestamp.TS   // a hot Lin put staged in the cache, awaiting its last ack
+	stall  error          // the cache's refusal: park on the entry, then re-run
+	turn   bool           // deferred behind an earlier op of the run on its key (I2)
+}
+
+// execPend is one op scan could not finish.
 type execPend struct {
-	ri      int // the op's slot in opExec.res
-	op      Op
-	target  int
-	ch      chan rpcResult
+	ri int // the op's slot in opExec.res
+	op Op
+	opWait
 	compute func([]byte) ([]byte, bool) // RMW only; built by the first attempt
 }
 
 var errRemotePutFailed = errors.New("cluster: remote put failed")
 
-// scan appends a result slot for op and serves it as far as opStart can.
+// scan appends a result slot for op and serves it as far as opStart can —
+// not at all when an earlier op of the run on the same key is unfinished.
 func (x *opExec) scan(op *Op) {
 	ri := len(x.res)
 	x.res = append(x.res, opRes{})
-	if target, ch, pending := x.n.opStart(op, &x.res[ri], true); pending {
-		x.pend = append(x.pend, execPend{ri: ri, op: *op, target: target, ch: ch})
+	if len(x.busy) != 0 {
+		if _, behind := x.busy[op.Key]; behind {
+			x.pend = append(x.pend, execPend{ri: ri, op: *op, opWait: opWait{turn: true}})
+			return
+		}
+	}
+	w, pending := x.n.opStart(op, &x.res[ri])
+	if !pending {
+		return
+	}
+	x.pend = append(x.pend, execPend{ri: ri, op: *op, opWait: w})
+	if w.ch == nil {
+		// A remote access needs no entry: a later op on its key follows it
+		// down the same pipeline lane to the same home.
+		if x.busy == nil {
+			x.busy = make(map[uint64]struct{})
+		}
+		x.busy[op.Key] = struct{}{}
 	}
 }
 
@@ -91,13 +147,14 @@ func (x *opExec) collect() {
 		x.n.opFinish(&x.pend[i], &x.res[x.pend[i].ri])
 	}
 	x.pend = x.pend[:0]
+	clear(x.busy)
 }
 
 // execOne runs a single op to completion — scan and collect of a one-op
 // batch, on the caller's stack — and detaches its value from store memory.
 func (n *Node) execOne(op *Op) (r opRes) {
-	if target, ch, pending := n.opStart(op, &r, true); pending {
-		n.opFinish(&execPend{op: *op, target: target, ch: ch}, &r)
+	if w, pending := n.opStart(op, &r); pending {
+		n.opFinish(&execPend{op: *op, opWait: w}, &r)
 	}
 	if r.lease.Held() {
 		r.val = append([]byte(nil), r.val...)
@@ -106,67 +163,69 @@ func (n *Node) execOne(op *Op) (r opRes) {
 	return r
 }
 
-// opStart routes op and runs whatever part of it cannot wait on a peer,
-// filling r. pending reports that the op is not finished: a remote access is
-// in flight toward target (ch != nil) or a blocking step is left for
-// opFinish (ch == nil); otherwise r is final. first is false when opFinish
-// re-runs an op: a put re-probes the cache (a bounce means the key went
-// hot), a get goes straight back to routing (it already missed, and the miss
-// is counted).
-func (n *Node) opStart(op *Op, r *opRes, first bool) (target int, ch chan rpcResult, pending bool) {
+// opStart routes op from the cache probe down and runs whatever part of it
+// needs no waiting, filling r. pending reports that the op is not finished
+// and w what it waits for; otherwise r is final. opFinish re-runs an op
+// through here too, so a re-run always re-probes the cache — the key may have
+// gone hot or cold, or the entry that stalled it may have changed — and a
+// probe that misses again is counted again.
+func (n *Node) opStart(op *Op, r *opRes) (w opWait, pending bool) {
 	c := n.cluster
 	key := op.Key
 	switch op.Kind {
 	case OpCAS, OpFAA:
 		// Blocking multi-phase exchange wherever it routes: collect runs it,
 		// after the batch's plain remote accesses are on the wire.
-		return 0, nil, true
+		return opWait{}, true
 	case OpPut:
-		done, err := n.putCached(key, op.Value)
-		if err != nil || done {
+		w, hit, err := n.putCached(key, op.Value)
+		if err != nil || hit {
 			r.err = err
-			return 0, nil, false
+			return w, w != opWait{}
 		}
 		if c.replicated() {
-			return 0, nil, true // stamped three-phase put (replicate.go), run by collect
+			return opWait{}, true // stamped three-phase put (replicate.go), run by collect
 		}
 		home := c.HomeNode(key)
 		if home == int(n.id) {
 			// A bounce (stale probe: the key is hot again) re-runs in collect.
-			return 0, nil, n.localHomePut(key, op.Value)
+			return opWait{}, n.localHomePut(key, op.Value)
 		}
 		if !c.view.Load().Live(home) {
 			// Hot keys never get here — they commit through the cache
 			// protocol among the live replicas whoever their home is.
 			r.err = homeDownErr(home, key)
-			return 0, nil, false
+			return opWait{}, false
 		}
 		n.RemoteOps.Add(1)
-		return home, n.workerFor(key).rpc.start(uint8(home), wireReq{op: rpcOpPut, key: key, value: op.Value}), true
+		return opWait{target: home, ch: n.workerFor(key).rpc.start(uint8(home), wireReq{op: rpcOpPut, key: key, value: op.Value})}, true
 	}
-	if first && n.cache != nil {
-		v, hit, err := n.cacheRead(key)
-		if hit || err != nil {
-			if hit {
-				n.CacheHits.Add(1)
-			}
-			r.val, r.err = v, err
-			return 0, nil, false
+	if n.cache != nil {
+		v, _, err := n.cache.Read(key, nil)
+		switch err {
+		case nil:
+			n.CacheHits.Add(1)
+			r.val = v
+			return opWait{}, false
+		case core.ErrInvalid:
+			// An update is in flight (§6.2: a read "may hit in the cache but
+			// may not succeed"); a receive dispatcher applies it and wakes us.
+			return opWait{stall: err}, true
 		}
 		n.CacheMisses.Add(1)
 	}
 	// The acting primary is the first live replica in home order — the home
 	// itself when unreplicated; none left means the key is unservable.
-	target = c.primaryFor(key, c.view.Load())
+	target := c.primaryFor(key, c.view.Load())
 	switch {
 	case target < 0:
 		r.err = homeDownErr(c.HomeNode(key), key)
-		return 0, nil, false
+		return opWait{}, false
 	case target != int(n.id):
 		n.RemoteOps.Add(1)
-		return target, n.workerFor(key).rpc.start(uint8(target), wireReq{op: rpcOpGet, key: key}), true
+		return opWait{target: target, ch: n.workerFor(key).rpc.start(uint8(target), wireReq{op: rpcOpGet, key: key})}, true
 	case c.syncing.Load():
-		return 0, nil, true // our shard may hold pre-crash state; collect waits out the seed stream
+		return opWait{}, true // our shard may hold pre-crash state; collect waits out the seed stream
 	}
 	n.LocalOps.Add(1)
 	lv, _, err := n.kvs.GetLease(key)
@@ -174,78 +233,105 @@ func (n *Node) opStart(op *Op, r *opRes, first bool) (target int, ch chan rpcRes
 		r.val, r.lease = lv.Value(), lv
 	}
 	r.err = err
-	return 0, nil, false
+	return opWait{}, false
 }
 
 // opFinish settles a pending op, re-running it from opStart for as long as
-// its answers prove it did not execute.
+// its answers prove it did not execute. It is where the serving path sleeps:
+// an op the local cache refused — in scan, or in the step opSettle just ran —
+// parks on the entry until it changes.
 func (n *Node) opFinish(p *execPend, r *opRes) {
-	for attempt := 0; n.opSettle(p, r); attempt++ {
+	for attempt := 0; ; attempt++ {
+		if p.stall == nil && !p.turn {
+			if !n.opSettle(p, r) {
+				return
+			}
+			if p.stall == nil {
+				// A peer's answer proved the op did not run there, and the
+				// re-run asks again over the wire; nothing on this node changes
+				// when the peer is ready. A request/response ping-pong hands the
+				// processor from goroutine to goroutine, so without this yield it
+				// keeps this node's other dispatchers — the ones delivering the
+				// acks that peer is waiting for — off it a timeslice at a time.
+				yield()
+			}
+		}
+		if p.stall != nil {
+			if r.err = n.park(p.op.Key, p.stall); r.err != nil {
+				return
+			}
+		}
 		if attempt >= frozenRetryLimit {
 			r.err = ErrFrozenRetriesExhausted
 			return
 		}
-		yield()
 		var pending bool
-		if p.target, p.ch, pending = n.opStart(&p.op, r, false); !pending {
+		if p.opWait, pending = n.opStart(&p.op, r); !pending {
 			return
 		}
 	}
 }
 
-// opSettle finishes one pending op — awaits its remote access or runs its
+// opSettle finishes one pending op — awaits what it started or runs its
 // blocking step — and fills r, unless the op provably did not execute, in
-// which case it asks for a re-run.
+// which case it asks for a re-run (after a park, when it also sets p.stall:
+// the local cache refused the step).
 func (n *Node) opSettle(p *execPend, r *opRes) (rerun bool) {
 	c := n.cluster
 	kind := p.op.Kind
-	if p.ch == nil {
-		switch kind {
-		case OpPut:
-			bounced := true // unreplicated: the local home found the key hot
-			if c.replicated() {
-				bounced, r.err = n.replicatedPut(p.op.Key, p.op.Value)
+	switch {
+	case p.ch != nil:
+		res, err := awaitRPC(p.ch)
+		switch {
+		case err != nil:
+			if kind == OpGet && c.primaryFor(p.op.Key, c.view.Load()) != p.target {
+				return true // the serving replica left the view mid-read: chase the promotion
 			}
-			if bounced {
+			r.err = err
+		case res.status == rpcStatusRetry:
+			// A put bounced off a home that now caches the key, or a get reached
+			// a primary still re-syncing after its rejoin.
+			if kind == OpPut {
 				n.FrozenRetries.Add(1)
 			}
-			return bounced
-		case OpGet:
-			for spin := 0; c.syncing.Load(); spin++ {
-				if spin > frozenRetryLimit {
-					r.err = ErrFrozenRetriesExhausted
-					return false
-				}
-				yield()
-			}
 			return true
+		case kind == OpPut:
+			if res.status != rpcStatusOK {
+				r.err = errRemotePutFailed
+			}
+		case res.status == rpcStatusOK:
+			r.val = res.value
+		default:
+			r.err = store.ErrNotFound
 		}
-		return n.rmwAttempt(p, r)
+		return false
+	case p.lin != timestamp.Zero:
+		r.err = n.awaitLinWrite(p.op.Key, p.lin)
+		return false
 	}
-	res, err := awaitRPC(p.ch)
-	switch {
-	case err != nil:
-		if kind == OpGet && c.primaryFor(p.op.Key, c.view.Load()) != p.target {
-			return true // the serving replica left the view mid-read: chase the promotion
+	switch kind {
+	case OpPut:
+		bounced := true // unreplicated: the local home found the key hot
+		if c.replicated() {
+			bounced, r.err = n.replicatedPut(p.op.Key, p.op.Value)
 		}
-		r.err = err
-	case res.status == rpcStatusRetry:
-		// A put bounced off a home that now caches the key, or a get reached
-		// a primary still re-syncing after its rejoin.
-		if kind == OpPut {
+		if bounced {
 			n.FrozenRetries.Add(1)
 		}
-		return true
-	case kind == OpPut:
-		if res.status != rpcStatusOK {
-			r.err = errRemotePutFailed
+		return bounced
+	case OpGet:
+		// The re-sync gate opens when the last seed stream's done marker
+		// arrives on the view dispatcher, which has nothing to wake: poll.
+		for spin := 0; c.syncing.Load(); spin++ {
+			if spin > frozenRetryLimit {
+				r.err = ErrFrozenRetriesExhausted
+				return false
+			}
+			yield()
 		}
-	case res.status == rpcStatusOK:
-		r.val = res.value
-	default:
-		r.err = store.ErrNotFound
+		return true
 	}
-	return false
+	return n.rmwAttempt(p, r)
 }
 
 // rmwAttempt routes one CAS/FAA attempt to the key's serialization point
@@ -285,7 +371,9 @@ func (n *Node) rmwAttempt(p *execPend, r *opRes) (rerun bool) {
 		}
 		w, applied, rerun, err = n.rmwRemote(uint8(target), key, req, p.compute)
 	case hot:
-		w, applied, rerun, err = n.rmwLocalHot(key, p.compute)
+		if w, applied, rerun, err = n.rmwLocalHot(key, p.compute); rerun {
+			p.stall, err = err, nil // nil when the key just left the hot set
+		}
 	case c.replicated():
 		w, applied, rerun, err = n.rmwLocalReplicated(key, p.compute, view)
 	default:

@@ -3,56 +3,88 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/store"
 	"repro/internal/timestamp"
 )
 
-// ErrRetriesExhausted is returned when a read stalled on an invalidated
-// entry for an implausibly long time — it indicates a protocol bug (the
-// matching update never arrived) and exists so tests fail loudly instead of
-// hanging.
+// ErrRetriesExhausted is returned when a read stayed parked on an invalidated
+// entry past parkDeadline — it indicates a protocol bug (the matching update
+// never arrived) and exists so tests fail loudly instead of hanging. Loops
+// that re-issue an RPC per attempt (the remote RMW completion poll) return
+// it after invalidRetryLimit attempts.
 var ErrRetriesExhausted = errors.New("cluster: read retries exhausted on invalid entry")
 
-// ErrFrozenRetriesExhausted is returned when a write spun on a frozen entry
-// for an implausibly long time — a hot-set reconfiguration always commits,
-// aborts or removes the entry in bounded time, so this indicates a
-// reconfiguration that died without cleaning up (e.g. the deployment closed
-// mid-refresh).
+// ErrFrozenRetriesExhausted is returned when a write stayed parked on a
+// frozen or write-pending entry past parkDeadline — a hot-set
+// reconfiguration always commits, aborts or removes the entry in bounded
+// time, so this indicates a reconfiguration that died without cleaning up.
+// Loops that re-issue an RPC per attempt (the executor's re-run loop, the
+// Figure 4a primary write) return it after frozenRetryLimit attempts.
 var ErrFrozenRetriesExhausted = errors.New("cluster: write retries exhausted on frozen entry")
 
-// invalidRetryLimit bounds the Read retry loop on Lin-invalidated entries.
-const invalidRetryLimit = 10_000_000
+// invalidRetryLimit and frozenRetryLimit bound the loops that re-issue an
+// RPC per attempt; waits on a local cache entry park under parkDeadline
+// instead.
+const (
+	invalidRetryLimit = 10_000_000
+	frozenRetryLimit  = 10_000_000
+)
 
-// frozenRetryLimit bounds write retries on entries frozen by a hot-set
-// reconfiguration. A transition always commits, aborts, or removes the
-// entry in bounded time; hitting the limit means a reconfiguration died
-// without cleaning up (e.g. the deployment closed mid-refresh) and the
-// write fails loudly instead of spinning forever.
-const frozenRetryLimit = 10_000_000
+// parkDeadline bounds one park on a cache entry. It is armed only once a
+// caller actually parks, and only ever fires on a bug or a peer that went
+// silent without leaving the view — every legitimate stall ends within a
+// few round trips (an update, an ack) or one reconfiguration.
+const parkDeadline = 30 * time.Second
 
-// cacheRead probes the symmetric cache, spinning while an entry is
-// invalidated by an in-flight Lin write. hit=false reports a clean miss.
-func (n *Node) cacheRead(key uint64) (value []byte, hit bool, err error) {
-	for attempt := 0; ; attempt++ {
-		v, _, err := n.cache.Read(key, nil)
-		switch err {
-		case nil:
-			return v, true, nil
-		case core.ErrInvalid:
-			// An update is in flight; spin until it lands. The paper's
-			// cache threads keep polling their receive queues here; our
-			// dispatcher goroutine applies the update concurrently.
-			n.InvalidRetries.Add(1)
-			if attempt > invalidRetryLimit {
-				return nil, false, ErrRetriesExhausted
-			}
-			yield()
-		case core.ErrMiss:
-			return nil, false, nil
-		default:
-			return nil, false, err
+// park is what the serving path does with a cache refusal (core.ErrInvalid,
+// ErrWritePending, ErrFrozen): sleep until the entry changes, then let the
+// caller retry. It returns at once when the refusal no longer holds. The
+// three retry counters count parks.
+func (n *Node) park(key uint64, stall error) error {
+	ch := n.cache.Park(key, stall)
+	if ch == nil {
+		return nil
+	}
+	switch stall {
+	case core.ErrWritePending:
+		n.WritePendingRetries.Add(1)
+	case core.ErrFrozen:
+		n.FrozenRetries.Add(1)
+	case core.ErrInvalid:
+		n.InvalidRetries.Add(1)
+	}
+	deadline := time.NewTimer(parkDeadline)
+	defer deadline.Stop()
+	select {
+	case <-ch:
+		return nil
+	case <-n.cluster.stop:
+		return fmt.Errorf("cluster: closed with key %d parked (%v): %w", key, stall, ErrPipelineClosed)
+	case <-deadline.C:
+		if stall == core.ErrInvalid {
+			return ErrRetriesExhausted
+		}
+		return ErrFrozenRetriesExhausted
+	}
+}
+
+// awaitLinWrite blocks until this node's Lin write of key stamped ts has its
+// last ack (§5.2: "writes are synchronous"). The write completes on a
+// receive dispatcher or under a view flip — never on the caller — so the
+// caller may have done anything in between, including starting more writes.
+func (n *Node) awaitLinWrite(key uint64, ts timestamp.TS) error {
+	for {
+		ch := n.cache.AwaitWrite(key, ts)
+		if ch == nil {
+			return nil
+		}
+		select {
+		case <-ch:
+		case <-n.cluster.stop:
+			return fmt.Errorf("cluster: closed awaiting acks for key %d: %w", key, ErrPipelineClosed)
 		}
 	}
 }
@@ -161,220 +193,95 @@ func (n *Node) localHomePut(key uint64, value []byte) (bounced bool) {
 }
 
 // putCached attempts the write through the symmetric cache under the
-// configured protocol. done=false with nil error means the key missed the
-// cache (the caller forwards to the home shard); the miss is already
-// counted.
-func (n *Node) putCached(key uint64, value []byte) (done bool, err error) {
+// configured protocol. hit=false with a nil error means the key missed the
+// cache (the caller forwards to the home shard); the miss is already counted.
+// On a hit, a zero w means the write committed; otherwise the write is
+// unfinished and w says what it waits for — a staged Lin write for its acks,
+// a refused write for its entry to change.
+func (n *Node) putCached(key uint64, value []byte) (w opWait, hit bool, err error) {
 	if n.cache == nil {
-		return false, nil
+		return opWait{}, false, nil
 	}
+	var cerr error // the cache's answer: nil, a stall, ErrMiss, or a hard failure
 	if n.cluster.cfg.Protocol == core.Lin {
-		done, err = n.putLin(key, value)
-	} else {
-		done, err = n.putSC(key, value)
+		var inv core.Invalidation
+		if inv, cerr = n.cache.WriteLinStart(key, value); cerr == nil {
+			n.CacheHits.Add(1)
+			n.startLinWrite(inv, true)
+			return opWait{lin: inv.TS}, true, nil
+		}
+	} else if cerr = n.putSC(key, value); cerr == nil {
+		n.CacheHits.Add(1)
+		return opWait{}, true, nil
 	}
-	if err != nil || done {
-		return done, err
+	switch cerr {
+	case core.ErrWritePending, core.ErrFrozen:
+		// Another session on this node is writing the key (writes must
+		// serialize), or the key is mid-reconfiguration — a demotion ends with
+		// the key leaving the hot set, and the retry then misses to the home
+		// shard (which by then holds the demotion's write-back).
+		return opWait{stall: cerr}, true, nil
+	case core.ErrMiss:
+		n.CacheMisses.Add(1)
+		return opWait{}, false, nil
+	default:
+		return opWait{}, false, cerr
 	}
-	n.CacheMisses.Add(1)
-	return false, nil
 }
 
-// putSC runs an SC cache write under the configured Figure 4 serialization
-// design. done=false with nil error means the key missed the cache. A write
-// that finds its entry frozen mid-demotion retries until the key either
-// unfreezes (never happens today: demotions always commit) or leaves the hot
-// set, at which point it misses to the home shard — which by then holds the
-// demotion's write-back, so the write can never be clobbered by it.
-func (n *Node) putSC(key uint64, value []byte) (bool, error) {
+// putSC runs one SC cache write under the configured Figure 4 serialization
+// design: applied locally and broadcast at once (§5.2, non-blocking). It
+// answers nil, core.ErrMiss (the key is not cached), core.ErrFrozen (the
+// entry is mid-reconfiguration; the executor parks on it and re-runs the put,
+// which misses to the home shard once a demotion dropped the key) or a hard
+// failure.
+func (n *Node) putSC(key uint64, value []byte) error {
 	const coordinator = 0 // primary/sequencer node when selected
+	var upd core.Update
+	var err error
 	switch n.cluster.cfg.Serialization {
 	case SerializationPrimary:
-		for attempt := 0; ; attempt++ {
-			if attempt > frozenRetryLimit {
-				return false, ErrFrozenRetriesExhausted
-			}
+		if n.id != coordinator {
 			if !n.cache.Contains(key) {
-				return false, nil // putCached counts the miss
-			}
-			if n.id == coordinator {
-				done, retry, err := n.commitSC(n.cache.WriteSC(key, value))
-				if retry {
-					continue
-				}
-				return done, err
+				return core.ErrMiss
 			}
 			// All writes serialize at the primary (Figure 4a): forward and
 			// wait for its ack; the update reaches us via broadcast.
-			err := n.PrimaryWrite(coordinator, key, value)
-			if err == errPrimaryMiss {
-				// The hot set shifted under us; wait for our own commit
-				// and re-probe (the write then goes to the home shard).
-				yield()
-				continue
+			if err = n.PrimaryWrite(coordinator, key, value); err == errPrimaryMiss {
+				// The primary already dropped the key; the same demotion froze
+				// our copy and is about to drop it too. Park on that, then
+				// miss to the home shard.
+				return core.ErrFrozen
 			}
-			if err == nil {
-				n.CacheHits.Add(1)
-				return true, nil
-			}
-			return false, err
+			return err
 		}
+		upd, err = n.cache.WriteSC(key, value)
 	case SerializationSequencer:
-		for attempt := 0; ; attempt++ {
-			if attempt > frozenRetryLimit {
-				return false, ErrFrozenRetriesExhausted
-			}
-			if !n.cache.Contains(key) {
-				return false, nil // putCached counts the miss
-			}
-			var ts timestamp.TS
-			var err error
-			if n.id == coordinator {
-				// The sequencer's own writes take the timestamp locally.
-				wk := n.workerFor(key)
-				wk.seqMu.Lock()
-				wk.seqClocks[key]++
-				ts = timestamp.TS{Clock: wk.seqClocks[key], Writer: n.id}
-				wk.seqMu.Unlock()
-			} else if ts, err = n.SeqTS(coordinator, key); err != nil {
-				return false, err
-			}
-			// On a frozen retry the consumed sequencer timestamp is
-			// abandoned; gaps in the per-key clock are harmless (it only
-			// ever advances).
-			done, retry, err := n.commitSC(n.cache.WriteSCWithTS(key, value, ts))
-			if retry {
-				continue
-			}
-			return done, err
+		if !n.cache.Contains(key) {
+			return core.ErrMiss
 		}
+		var ts timestamp.TS
+		if n.id == coordinator {
+			// The sequencer's own writes take the timestamp locally.
+			wk := n.workerFor(key)
+			wk.seqMu.Lock()
+			wk.seqClocks[key]++
+			ts = timestamp.TS{Clock: wk.seqClocks[key], Writer: n.id}
+			wk.seqMu.Unlock()
+		} else if ts, err = n.SeqTS(coordinator, key); err != nil {
+			return err
+		}
+		// A timestamp consumed by a write that then finds its entry frozen is
+		// abandoned; gaps in the per-key clock are harmless (it only ever
+		// advances).
+		upd, err = n.cache.WriteSCWithTS(key, value, ts)
 	default:
-		for attempt := 0; ; attempt++ {
-			if attempt > frozenRetryLimit {
-				return false, ErrFrozenRetriesExhausted
-			}
-			// Non-blocking: the local write is already visible; propagate
-			// asynchronously to all replicas (§5.2).
-			done, retry, err := n.commitSC(n.cache.WriteSC(key, value))
-			if retry {
-				continue
-			}
-			return done, err
-		}
+		upd, err = n.cache.WriteSC(key, value)
 	}
-}
-
-// commitSC finishes one SC cache-write attempt, whatever serialization
-// design produced it: a successful write is broadcast; a frozen entry
-// (mid-demotion) yields and asks the caller to retry; a miss falls through
-// to the home-shard path.
-func (n *Node) commitSC(upd core.Update, err error) (done, retry bool, _ error) {
-	switch err {
-	case nil:
-		n.CacheHits.Add(1)
+	if err == nil {
 		n.broadcastUpdate(upd)
-		return true, false, nil
-	case core.ErrFrozen:
-		n.FrozenRetries.Add(1)
-		yield()
-		return false, true, nil
-	case core.ErrMiss:
-		return false, false, nil // putCached counts the miss
-	default:
-		return false, false, err
 	}
-}
-
-// putLin runs the blocking two-phase Lin write. done=false with nil error
-// means the key missed the cache.
-func (n *Node) putLin(key uint64, value []byte) (bool, error) {
-	for attempt := 0; ; attempt++ {
-		if attempt > frozenRetryLimit {
-			return false, ErrFrozenRetriesExhausted
-		}
-		ch, err := n.startLinWrite(key, func() (core.Invalidation, bool, error) {
-			inv, err := n.cache.WriteLinStart(key, value)
-			return inv, err == nil, err
-		})
-		switch err {
-		case nil:
-			n.CacheHits.Add(1)
-			// Block until the last ack completes the write (§5.2: "writes
-			// are synchronous").
-			n.broadcastUpdate(<-ch)
-			return true, nil
-		case core.ErrWritePending, core.ErrFrozen:
-			// Another session on this node is writing the key (writes must
-			// serialize), or the key is being demoted — retry until it
-			// leaves the hot set and the write misses to the home shard
-			// (which by then holds the demotion's write-back).
-			n.countRefusal(err)
-			yield()
-		case core.ErrMiss:
-			return false, nil
-		default:
-			return false, err
-		}
-	}
-}
-
-// startLinWrite is the one staged-Lin-write sequence (§5.2), shared by plain
-// puts and hot RMWs: register the key's completion waiter, run stage under
-// the entry lock (WriteLinStart, or RMWLinStart with its fused
-// read-compute), and broadcast the staged write's invalidation. The waiter
-// goes in first because acks can arrive the moment the invalidations hit the
-// wire; registration doubles as the node-local write mutex for the key, so a
-// second writer is refused with core.ErrWritePending exactly as if the entry
-// itself had said so. Every refusal — stage's error, or staged=false (a
-// declined CAS) with a nil one — unregisters the waiter and returns a nil
-// channel. Otherwise the caller receives the completing update from ch,
-// however it chooses to wait, and broadcasts it.
-func (n *Node) startLinWrite(key uint64, stage func() (inv core.Invalidation, staged bool, err error)) (<-chan core.Update, error) {
-	ch, ok := n.tryRegisterLinWaiter(key)
-	if !ok {
-		return nil, core.ErrWritePending
-	}
-	inv, staged, err := stage()
-	if !staged {
-		n.unregisterLinWaiter(key, ch)
-		return nil, err
-	}
-	n.broadcastInvalidation(inv)
-	// A view flip may have excised a counted peer between the write's
-	// live-set snapshot and the broadcast — or this node may be the only live
-	// member — in which case no further ack will arrive; re-run the completion
-	// check so the write can never wait on a peer that is gone. Guarded by one
-	// atomic view load: at full membership (the common case) no recheck — and
-	// no second entry-lock acquisition — is needed, and flips after this point
-	// are covered by Cache.SetLive's scan.
-	if v := n.cluster.view.Load(); v.LiveCount() < n.cluster.cfg.Nodes {
-		if upd, done := n.cache.RecheckPending(key); done {
-			n.completeLinWrite(key, upd)
-		}
-	}
-	return ch, nil
-}
-
-// countRefusal bumps the retry counter matching a refused cache write.
-func (n *Node) countRefusal(err error) {
-	switch err {
-	case core.ErrWritePending:
-		n.WritePendingRetries.Add(1)
-	case core.ErrFrozen:
-		n.FrozenRetries.Add(1)
-	case core.ErrInvalid:
-		n.InvalidRetries.Add(1)
-	}
-}
-
-// unregisterLinWaiter removes a waiter that never armed (write refused).
-func (n *Node) unregisterLinWaiter(key uint64, ch chan core.Update) {
-	wk := n.workerFor(key)
-	wk.waitMu.Lock()
-	if wk.waiters[key] == ch {
-		delete(wk.waiters, key)
-	}
-	wk.waitMu.Unlock()
+	return err
 }
 
 // localKVSPut writes a cache-missing key to the local shard with a fresh

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,11 +21,12 @@ import (
 //
 // Every path gets a fresh, identically populated deployment and issues its
 // ops at node 0. Within a phase every op touches its own key: a batch scans
-// all its ops before it collects any (a deferred put executes after a later
-// get was started), so ops of one batch are concurrent by contract and only
-// independent ops can be compared against a sequential path. Written keys
-// are read back by the following phase — except hot keys RMW'd at a remote
-// coordinator, whose update reaches node 0 asynchronously under SC.
+// all its ops before it collects any, so ops of one batch on different keys
+// are concurrent by contract and only independent ops can be compared
+// against a sequential path (ops on one key keep their order —
+// TestLinBatchPerKeyOrder). Written keys are read back by the following
+// phase — except hot keys RMW'd at a remote coordinator, whose update reaches
+// node 0 asynchronously under SC.
 
 // parityOutcome is what is compared across paths: the value and the
 // errors.Is class of the error.
@@ -46,8 +49,9 @@ func parityClass(err error) string {
 	return "other: " + err.Error()
 }
 
-// parityPath issues one phase's ops at node 0 and reports their outcomes.
-type parityPath func(t *testing.T, n *Node, cl *Client, ops []Op) []parityOutcome
+// parityPath issues one list of ops at node n (the client paths by its id)
+// and reports their outcomes.
+type parityPath func(n *Node, cl *Client, ops []Op) ([]parityOutcome, error)
 
 // paritySingle adapts the one-op calls of a Node or a Client (they differ
 // only in the Client's leading node argument).
@@ -91,27 +95,28 @@ var parityPaths = []struct {
 	name string
 	run  parityPath
 }{
-	{"Node.Batch", func(t *testing.T, n *Node, _ *Client, ops []Op) []parityOutcome {
+	{"Node.Batch", func(n *Node, _ *Client, ops []Op) ([]parityOutcome, error) {
 		rs := make([]Result, len(ops))
 		n.Batch(ops, rs)
-		return parityResults(rs)
+		return parityResults(rs), nil
 	}},
-	{"Node single-op", func(t *testing.T, n *Node, _ *Client, ops []Op) []parityOutcome {
-		return paritySingle(n.Get, n.Put, n.CompareAndSwap, n.FetchAndAdd, ops)
+	{"Node single-op", func(n *Node, _ *Client, ops []Op) ([]parityOutcome, error) {
+		return paritySingle(n.Get, n.Put, n.CompareAndSwap, n.FetchAndAdd, ops), nil
 	}},
-	{"Client.Batch", func(t *testing.T, _ *Node, cl *Client, ops []Op) []parityOutcome {
-		rs, err := cl.Batch(0, ops)
+	{"Client.Batch", func(n *Node, cl *Client, ops []Op) ([]parityOutcome, error) {
+		rs, err := cl.Batch(int(n.id), ops)
 		if err != nil {
-			t.Fatalf("Client.Batch frame: %v", err)
+			return nil, fmt.Errorf("Client.Batch frame: %w", err)
 		}
-		return parityResults(rs)
+		return parityResults(rs), nil
 	}},
-	{"Client single-op", func(t *testing.T, _ *Node, cl *Client, ops []Op) []parityOutcome {
+	{"Client single-op", func(n *Node, cl *Client, ops []Op) ([]parityOutcome, error) {
+		at := int(n.id)
 		return paritySingle(
-			func(k uint64) ([]byte, error) { return cl.Get(0, k) },
-			func(k uint64, v []byte) error { return cl.Put(0, k, v) },
-			func(k uint64, e, v []byte) ([]byte, bool, error) { return cl.CompareAndSwap(0, k, e, v) },
-			func(k, d uint64) (uint64, error) { return cl.FetchAndAdd(0, k, d) }, ops)
+			func(k uint64) ([]byte, error) { return cl.Get(at, k) },
+			func(k uint64, v []byte) error { return cl.Put(at, k, v) },
+			func(k uint64, e, v []byte) ([]byte, bool, error) { return cl.CompareAndSwap(at, k, e, v) },
+			func(k, d uint64) (uint64, error) { return cl.FetchAndAdd(at, k, d) }, ops), nil
 	}},
 }
 
@@ -207,7 +212,10 @@ func TestPathParity(t *testing.T) {
 							members[doomed].Kill()
 							waitViewDown(t, members[:doomed], doomed, 10*time.Second)
 						}
-						got := path.run(t, n, cl, ph.ops)
+						got, err := path.run(n, cl, ph.ops)
+						if err != nil {
+							t.Fatal(err)
+						}
 						if pi == 0 {
 							want = append(want, got)
 							continue
@@ -257,5 +265,121 @@ func TestPathParity(t *testing.T) {
 				expect(3, 3, "ok", val(0xB3))
 			})
 		}
+	}
+}
+
+// The benchmark's own correctness rule as a unit test, on all four surfaces:
+// eight writers, each issuing frames with repeated keys at a random node, every
+// value naming its writer and that writer's put sequence. Within one frame
+// (exec.go I2) a get of a key must never return the writer's own stamp older
+// than the frame's preceding put of that key (a concurrent foreign writer's
+// value is legal); and once everyone is done every replica of every key holds
+// some writer's LAST acknowledged put. On the single-op surfaces a frame is
+// one op, so only the second half bites there.
+//
+// The rule deliberately stops at the frame: ACROSS a writer's calls at
+// different nodes the Lin implementation (parent commit included) can return
+// the writer's own older stamp — a replica in the Write state serves the
+// pre-write value even after acking a lower-stamped concurrent write that has
+// since completed elsewhere. ROADMAP tracks it; this test must not paper over
+// it by accident, nor fail on it.
+func TestLinBatchPerKeyOrder(t *testing.T) {
+	cfg := Config{
+		Nodes: 3, System: CCKVS, Protocol: core.Lin,
+		NumKeys: 2048, CacheItems: 32, ValueSize: 8, WorkersPerNode: 2,
+	}
+	const writers, frames, frameOps = 8, 60, 16
+	// Four hot keys take most of the traffic; two cold ones (homed on
+	// different nodes) hold the rule on the pipeline-ordered path.
+	keys := []uint64{0, 1, 2, 3, coldKeyHomedOnCfg(t, cfg, 0), coldKeyHomedOnCfg(t, cfg, 1)}
+	stamp := func(w int, seq uint64) []byte { return EncodeCounter(uint64(w+1)<<48 | seq) }
+	parse := func(v []byte) (w int, seq uint64, ok bool) {
+		x, err := DecodeCounter(v)
+		if err != nil || x>>48 == 0 || x>>48 > writers {
+			return 0, 0, false // the populated value, or garbage
+		}
+		return int(x>>48) - 1, x & (1<<48 - 1), true
+	}
+	for _, path := range parityPaths {
+		t.Run(path.name, func(t *testing.T) {
+			members, cl := newChanClient(t, cfg)
+			if _, err := members[0].ApplyHotSet(0, DefaultHotSet(cfg.CacheItems)); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			fail := make(chan error, writers)
+			lastPut := make([]map[uint64]uint64, writers) // per writer: key -> seq of its last put
+			for w := 0; w < writers; w++ {
+				lastPut[w] = map[uint64]uint64{}
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
+					var seq uint64
+					ops := make([]Op, frameOps)
+					floor := make([]uint64, frameOps) // per get: the frame's latest preceding put of its key
+					inFrame := map[uint64]uint64{}
+					for f := 0; f < frames; f++ {
+						clear(inFrame)
+						for i := range ops {
+							k := keys[rng.Intn(len(keys))]
+							if rng.Intn(4) == 0 {
+								k = keys[0] // long same-key chains within a frame
+							}
+							if rng.Intn(2) == 0 {
+								seq++
+								lastPut[w][k], inFrame[k] = seq, seq
+								ops[i] = Op{Kind: OpPut, Key: k, Value: stamp(w, seq)}
+							} else {
+								ops[i], floor[i] = Op{Key: k}, inFrame[k]
+							}
+						}
+						got, err := path.run(members[rng.Intn(cfg.Nodes)].LocalNode(), cl, ops)
+						if err != nil {
+							fail <- err
+							return
+						}
+						for i, o := range got {
+							if o.class != "ok" {
+								fail <- fmt.Errorf("writer %d frame %d op %d (%+v): %s", w, f, i, ops[i], o.class)
+								return
+							}
+							if ops[i].Kind != OpGet || floor[i] == 0 {
+								continue
+							}
+							gw, gseq, stamped := parse(o.val)
+							if !stamped || (gw == w && gseq < floor[i]) {
+								fail <- fmt.Errorf("writer %d frame %d op %d: get of key %d returned %x after the frame's put seq %d of it",
+									w, f, i, ops[i].Key, o.val, floor[i])
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(fail)
+			for err := range fail {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				var first []byte
+				for i, m := range members {
+					v, err := m.LocalNode().Get(k)
+					if err != nil {
+						t.Fatalf("key %d at node %d: %v", k, i, err)
+					}
+					if i == 0 {
+						first = v
+					} else if !bytes.Equal(v, first) {
+						t.Fatalf("key %d did not converge: %x at node 0, %x at node %d", k, first, v, i)
+					}
+				}
+				w, seq, stamped := parse(first)
+				if !stamped || seq != lastPut[w][k] {
+					t.Fatalf("key %d holds %x: not the last put (seq %d) of the writer it names", k, first, lastPut[w][k])
+				}
+			}
+		})
 	}
 }

@@ -37,7 +37,7 @@ import (
 //
 // Promotions run the mirror-image dance: a frozen, valueless *placeholder*
 // is installed on every node first (reads miss to the home shard, writes
-// spin), which pins the home value — no client put can reach the home shard
+// park), which pins the home value — no client put can reach the home shard
 // past the placeholders, and a put whose cache probe predates them bounces
 // off the home and re-executes — so the subsequent fetch of value+version
 // cannot be overtaken by a racing write. The commit is two rounds: the
@@ -203,7 +203,7 @@ type controlCall struct {
 // controlAll sends one key-only control entry per (peer, key) — every call
 // in flight at once, coalesced per destination by the pipeline, so a phase
 // costs one overlapped round instead of one round-trip per peer (the freeze
-// window client writes spin in must not grow with the node count) — and
+// window client writes are parked for must not grow with the node count) — and
 // verifies every answer is OK. All responses are awaited even after a
 // failure; the first error is returned.
 func (n *Node) controlAll(peers []uint8, op byte, keys []uint64) error {
@@ -232,7 +232,7 @@ func (n *Node) controlAll(peers []uint8, op byte, keys []uint64) error {
 // aborts the demotion by unfreezing the keys everywhere; after it, the data
 // is durable at the homes and the demotion rolls forward by dropping the
 // keys (both best-effort on peers — the transport may be the reason for the
-// failure; writers additionally bound their ErrFrozen spins, so even a
+// failure; writers additionally bound their ErrFrozen parks, so even a
 // stranded freeze cannot hang them).
 func (n *Node) demoteKeys(keys []uint64, st *DeltaStats) (err error) {
 	if len(keys) == 0 {
@@ -285,6 +285,8 @@ func (n *Node) demoteKeys(keys []uint64, st *DeltaStats) (err error) {
 				break
 			}
 			st.CollectRetries++
+			// Waits for this node's own writes and invalidations to drain; a
+			// once-per-epoch control path, not worth a fourth kind of park.
 			yield()
 		}
 	}
@@ -329,6 +331,8 @@ func (n *Node) demoteKeys(keys []uint64, st *DeltaStats) (err error) {
 		}
 		if len(retry) > 0 {
 			st.CollectRetries += len(retry)
+			// Waits for peers' entries to drain; each round re-issues RPCs, the
+			// yield only lets our dispatchers in between two rounds.
 			yield()
 		}
 		pending = retry
@@ -385,7 +389,7 @@ func (n *Node) demoteKeys(keys []uint64, st *DeltaStats) (err error) {
 		return fmt.Errorf("demote retire: %w", err)
 	}
 
-	// Phase 5: commit — drop the keys everywhere. Writers spinning on
+	// Phase 5: commit — drop the keys everywhere. Writers parked on
 	// ErrFrozen now miss and forward to the home shards.
 	if err := n.controlAll(peers, rpcOpDemoteCommit, keys); err != nil {
 		return fmt.Errorf("demote commit: %w", err)
@@ -408,7 +412,7 @@ func (n *Node) promoteKeys(keys []uint64, st *DeltaStats) (err error) {
 	peers := n.peerIDs()
 
 	// Phase 1: placeholders everywhere. After this barrier every write to a
-	// promoted key spins (reads miss to the home shard as before), so the
+	// promoted key parks (reads miss to the home shard as before), so the
 	// home values are stable until the commit.
 	n.cache.AddPending(keys)
 	if perr := n.controlAll(peers, rpcOpPromotePrepare, keys); perr != nil {
@@ -519,6 +523,8 @@ func (n *Node) promoteKeys(keys []uint64, st *DeltaStats) (err error) {
 			return fmt.Errorf("promotion fetch: %w", fetchErr)
 		}
 		if len(retry) > 0 {
+			// Waits for a re-syncing primary's seed streams; each round
+			// re-issues RPCs, the yield only spaces them.
 			yield()
 		}
 		pending = retry

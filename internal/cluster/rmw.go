@@ -159,44 +159,36 @@ func rmwCompute(cas bool, expect, newVal []byte, delta uint64) func([]byte) ([]b
 }
 
 // rmwLocalHot executes an RMW at this node's own cache — this node is the
-// key's RMW coordinator. retry=true means the attempt proves nothing (entry
-// frozen, invalid, write-pending, or the key left the hot set) and the
-// caller re-dispatches.
+// key's RMW coordinator. retry=true means the attempt proves nothing and the
+// caller re-dispatches: with err the cache's refusal (frozen, invalid or
+// write-pending entry) to park on first, with a nil err because the key left
+// the hot set.
 func (n *Node) rmwLocalHot(key uint64, compute func([]byte) ([]byte, bool)) (witness []byte, applied, retry bool, err error) {
-	if n.cluster.cfg.Protocol != core.Lin {
-		upd, w, applied, err := n.cache.RMWSC(key, compute)
-		switch err {
-		case nil:
-			n.CacheHits.Add(1)
-			if applied {
-				n.broadcastUpdate(upd)
+	if n.cluster.cfg.Protocol == core.Lin {
+		// The ordinary Lin write with the read-compute step fused in under the
+		// entry lock; a declined compute (failed CAS) stages nothing and
+		// answers immediately.
+		var inv core.Invalidation
+		if inv, witness, applied, err = n.cache.RMWLinStart(key, compute); err == nil && applied {
+			n.startLinWrite(inv, true)
+			if err = n.awaitLinWrite(key, inv.TS); err != nil {
+				// Staged, invalidations out, and nobody left to say how it ended.
+				return nil, false, false, fmt.Errorf("%w: key %d: %v", ErrRMWUnknown, key, err)
 			}
-			return w, applied, false, nil
-		case core.ErrFrozen, core.ErrMiss:
-			n.countRefusal(err)
-			return nil, false, true, nil
-		default:
-			return nil, false, false, err
+		}
+	} else {
+		var upd core.Update
+		if upd, witness, applied, err = n.cache.RMWSC(key, compute); err == nil && applied {
+			n.broadcastUpdate(upd)
 		}
 	}
-	// Lin: the ordinary blocking write protocol with the read-compute step
-	// fused in under the entry lock; a declined compute (failed CAS) stages
-	// nothing and answers immediately.
-	var w []byte
-	ch, err := n.startLinWrite(key, func() (core.Invalidation, bool, error) {
-		inv, wit, applied, err := n.cache.RMWLinStart(key, compute)
-		w = wit
-		return inv, applied, err
-	})
 	switch err {
 	case nil:
 		n.CacheHits.Add(1)
-		if ch != nil {
-			n.broadcastUpdate(<-ch)
-		}
-		return w, ch != nil, false, nil
-	case core.ErrInvalid, core.ErrWritePending, core.ErrFrozen, core.ErrMiss:
-		n.countRefusal(err)
+		return witness, applied, false, nil
+	case core.ErrInvalid, core.ErrWritePending, core.ErrFrozen:
+		return nil, false, true, err
+	case core.ErrMiss:
 		return nil, false, true, nil
 	default:
 		return nil, false, false, err
@@ -373,6 +365,9 @@ func (n *Node) rmwRemote(target uint8, key uint64, req wireReq, compute func([]b
 				return nil, false, false, fmt.Errorf("%w: coordinator %d died mid-rmw for key %d: %v", ErrRMWUnknown, target, key, werr)
 			}
 			if wres.status == rpcStatusRetry {
+				// The write completes at the coordinator, which cannot hold a
+				// response back for it; the poll itself crosses the wire, the
+				// yield only lets this node's dispatchers in between two polls.
 				yield()
 				continue
 			}
@@ -473,30 +468,22 @@ func (n *Node) serveRMW(src uint8, req rpcRequest, resp []byte) []byte {
 }
 
 // serveRMWLin serves a remote hot Lin RMW at the coordinator: stage the
-// write and broadcast its invalidation (startLinWrite), answer
-// rpcStatusRMWStarted immediately (the response cannot wait for acks —
-// request/response credit symmetry forbids holding it back), and finish the
-// protocol on a goroutine when the last ack lands. The waiter registration
-// is what keeps a concurrent local putLin from registering an orphan waiter
-// that would steal this write's completion.
+// write, broadcast its invalidation (startLinWrite) and answer
+// rpcStatusRMWStarted immediately — the response cannot wait for acks
+// (request/response credit symmetry forbids holding it back). Nothing is left
+// behind to finish the write: its last ack publishes the update
+// (completeLinWrite), and the origin polls rpcOpRMWWait for that moment.
 func (n *Node) serveRMWLin(req rpcRequest, resp []byte, compute func([]byte) ([]byte, bool)) []byte {
-	var inv core.Invalidation
-	var w []byte
-	ch, err := n.startLinWrite(req.key, func() (core.Invalidation, bool, error) {
-		var applied bool
-		var err error
-		inv, w, applied, err = n.cache.RMWLinStart(req.key, compute)
-		return inv, applied, err
-	})
+	inv, w, applied, err := n.cache.RMWLinStart(req.key, compute)
 	switch {
 	case err != nil:
 		// Write-pending, invalid, frozen, or the key left the hot set — every
 		// case bounces; the origin re-dispatches.
 		return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
-	case ch == nil:
+	case !applied:
 		return appendPayloadResponse(resp, req.reqID, rpcStatusCASFail, timestamp.TS{}, w)
 	}
-	go func() { n.broadcastUpdate(<-ch) }()
+	n.startLinWrite(inv, false) // on the KVS dispatcher: must not block on a lane
 	return appendPayloadResponse(resp, req.reqID, rpcStatusRMWStarted, inv.TS, w)
 }
 

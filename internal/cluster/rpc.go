@@ -74,7 +74,7 @@ const (
 	rpcOpWriteback byte = 8
 	// rpcOpPromotePrepare installs a frozen, valueless placeholder for key
 	// in the receiving node's cache: reads miss to the home shard, writes
-	// spin. Once every node holds it, the home value is stable and the
+	// park. Once every node holds it, the home value is stable and the
 	// coordinator can fetch it without racing client puts.
 	rpcOpPromotePrepare byte = 9
 	// rpcOpPromoteFetch reads key's value+version for a promotion. Unlike
@@ -474,8 +474,8 @@ var errPrimaryMiss = errors.New("cluster: primary missed the key")
 // PrimaryWrite forwards a hot write to the primary node's cache (Figure 4a).
 // A Retry answer means the primary's entry is frozen mid-demotion; the write
 // is re-issued until the key either writes through or leaves the primary's
-// hot set (errPrimaryMiss). The retries are bounded like every other frozen
-// spin, so a freeze stranded by a failed reconfiguration fails loudly.
+// hot set (errPrimaryMiss). The retries are bounded, so a freeze stranded by
+// a failed reconfiguration fails loudly.
 func (n *Node) PrimaryWrite(primary uint8, key uint64, value []byte) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > frozenRetryLimit {
@@ -490,6 +490,8 @@ func (n *Node) PrimaryWrite(primary uint8, key uint64, value []byte) error {
 			return nil
 		case rpcStatusRetry:
 			n.FrozenRetries.Add(1)
+			// The frozen entry is the primary's, not ours: nothing local to
+			// park on, and the re-issued RPC paces the loop (strawman design).
 			yield()
 		case rpcStatusNotFound:
 			return errPrimaryMiss

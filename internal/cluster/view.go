@@ -116,8 +116,8 @@ func (c *Cluster) PeerDown(peer uint8, cause error) {
 // handler, down vs up) must apply their SetLive/budget changes in the same
 // order they swapped the view pointer, or the consistency layer's live set
 // and the budgets drift permanently out of sync with the cluster view.
-// Everything done under the lock is non-blocking (buffered completion
-// channels, short entry spinlocks); blocking work (the resurrection writes,
+// Everything done under the lock is non-blocking (posted updates, short
+// entry spinlocks); blocking work (the resurrection writes,
 // gossip sends) happens after release.
 func (c *Cluster) applyDown(peer uint8, cause error, gossip bool) {
 	if int(peer) >= c.cfg.Nodes {
@@ -167,11 +167,11 @@ func (c *Cluster) applyDown(peer uint8, cause error, gossip bool) {
 			// Lin ack waiters counting the dead peer: complete every write
 			// whose remaining required acks are in and wake its session.
 			for _, upd := range n.cache.SetLive(nv.live) {
-				n.completeLinWrite(upd.Key, upd)
+				n.completeLinWrite(upd)
 			}
 			// Entries the dead peer's own in-flight write left Invalid can
 			// never receive their update; re-validate them so readers do not
-			// spin on a state only the dead writer could clear. Healed keys
+			// stay parked on a state only the dead writer could clear. Healed keys
 			// holding a local acknowledged-but-superseded write must be
 			// re-published — discarding them would lose a write whose client
 			// was told it succeeded.
@@ -255,12 +255,13 @@ func (c *Cluster) PeerUp(peer uint8) {
 // member stops answering every fabric message — consistency traffic, KVS
 // requests, session requests, pings — so its peers' suspicion timers fire.
 // Local callers with operations in flight are treated like threads of a dead
-// process: pending RPCs fail, but a session blocked mid-protocol may never
-// return. Member form only; Close still tears the transport down afterwards.
+// process: pending RPCs fail, and so does every caller parked on a cache entry
+// or on its own Lin write's acks. Member form only; Close still tears the transport down afterwards.
 func (c *Cluster) Kill() {
 	if c.killed.Swap(true) {
 		return
 	}
+	c.stopOnce.Do(func() { close(c.stop) })
 	c.stopProber()
 	for _, n := range c.nodes {
 		if n == nil {

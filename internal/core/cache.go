@@ -17,7 +17,8 @@ var (
 	ErrMiss = errors.New("core: cache miss")
 	// ErrInvalid means the key is cached but its replica is invalidated by
 	// an in-flight Lin write; the read must be retried once the update
-	// arrives (a read "may hit in the cache but may not succeed", §6.2).
+	// arrives (a read "may hit in the cache but may not succeed", §6.2) —
+	// Park says when.
 	ErrInvalid = errors.New("core: entry invalid, update in flight")
 	// ErrWritePending means this node already has an outstanding Lin write
 	// for the key; the new write must wait for it to complete.
@@ -109,6 +110,9 @@ type entry struct {
 	// value must be re-published (DiscardOrphanedInvalidations), or an
 	// acknowledged write would vanish from every replica.
 	pendSuperseded bool
+
+	// wake is the entry's parking lot (park.go): nil while nobody waits.
+	wake chan struct{}
 }
 
 // table is an immutable key set with mutable entries. A new table is
@@ -214,6 +218,9 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 		next.m[k] = e
 	}
 
+	// Swap first, then visit the evicted entries (like Remove): whoever is
+	// parked on one is woken after the swap, re-probes and misses.
+	c.table.Store(next)
 	var wb []WriteBack
 	for k, e := range old.m {
 		if _, kept := next.m[k]; kept {
@@ -229,9 +236,9 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 			})
 			c.stats.WriteBacks.Add(1)
 		}
+		e.wakeLocked()
 		e.lock.Unlock()
 	}
-	c.table.Store(next)
 	return wb
 }
 
@@ -240,7 +247,7 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 // An epoch change rarely moves more than a handful of keys, so instead of
 // reinstalling the whole table the cluster applies the delta. Promotions
 // run AddPending (a frozen, valueless placeholder: reads miss to the home
-// shard, writes spin — which pins the home value for the coordinator's
+// shard, writes park — which pins the home value for the coordinator's
 // fetch), FillAdd (the fetched value becomes readable, writes still held)
 // and Unfreeze (once every replica is filled, writes resume); Add installs
 // directly when no write barrier is needed. Demotions run a four-step
@@ -304,10 +311,10 @@ func (c *Cache) Add(keys []uint64, fetch func(key uint64) ([]byte, timestamp.TS,
 }
 
 // AddPending installs promotion placeholders for keys, copy-on-write: the
-// entries are frozen (writes spin) and valueless (reads miss to the home
+// entries are frozen (writes park) and valueless (reads miss to the home
 // shard). Once every replica holds the placeholder, no client write can
 // reach the key's home shard — every write path probes the cache first and
-// spins on ErrFrozen — so the value the promotion then fetches from the
+// parks on ErrFrozen — so the value the promotion then fetches from the
 // home cannot be overtaken by a racing put. FinishAdd later turns the
 // placeholder into a live entry. Keys already cached are skipped; it
 // returns how many placeholders were installed.
@@ -360,6 +367,7 @@ func (c *Cache) FillAdd(key uint64, value []byte, ts timestamp.TS) bool {
 		return false
 	}
 	e.installing = false
+	e.wakeLocked()
 	// An untouched placeholder carries the zero timestamp; apply the fetch
 	// even when the home version is itself zero (a never-written dataset
 	// key). Anything a stray update left behind has a non-zero version and
@@ -391,6 +399,7 @@ func (c *Cache) Retire(keys []uint64) int {
 		if !e.installing {
 			e.installing = true
 			e.frozen = true
+			e.wakeLocked() // a parked reader now misses to the home shard
 			n++
 		}
 		e.lock.Unlock()
@@ -414,6 +423,7 @@ func (c *Cache) Unfreeze(keys []uint64) int {
 		e.lock.Lock()
 		if e.frozen && !e.installing {
 			e.frozen = false
+			e.wakeLocked()
 			n++
 		}
 		e.lock.Unlock()
@@ -500,6 +510,7 @@ func (c *Cache) Remove(keys []uint64) int {
 	for _, e := range dropKeys {
 		e.lock.Lock()
 		e.frozen = true
+		e.wakeLocked() // parked writers re-probe, miss, and go to the home shard
 		e.lock.Unlock()
 		c.stats.Evictions.Add(1)
 	}

@@ -87,7 +87,7 @@ func (c *Cache) WriteLinStart(key uint64, value []byte) (Invalidation, error) {
 // expectation failed returns applied=false with no protocol action — the
 // witness is the answer). Unlike a blind write, an RMW cannot proceed on an
 // Invalid entry: the current value is unreadable until the in-flight
-// update lands, so ErrInvalid is returned and the caller spins like a read.
+// update lands, so ErrInvalid is returned and the caller parks like a read.
 func (c *Cache) RMWLinStart(key uint64, compute func(cur []byte) ([]byte, bool)) (inv Invalidation, witness []byte, applied bool, err error) {
 	e, ok := c.table.Load().m[key]
 	if !ok {
@@ -222,6 +222,7 @@ func (c *Cache) pendingSatisfiedLocked(e *entry) bool {
 // to broadcast. Called with e.lock held and pendActive true.
 func (c *Cache) finishPendingLocked(e *entry, key uint64) Update {
 	e.pendActive = false
+	e.wakeLocked() // the writer itself, writers queued on the key, readers if it turns Valid
 	if e.ts == e.pendTS {
 		// Our write is still the latest this replica has seen: perform it
 		// locally and publish.
@@ -314,6 +315,7 @@ func (c *Cache) TakeOrphanedLoserWrite(key uint64) (Update, bool) {
 	// update; re-validate so the re-publish (and readers) are not wedged.
 	if e.state == StateInvalid {
 		e.state = StateValid
+		e.wakeLocked()
 	}
 	return Update{
 		Key:   key,
@@ -325,7 +327,7 @@ func (c *Cache) TakeOrphanedLoserWrite(key uint64) (Update, bool) {
 // DiscardOrphanedInvalidations re-validates every entry left Invalid by an
 // in-flight write of the given (newly excised) writer: the matching update
 // can never arrive — the writer is gone and broadcasts exclude it — so
-// without this, readers of those hot keys would spin on ErrInvalid until
+// without this, readers of those hot keys would stay parked on ErrInvalid until
 // some client happened to rewrite the key. The pre-invalidation value
 // becomes readable again: the orphaned write was never acknowledged to the
 // dead writer's client, so discarding it is within the Lin contract.
@@ -344,6 +346,7 @@ func (c *Cache) DiscardOrphanedInvalidations(writer uint8) (healed int, resurrec
 		e.lock.Lock()
 		if e.state == StateInvalid && e.ts.Writer == writer {
 			e.state = StateValid
+			e.wakeLocked()
 			healed++
 			if e.pendSuperseded {
 				e.pendSuperseded = false
@@ -379,6 +382,7 @@ func (c *Cache) ApplyUpdateLin(u Update) bool {
 		// The winner published: a conflict-lost local write is now correctly
 		// "applied then overwritten" — nothing left to resurrect.
 		e.pendSuperseded = false
+		e.wakeLocked()
 		applied = true
 	}
 	e.lock.Unlock()
