@@ -1,14 +1,16 @@
 // Command cckvs-verify model-checks the ccKVS consistency protocols,
 // reproducing the paper's Murphi verification (§5.2): exhaustive
-// exploration of a bounded protocol instance, checking the data-value and
-// write-serialization invariants at every state and deadlock freedom at
-// quiescence.
+// exploration of a bounded protocol instance, checking the data-value,
+// write-serialization and (Lin) real-time-order invariants at every state
+// and deadlock freedom at quiescence. The transitions explored are
+// internal/core's own step functions, not a model of them.
 //
 // Usage:
 //
 //	cckvs-verify                         # default matrix (Lin + SC)
-//	cckvs-verify -protocol lin -procs 3 -clock 2
+//	cckvs-verify -protocol lin -procs 3 -clock 2   # paper depth, ~15 s
 //	cckvs-verify -fault conditional-ack  # demonstrate bug detection
+//	cckvs-verify -fault serve-after-lower-ack -procs 2   # the Lin stale read, 4 steps
 package main
 
 import (
@@ -36,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		procs     = fs.Int("procs", 3, "number of replicas")
 		addrs     = fs.Int("addrs", 1, "number of keys")
 		clock     = fs.Int("clock", 1, "Lamport clock bound")
-		faultName = fs.String("fault", "", "inject a protocol bug: conditional-ack | mismatched-update")
+		faultName = fs.String("fault", "", "inject a protocol bug: conditional-ack | mismatched-update | serve-after-lower-ack")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -84,6 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fault = mcheck.FaultConditionalAck
 	case "mismatched-update":
 		fault = mcheck.FaultApplyMismatchedUpdate
+	case "serve-after-lower-ack":
+		fault = mcheck.FaultServeAfterLowerAck
 	default:
 		fmt.Fprintf(stderr, "unknown fault %q\n", *faultName)
 		return 2

@@ -58,6 +58,19 @@ func TestInjectedFaultProducesCounterexample(t *testing.T) {
 	}
 }
 
+// The Lin stale read (a replica serving its pre-write value after a
+// lower-stamped put it acknowledged has returned) is found through the same
+// flag, as a real-time violation with its four-step trace.
+func TestServeAfterLowerAckFault(t *testing.T) {
+	code, out, errb := exec(t, "-fault", "serve-after-lower-ack", "-procs", "2", "-addrs", "1", "-clock", "1")
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr:\n%s", code, errb)
+	}
+	if !strings.Contains(out, "real-time") || !strings.Contains(out, " 4. deliver(ack,a0,ts1.0,to p0)") {
+		t.Fatalf("stale read not reported with its trace:\n%s", out)
+	}
+}
+
 // The default matrix is the paper's verification table; keep it passing.
 func TestDefaultMatrix(t *testing.T) {
 	if testing.Short() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -41,7 +42,8 @@ const (
 	// StateValid: the entry is readable.
 	StateValid State = iota
 	// StateInvalid: invalidated by a remote Lin write; reads stall until
-	// the matching update arrives.
+	// the matching update arrives (or, at a writer that yielded to a
+	// lower-stamped write, until its own write completes).
 	StateInvalid
 	// StateWrite: transient; this node issued a Lin write and is gathering
 	// acknowledgements. Reads return the pre-write value.
@@ -67,18 +69,9 @@ func (s State) String() string {
 // (4 B), last-writer id (1 B), ack counter (1 B, Lin only) and the seqlock
 // spinlock byte. The seqlock version doubles as the write-in-progress marker.
 type entry struct {
-	lock  seqlock.SeqLock
-	state State
-	ts    timestamp.TS
-	vlen  int
-	val   []byte // len == cap, mutated in place
-	dirty bool   // differs from the home shard (write-back caching, §4)
-	// frozen marks an entry mid-demotion: reads still hit and in-flight
-	// consistency traffic still applies, but new local writes are refused
-	// with ErrFrozen (see Freeze). Entries dropped by Remove stay frozen so
-	// writers that resolved the key through a stale table pointer also fail
-	// and re-probe.
-	frozen bool
+	lock seqlock.SeqLock
+	vlen int
+	val  []byte // len == cap, mutated in place
 	// installing marks a dark entry: reads miss to the home shard while
 	// writes are held by frozen. Promotion placeholders (AddPending) are
 	// dark until filled — which is what makes the home value stable
@@ -87,29 +80,24 @@ type entry struct {
 	// replica serves a cached read after the home shard starts accepting
 	// post-demotion writes.
 	installing bool
+	// frozen marks an entry mid-demotion: reads still hit and in-flight
+	// consistency traffic still applies, but new local writes are refused
+	// with ErrFrozen (see Freeze). Entries dropped by Remove stay frozen so
+	// writers that resolved the key through a stale table pointer also fail
+	// and re-probe.
+	frozen bool
+	dirty  bool // differs from the home shard (write-back caching, §4)
 
-	// Lin per-writer bookkeeping for this node's outstanding write. The ack
-	// accounting is set-based, not a counter: pendWait records which peers
-	// were counted when the write started (the live view minus this node),
-	// ackFrom records which peers have acknowledged. The write completes when
-	// ackFrom covers pendWait intersected with the *current* live view — so a
-	// counted peer that dies mid-write stops being required (SetLive wakes the
-	// writer), a peer that joins mid-write is never required (it got no
-	// invalidation), and a duplicated ack cannot double-count.
-	pendActive bool
-	pendTS     timestamp.TS
-	pendVlen   int
-	pendVal    []byte
-	pendWait   NodeSet
-	ackFrom    NodeSet
-	// pendSuperseded marks a write that completed conflict-lost: its client
-	// was told success, but a concurrent higher-timestamped write won and
-	// the staged value was never published — the winner's update carries the
-	// final value. Cleared when that update lands or a newer local write
-	// starts. If the winner dies unpublished, the healed entry's staged
-	// value must be re-published (DiscardOrphanedInvalidations), or an
-	// acknowledged write would vanish from every replica.
-	pendSuperseded bool
+	// Line is the protocol state, stepped only by step.go's transitions.
+	// Embedded by value, right behind the other fields a lock-free Read
+	// touches and with State and TS first: a Read follows no pointer and
+	// stays within the entry's first 68 bytes, as it always has.
+	Line
+
+	// The staged value of this node's outstanding Lin write (Line.Pending);
+	// kept after a conflict-lost completion for as long as Line.Superseded.
+	pendVlen int
+	pendVal  []byte
 
 	// wake is the entry's parking lot (park.go): nil while nobody waits.
 	wake chan struct{}
@@ -213,7 +201,7 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 		if v, ts, ok := fetch(k); ok {
 			e.val = append(make([]byte, 0, len(v)), v...)
 			e.vlen = len(v)
-			e.ts = ts
+			e.TS = ts
 		}
 		next.m[k] = e
 	}
@@ -229,11 +217,7 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 		c.stats.Evictions.Add(1)
 		e.lock.Lock()
 		if e.dirty {
-			wb = append(wb, WriteBack{
-				Key:   k,
-				Value: append([]byte(nil), e.val[:e.vlen]...),
-				TS:    e.ts,
-			})
+			wb = append(wb, e.writeBack(k))
 			c.stats.WriteBacks.Add(1)
 		}
 		e.wakeLocked()
@@ -262,89 +246,58 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 // is gone and then forwards to the home shard, so it can neither land in a
 // dying entry nor overtake the write-back and be clobbered by it.
 
-// Add extends the hot set with keys, copy-on-write: concurrent readers keep
-// using the previous table until the atomic swap; existing entries are
-// shared, and keys already cached are left untouched. fetch supplies the
-// value and version for each new key; ok=false skips the key (unlike
-// Install, Add never installs an entry it has no value for — a key that
-// cannot be fetched simply keeps missing to its home shard). It returns how
-// many keys were installed.
+// Add extends the hot set with keys. fetch supplies the value and version
+// for each new key; ok=false skips the key (unlike Install, Add never
+// installs an entry it has no value for — a key that cannot be fetched
+// simply keeps missing to its home shard). It returns how many keys were
+// installed.
 func (c *Cache) Add(keys []uint64, fetch func(key uint64) ([]byte, timestamp.TS, bool)) int {
-	c.reconfMu.Lock()
-	defer c.reconfMu.Unlock()
-	old := c.table.Load()
-	fresh := make([]uint64, 0, len(keys))
-	for _, k := range keys {
-		if _, ok := old.m[k]; !ok {
-			fresh = append(fresh, k)
-		}
-	}
-	if len(fresh) == 0 {
-		return 0
-	}
-	next := &table{m: make(map[uint64]*entry, len(old.m)+len(fresh))}
-	for k, e := range old.m {
-		next.m[k] = e
-	}
-	installed := 0
-	for _, k := range fresh {
-		if _, dup := next.m[k]; dup {
-			continue // duplicate key in the promotion list
-		}
+	return c.extend(keys, func(k uint64) *entry {
 		v, ts, ok := fetch(k)
 		if !ok {
-			continue
+			return nil
 		}
-		e := &entry{
-			val:  append(make([]byte, 0, len(v)), v...),
-			vlen: len(v),
-			ts:   ts,
-		}
-		next.m[k] = e
-		installed++
-	}
-	if installed == 0 {
-		return 0
-	}
-	c.table.Store(next)
-	return installed
+		return &entry{val: append(make([]byte, 0, len(v)), v...), vlen: len(v), Line: Line{TS: ts}}
+	})
 }
 
-// AddPending installs promotion placeholders for keys, copy-on-write: the
-// entries are frozen (writes park) and valueless (reads miss to the home
-// shard). Once every replica holds the placeholder, no client write can
-// reach the key's home shard — every write path probes the cache first and
-// parks on ErrFrozen — so the value the promotion then fetches from the
-// home cannot be overtaken by a racing put. FinishAdd later turns the
-// placeholder into a live entry. Keys already cached are skipped; it
-// returns how many placeholders were installed.
+// AddPending installs promotion placeholders for keys: the entries are
+// frozen (writes park) and valueless (reads miss to the home shard). Once
+// every replica holds the placeholder, no client write can reach the key's
+// home shard — every write path probes the cache first and parks on
+// ErrFrozen — so the value the promotion then fetches from the home cannot
+// be overtaken by a racing put. FillAdd and Unfreeze later turn the
+// placeholder into a live entry. It returns how many placeholders were
+// installed.
 func (c *Cache) AddPending(keys []uint64) int {
+	return c.extend(keys, func(uint64) *entry { return &entry{frozen: true, installing: true} })
+}
+
+// extend installs mk(k) for every k of keys that is not cached yet (once, if
+// keys repeats it; not at all if mk returns nil), copy-on-write: concurrent
+// readers keep using the previous table until the atomic swap, existing
+// entries are shared and left untouched. It returns how many it installed.
+func (c *Cache) extend(keys []uint64, mk func(key uint64) *entry) int {
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
 	old := c.table.Load()
-	fresh := make([]uint64, 0, len(keys))
+	fresh := map[uint64]*entry{}
 	for _, k := range keys {
-		if _, ok := old.m[k]; !ok {
-			fresh = append(fresh, k)
+		if old.m[k] != nil || fresh[k] != nil {
+			continue
+		}
+		if e := mk(k); e != nil {
+			fresh[k] = e
 		}
 	}
 	if len(fresh) == 0 {
-		return 0
+		return 0 // nothing to add: the table is not copied
 	}
 	next := &table{m: make(map[uint64]*entry, len(old.m)+len(fresh))}
-	for k, e := range old.m {
-		next.m[k] = e
-	}
-	installed := 0
-	for _, k := range fresh {
-		if _, dup := next.m[k]; dup {
-			continue
-		}
-		next.m[k] = &entry{frozen: true, installing: true}
-		installed++
-	}
+	maps.Copy(next.m, old.m)
+	maps.Copy(next.m, fresh)
 	c.table.Store(next)
-	return installed
+	return len(fresh)
 }
 
 // FillAdd fills a promotion placeholder with the fetched value and version:
@@ -372,9 +325,9 @@ func (c *Cache) FillAdd(key uint64, value []byte, ts timestamp.TS) bool {
 	// even when the home version is itself zero (a never-written dataset
 	// key). Anything a stray update left behind has a non-zero version and
 	// wins unless the fetch is newer.
-	if ts.After(e.ts) || e.ts == timestamp.Zero {
+	if ts.After(e.TS) || e.TS == timestamp.Zero {
 		e.setValueLocked(value)
-		e.ts = ts
+		e.TS = ts
 	}
 	return true
 }
@@ -388,21 +341,29 @@ func (c *Cache) FillAdd(key uint64, value []byte, ts timestamp.TS) bool {
 // copies, a stale read past the write-back. It returns how many entries
 // this call darkened.
 func (c *Cache) Retire(keys []uint64) int {
+	return c.update(keys, func(e *entry) bool {
+		if e.installing {
+			return false
+		}
+		e.installing, e.frozen = true, true
+		e.wakeLocked() // a parked reader now misses to the home shard
+		return true
+	})
+}
+
+// update runs change, under the entry lock, on each of keys that is cached,
+// and returns how many entries it reports having changed.
+func (c *Cache) update(keys []uint64, change func(e *entry) bool) int {
 	t := c.table.Load()
 	n := 0
 	for _, k := range keys {
-		e, ok := t.m[k]
-		if !ok {
-			continue
+		if e, ok := t.m[k]; ok {
+			e.lock.Lock()
+			if change(e) {
+				n++
+			}
+			e.lock.Unlock()
 		}
-		e.lock.Lock()
-		if !e.installing {
-			e.installing = true
-			e.frozen = true
-			e.wakeLocked() // a parked reader now misses to the home shard
-			n++
-		}
-		e.lock.Unlock()
 	}
 	return n
 }
@@ -413,22 +374,14 @@ func (c *Cache) Retire(keys []uint64) int {
 // value to serve; their writers are released when the placeholder is
 // removed). It returns how many entries this call unfroze.
 func (c *Cache) Unfreeze(keys []uint64) int {
-	t := c.table.Load()
-	n := 0
-	for _, k := range keys {
-		e, ok := t.m[k]
-		if !ok {
-			continue
+	return c.update(keys, func(e *entry) bool {
+		if !e.frozen || e.installing {
+			return false
 		}
-		e.lock.Lock()
-		if e.frozen && !e.installing {
-			e.frozen = false
-			e.wakeLocked()
-			n++
-		}
-		e.lock.Unlock()
-	}
-	return n
+		e.frozen = false
+		e.wakeLocked()
+		return true
+	})
 }
 
 // Freeze marks cached keys as demoting. Reads keep hitting (the cached value
@@ -437,21 +390,11 @@ func (c *Cache) Unfreeze(keys []uint64) int {
 // writes are refused with ErrFrozen. It returns how many entries this call
 // transitioned to frozen.
 func (c *Cache) Freeze(keys []uint64) int {
-	t := c.table.Load()
-	n := 0
-	for _, k := range keys {
-		e, ok := t.m[k]
-		if !ok {
-			continue
-		}
-		e.lock.Lock()
-		if !e.frozen {
-			e.frozen = true
-			n++
-		}
-		e.lock.Unlock()
-	}
-	return n
+	return c.update(keys, func(e *entry) bool {
+		changed := !e.frozen
+		e.frozen = true
+		return changed
+	})
 }
 
 // CollectFrozen snapshots a frozen entry for its demotion write-back once
@@ -468,17 +411,18 @@ func (c *Cache) CollectFrozen(key uint64) (wb WriteBack, dirty, ok bool) {
 	}
 	e.lock.Lock()
 	defer e.lock.Unlock()
-	if e.pendActive || e.state != StateValid {
+	if e.Pending || e.State != StateValid {
 		return WriteBack{}, false, false
 	}
 	if !e.dirty {
 		return WriteBack{}, false, true
 	}
-	return WriteBack{
-		Key:   key,
-		Value: append([]byte(nil), e.val[:e.vlen]...),
-		TS:    e.ts,
-	}, true, true
+	return e.writeBack(key), true, true
+}
+
+// writeBack snapshots e's value and version. Called with e.lock held.
+func (e *entry) writeBack(key uint64) WriteBack {
+	return WriteBack{Key: key, Value: append([]byte(nil), e.val[:e.vlen]...), TS: e.TS}
 }
 
 // Remove drops keys from the hot set, copy-on-write. Callers are expected to
@@ -540,8 +484,8 @@ func (c *Cache) Read(key uint64, dst []byte) ([]byte, timestamp.TS, error) {
 	}
 	for {
 		v := e.lock.ReadBegin()
-		state := e.state
-		ts := e.ts
+		state := e.State
+		ts := e.TS
 		vlen := e.vlen
 		installing := e.installing
 		// A torn length is rejected by the validation below; guard the copy
@@ -575,6 +519,55 @@ func (c *Cache) Read(key uint64, dst []byte) ([]byte, timestamp.TS, error) {
 	}
 }
 
+// lockWritable returns key's entry LOCKED for a local write, or — unlocked —
+// why not: ErrMiss (counted) for an uncached key, ErrFrozen for one being
+// demoted or promoted: the caller retries until the entry is removed and the
+// write misses to the home shard (which by then holds the demotion's
+// write-back), or the promotion unfreezes it.
+func (c *Cache) lockWritable(key uint64) (*entry, error) {
+	e, ok := c.table.Load().m[key]
+	if !ok {
+		c.stats.Misses.Add(1)
+		return nil, ErrMiss
+	}
+	e.lock.Lock()
+	if e.frozen {
+		e.lock.Unlock()
+		return nil, ErrFrozen
+	}
+	return e, nil
+}
+
+// lockReadable is lockWritable for a read-modify-write: the entry comes back
+// LOCKED with a fresh copy of its value (a counted hit), and the read half
+// adds its own refusals — a promotion placeholder has no value to read (a
+// miss: the home shard serves), and, unlike a blind write, an RMW cannot
+// proceed on an Invalid entry, whose value is unreadable until the in-flight
+// update (or this node's own yielded write) lands: ErrInvalid, and the caller
+// parks like a read. Both of those, and a pending local write, arise only
+// under Lin.
+func (c *Cache) lockReadable(key uint64) (*entry, []byte, error) {
+	e, err := c.lockWritable(key)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case e.installing:
+		c.stats.Misses.Add(1)
+		err = ErrMiss
+	case e.State == StateInvalid:
+		c.stats.InvalidStalls.Add(1)
+		err = ErrInvalid
+	case e.Pending:
+		err = ErrWritePending
+	}
+	if err != nil {
+		e.lock.Unlock()
+		return nil, nil, err
+	}
+	c.stats.Hits.Add(1)
+	return e, append([]byte(nil), e.val[:e.vlen]...), nil
+}
+
 // setValueLocked stores value into e under e.lock.
 func (e *entry) setValueLocked(value []byte) {
 	if len(e.val) < len(value) {
@@ -603,6 +596,6 @@ func (c *Cache) EntryState(key uint64) (State, timestamp.TS, bool) {
 	}
 	var st State
 	var ts timestamp.TS
-	e.lock.Read(func() { st, ts = e.state, e.ts })
+	e.lock.Read(func() { st, ts = e.State, e.TS })
 	return st, ts, true
 }

@@ -460,3 +460,80 @@ func TestLinBackToBackWrites(t *testing.T) {
 		t.Fatalf("final state %v @ %v", v, ts)
 	}
 }
+
+// The stale read behind a returned put (ROADMAP item 1; mcheck's
+// FaultServeAfterLowerAck): A and B write one key concurrently, B's stamp the
+// lower. B's invalidation reaches A and C, both ack, B's put returns — with
+// A, the higher-stamped writer, still gathering its own acks. A must stop
+// serving its pre-write value the moment it acks B (a get at A issued after
+// B's put returned would otherwise read a value two writes old), a reader
+// parked there must be released by A's own last ack and by nothing earlier,
+// and A then reads its own value.
+func TestLinWriterYieldsToLowerStampedWrite(t *testing.T) {
+	const key = 7
+	caches := newReplicaGroup(t, 3, key)
+	a, b, c := caches[1], caches[0], caches[2]
+	invA, _ := a.WriteLinStart(key, []byte("A")) // 1.1
+	invB, _ := b.WriteLinStart(key, []byte("B")) // 1.0, orders before A's
+	if !invA.TS.After(invB.TS) {
+		t.Fatalf("setup: A's stamp %v must order after B's %v", invA.TS, invB.TS)
+	}
+
+	ackBA, yielded := a.ApplyInvalidation(invB)
+	ackBC, _ := c.ApplyInvalidation(invB)
+	if !yielded {
+		t.Fatal("A acked a lower-stamped write from the Write state without yielding")
+	}
+	b.ApplyAck(ackBA)
+	if _, done := b.ApplyAck(ackBC); !done {
+		t.Fatal("B's put did not return after both acks")
+	}
+
+	// B's put has returned. Nothing at A may serve the value it overwrote.
+	if v, _, err := a.Read(key, nil); err != ErrInvalid {
+		t.Fatalf("read at A after B's put returned: %q, %v; want ErrInvalid", v, err)
+	}
+	if st, ts, _ := a.EntryState(key); st != StateInvalid || ts != invA.TS || !a.PendingWrite(key) {
+		t.Fatalf("A is (%v, %v, pending=%v); want (Invalid, its own stamp %v, pending)", st, ts, a.PendingWrite(key), invA.TS)
+	}
+	// Everything that meets the yielded entry treats it as a write in flight.
+	if _, _, _, err := a.RMWLinStart(key, func(cur []byte) ([]byte, bool) { return cur, true }); err != ErrInvalid {
+		t.Fatalf("RMW on the yielded entry: %v, want ErrInvalid", err)
+	}
+	a.Freeze([]uint64{key})
+	if _, _, quiescent := a.CollectFrozen(key); quiescent {
+		t.Fatal("a yielded entry with a pending write was collected as quiescent")
+	}
+	a.Unfreeze([]uint64{key})
+	reader := a.Park(key, ErrInvalid)
+	if !parked(reader) {
+		t.Fatal("a reader at A must park until A's own write completes")
+	}
+	if healed, _ := a.DiscardOrphanedInvalidations(b.NodeID()); healed != 0 || !parked(reader) {
+		t.Fatal("B's excision healed A's live pending write back into serving the old value")
+	}
+
+	// A's own acks: the first changes nothing, the last applies A's value.
+	ackAB, _ := b.ApplyInvalidation(invA)
+	ackAC, _ := c.ApplyInvalidation(invA)
+	a.ApplyAck(ackAB)
+	if !parked(reader) {
+		t.Fatal("the first of A's two acks released the reader")
+	}
+	updA, done := a.ApplyAck(ackAC)
+	if !done || !woken(reader) {
+		t.Fatalf("A's last ack: done=%v, reader released=%v", done, woken(reader))
+	}
+	if v, ts, err := a.Read(key, nil); err != nil || string(v) != "A" || ts != invA.TS {
+		t.Fatalf("A after its own completion: %q @ %v, %v", v, ts, err)
+	}
+
+	// B's update is stale everywhere by now; A's converges the group.
+	for _, r := range caches {
+		r.ApplyUpdateLin(Update{Key: key, TS: invB.TS, Value: []byte("B")})
+		r.ApplyUpdateLin(updA)
+		if v, ts, err := r.Read(key, nil); err != nil || string(v) != "A" || ts != invA.TS {
+			t.Fatalf("node %d: %q @ %v, %v; want A @ %v", r.NodeID(), v, ts, err, invA.TS)
+		}
+	}
+}

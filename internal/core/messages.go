@@ -7,9 +7,11 @@
 //
 // The package is transport-agnostic: protocol operations return the messages
 // that must be broadcast, and the caller (internal/cluster) moves them over
-// whatever fabric is in use. This keeps the protocol logic deterministic and
-// directly testable, and lets the model checker (internal/mcheck) exercise
-// the same state machine.
+// whatever fabric is in use. The protocols themselves are defined once, as
+// pure per-entry steps over Line (step.go); Cache wraps each step in the
+// entry lock, value copies, wake-ups and counters, and the model checker
+// (internal/mcheck) enumerates the very same steps — it has no model of its
+// own to drift from what runs.
 package core
 
 import (
@@ -176,11 +178,14 @@ func Decode(buf []byte) (any, int, error) {
 		if len(buf) < updateOverhead {
 			return nil, 0, fmt.Errorf("core: short update")
 		}
-		vlen := int(binary.LittleEndian.Uint32(buf[14:18]))
-		if len(buf) < updateOverhead+vlen {
+		// Compared unsigned and before any arithmetic on it: a lying length
+		// must not wrap an int (32-bit builds) into passing the check.
+		vlen := binary.LittleEndian.Uint32(buf[14:18])
+		if uint64(vlen) > uint64(len(buf)-updateOverhead) {
 			return nil, 0, fmt.Errorf("core: truncated update value (%d < %d)", len(buf)-updateOverhead, vlen)
 		}
-		return Update{Key: key, TS: ts, Value: buf[18 : 18+vlen]}, updateOverhead + vlen, nil
+		end := updateOverhead + int(vlen)
+		return Update{Key: key, TS: ts, Value: buf[updateOverhead:end]}, end, nil
 	case MsgInvalidation:
 		if len(buf) < invalidationSize {
 			return nil, 0, fmt.Errorf("core: short invalidation")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -136,4 +137,73 @@ func TestUpdateRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// packetSeeds is the fuzz corpus: the round-trip tests' messages alone and
+// coalesced the way the consistency lanes send them, then the same bytes cut
+// short, with lying value lengths and with unknown types.
+func packetSeeds() [][]byte {
+	upd := Update{Key: 0xdeadbeef, TS: timestamp.TS{Clock: 77, Writer: 3}, Value: []byte("payload")}.Encode(nil)
+	inv := Invalidation{Key: 42, TS: timestamp.TS{Clock: 1, Writer: 2}, From: 7}.Encode(nil)
+	ack := Ack{Key: 9, TS: timestamp.TS{Clock: 5, Writer: 1}, From: 4}.Encode(nil)
+	empty := Update{Key: 1, TS: timestamp.TS{Clock: 1}}.Encode(nil)
+	packet := bytes.Join([][]byte{upd, inv, ack, empty, upd}, nil)
+	lying := append([]byte(nil), upd...)
+	binary.LittleEndian.PutUint32(lying[14:18], 0xFFFFFFF0) // negative as an int32
+	tooLong := append([]byte(nil), packet...)
+	binary.LittleEndian.PutUint32(tooLong[14:18], uint32(len(packet))) // reaches past the packet's end
+	return [][]byte{
+		nil, upd, inv, ack, empty, packet, lying, tooLong,
+		upd[:len(upd)-2], upd[:updateOverhead-1], inv[:headerSize], ack[:3],
+		packet[:len(packet)-3],                  // truncated tail after clean messages
+		append(append([]byte(nil), inv...), 99), // unknown type after a clean message
+		{99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	}
+}
+
+// Hostile bytes for the one packet kind core owns. The buffer is walked the
+// way the receive dispatcher walks a consistency packet
+// (cluster/worker.handleConsistency): decode, advance, stop at the first
+// error. Every step either refuses or parses cleanly: consumed lands in
+// (0, len], the message re-encodes to exactly the bytes consumed, and an
+// update's value is a window of the input — never a copy sized by the
+// length field, never a byte outside what was consumed. The input is copied
+// into a slice with no spare capacity, so a read past its end panics.
+func FuzzDecodePacket(f *testing.F) {
+	for _, seed := range packetSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		buf := append(make([]byte, 0, len(data)), data...)
+		for len(buf) > 0 {
+			msg, n, err := Decode(buf)
+			if err != nil {
+				if msg != nil || n != 0 {
+					t.Fatalf("refusal returned (%v, %d)", msg, n)
+				}
+				return
+			}
+			if n <= 0 || n > len(buf) {
+				t.Fatalf("consumed %d of %d bytes", n, len(buf))
+			}
+			var again []byte
+			switch m := msg.(type) {
+			case Update:
+				if len(m.Value) != n-updateOverhead || (len(m.Value) > 0 && &m.Value[0] != &buf[updateOverhead]) {
+					t.Fatalf("update value (%d bytes) is not the input's bytes [%d:%d]", len(m.Value), updateOverhead, n)
+				}
+				again = m.Encode(nil)
+			case Invalidation:
+				again = m.Encode(nil)
+			case Ack:
+				again = m.Encode(nil)
+			default:
+				t.Fatalf("decoded a %T", msg)
+			}
+			if !bytes.Equal(again, buf[:n]) {
+				t.Fatalf("clean parse does not round-trip: %x vs %x", again, buf[:n])
+			}
+			buf = buf[n:]
+		}
+	})
 }

@@ -59,9 +59,9 @@ func (c *Cache) Park(key uint64, stall error) <-chan struct{} {
 	return c.parkWhile(key, func(e *entry) bool {
 		switch stall {
 		case ErrInvalid:
-			return e.state == StateInvalid
+			return e.State == StateInvalid
 		case ErrWritePending:
-			return e.pendActive
+			return e.Pending
 		case ErrFrozen:
 			return e.frozen
 		}
@@ -76,6 +76,6 @@ func (c *Cache) Park(key uint64, stall error) <-chan struct{} {
 // key never reads as "still mine": its stamp is strictly higher.
 func (c *Cache) AwaitWrite(key uint64, ts timestamp.TS) <-chan struct{} {
 	return c.parkWhile(key, func(e *entry) bool {
-		return e.pendActive && e.pendTS == ts
+		return e.Pending && e.PendTS == ts
 	})
 }

@@ -18,26 +18,17 @@ import "repro/internal/timestamp"
 // broadcast to the other N-1 replicas. On a miss it returns ErrMiss and the
 // caller forwards the put to the key's home shard.
 func (c *Cache) WriteSC(key uint64, value []byte) (Update, error) {
-	e, ok := c.table.Load().m[key]
-	if !ok {
-		c.stats.Misses.Add(1)
-		return Update{}, ErrMiss
+	e, err := c.lockWritable(key)
+	if err != nil {
+		return Update{}, err
 	}
-	var out Update
-	e.lock.Lock()
-	if e.frozen {
-		e.lock.Unlock()
-		return Update{}, ErrFrozen
-	}
-	e.ts = e.ts.Next(c.nodeID)
+	ts := e.WriteSC(c.nodeID)
 	e.setValueLocked(value)
 	e.dirty = true
-	out = Update{Key: key, TS: e.ts, Value: append([]byte(nil), value...)}
 	e.lock.Unlock()
-
 	c.stats.Hits.Add(1)
 	c.stats.WritesSC.Add(1)
-	return out, nil
+	return Update{Key: key, TS: ts, Value: append([]byte(nil), value...)}, nil
 }
 
 // RMWSC performs a local SC read-modify-write: under the entry lock it reads
@@ -50,37 +41,19 @@ func (c *Cache) WriteSC(key uint64, value []byte) (Update, error) {
 // the key's single RMW serialization point, so replica convergence by
 // timestamp order carries RMW atomicity cluster-wide.
 func (c *Cache) RMWSC(key uint64, compute func(cur []byte) ([]byte, bool)) (upd Update, witness []byte, applied bool, err error) {
-	e, ok := c.table.Load().m[key]
-	if !ok {
-		c.stats.Misses.Add(1)
-		return Update{}, nil, false, ErrMiss
+	e, witness, err := c.lockReadable(key)
+	if err != nil {
+		return Update{}, nil, false, err
 	}
-	e.lock.Lock()
-	if e.frozen {
-		e.lock.Unlock()
-		return Update{}, nil, false, ErrFrozen
+	value, applied := compute(witness)
+	if applied {
+		upd = Update{Key: key, TS: e.WriteSC(c.nodeID), Value: append([]byte(nil), value...)}
+		e.setValueLocked(value)
+		e.dirty = true
+		c.stats.WritesSC.Add(1)
 	}
-	if e.installing {
-		e.lock.Unlock()
-		c.stats.Misses.Add(1)
-		return Update{}, nil, false, ErrMiss
-	}
-	witness = append([]byte(nil), e.val[:e.vlen]...)
-	value, ok := compute(witness)
-	if !ok {
-		e.lock.Unlock()
-		c.stats.Hits.Add(1)
-		return Update{}, witness, false, nil
-	}
-	e.ts = e.ts.Next(c.nodeID)
-	e.setValueLocked(value)
-	e.dirty = true
-	upd = Update{Key: key, TS: e.ts, Value: append([]byte(nil), value...)}
 	e.lock.Unlock()
-
-	c.stats.Hits.Add(1)
-	c.stats.WritesSC.Add(1)
-	return upd, witness, true, nil
+	return upd, witness, applied, nil
 }
 
 // WriteSCWithTS performs an SC write whose serialization timestamp was
@@ -90,18 +63,11 @@ func (c *Cache) RMWSC(key uint64, compute func(cur []byte) ([]byte, bool)) (upd 
 // superseded and not applied locally (the sequencer guarantees this cannot
 // happen while the sequencer is the only timestamp source).
 func (c *Cache) WriteSCWithTS(key uint64, value []byte, ts timestamp.TS) (Update, error) {
-	e, ok := c.table.Load().m[key]
-	if !ok {
-		c.stats.Misses.Add(1)
-		return Update{}, ErrMiss
+	e, err := c.lockWritable(key)
+	if err != nil {
+		return Update{}, err
 	}
-	e.lock.Lock()
-	if e.frozen {
-		e.lock.Unlock()
-		return Update{}, ErrFrozen
-	}
-	if ts.After(e.ts) {
-		e.ts = ts
+	if e.AdoptSC(ts) {
 		e.setValueLocked(value)
 		e.dirty = true
 	}
@@ -122,31 +88,13 @@ func (c *Cache) ApplyUpdateSC(u Update) bool {
 		c.stats.UpdatesDiscarded.Add(1)
 		return false
 	}
-	applied := false
 	e.lock.Lock()
-	if u.TS.After(e.ts) {
-		e.ts = u.TS
+	applied := e.AdoptSC(u.TS)
+	if applied {
 		e.setValueLocked(u.Value)
 		e.dirty = true
-		applied = true
 	}
 	e.lock.Unlock()
-	if applied {
-		c.stats.UpdatesApplied.Add(1)
-	} else {
-		c.stats.UpdatesDiscarded.Add(1)
-	}
+	c.countUpdate(applied)
 	return applied
-}
-
-// MaxTS returns the highest timestamp stored for key (test hook used by
-// convergence property tests).
-func (c *Cache) MaxTS(key uint64) timestamp.TS {
-	e, ok := c.table.Load().m[key]
-	if !ok {
-		return timestamp.TS{}
-	}
-	var ts timestamp.TS
-	e.lock.Read(func() { ts = e.ts })
-	return ts
 }

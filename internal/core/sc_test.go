@@ -124,19 +124,18 @@ func TestSCConvergenceUnderReordering(t *testing.T) {
 			}
 		}
 		for _, key := range []uint64{1, 2} {
-			ref, _, err := caches[0].Read(key, nil)
+			ref, refTS, err := caches[0].Read(key, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refTS := caches[0].MaxTS(key)
 			for i := 1; i < nodes; i++ {
-				v, _, err := caches[i].Read(key, nil)
+				v, ts, err := caches[i].Read(key, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(v, ref) || caches[i].MaxTS(key) != refTS {
+				if !bytes.Equal(v, ref) || ts != refTS {
 					t.Fatalf("trial %d key %d: replica %d diverged: %q(%v) vs %q(%v)",
-						trial, key, i, v, caches[i].MaxTS(key), ref, refTS)
+						trial, key, i, v, ts, ref, refTS)
 				}
 			}
 		}

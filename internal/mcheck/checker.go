@@ -2,7 +2,10 @@ package mcheck
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Report is the outcome of an exhaustive check.
@@ -48,6 +51,10 @@ const maxStates = 6_000_000
 //   - unique write serialization: every update in flight carries a value
 //     equal to its timestamp, so two distinct writes can never be confused
 //     (the SWMR invariant in its logical-time form);
+//   - real-time order (Lin): every readable copy of an address (state other
+//     than Invalid) holds the same value, and none holds one older than a
+//     put that has returned — what makes the protocol linearizable rather
+//     than merely convergent;
 //
 // and at every *quiescent* state (no messages in flight, no pending writes):
 //
@@ -69,63 +76,54 @@ func CheckFault(proto Protocol, b Bounds, fault Fault) (Report, error) {
 		return Report{}, err
 	}
 	type node struct {
-		state  State
-		depth  int
-		parent string // key of predecessor
-		action string
+		state State
+		key   string // state.key(b): the node's identity in visited
+		depth int
 	}
 	rep := Report{Protocol: proto, Bounds: b}
 
 	init := initial(b)
-	visited := map[string]struct{ parent, action string }{}
 	initKey := init.key(b)
-	visited[initKey] = struct{ parent, action string }{"", "init"}
-	queue := []node{{state: init, depth: 0}}
+	visited := map[string]step{initKey: {}}
+	queue := []node{{state: init, key: initKey}}
 
-	fail := func(n node, violation string) Report {
+	// fail reports violation at the state keyed key, with the action trace
+	// reconstructed through the parent links.
+	fail := func(key, violation string) Report {
 		rep.Violation = violation
-		// Reconstruct the action trace through parent links.
-		var trace []string
-		trace = append(trace, n.action)
-		key := n.parent
-		for key != "" {
-			meta := visited[key]
-			if meta.action != "init" {
-				trace = append(trace, meta.action)
-			}
-			key = meta.parent
+		for key != initKey {
+			st := visited[key]
+			rep.Trace = append(rep.Trace, st.String())
+			key = st.parent
 		}
-		// Reverse into chronological order.
-		for i, j := 0, len(trace)-1; i < j; i, j = i+1, j-1 {
-			trace[i], trace[j] = trace[j], trace[i]
-		}
-		rep.Trace = trace
+		slices.Reverse(rep.Trace)
 		return rep
 	}
 
-	expand := func(cur node, next State, action string) (node, bool) {
+	// expand enqueues next, reached from cur by the transition m (a write
+	// started, or a message delivered), unless it was seen before.
+	expand := func(cur node, next State, write bool, m Msg) {
+		rep.Transitions++
 		key := next.key(b)
 		if _, seen := visited[key]; seen {
-			return node{}, false
+			return
 		}
-		curKey := cur.state.key(b)
-		visited[key] = struct{ parent, action string }{curKey, action}
-		return node{state: next, depth: cur.depth + 1, parent: curKey, action: action}, true
+		visited[key] = step{parent: cur.key, write: write, m: m}
+		rep.States++
+		queue = append(queue, node{state: next, key: key, depth: cur.depth + 1})
 	}
 
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		if cur.depth > rep.Depth {
-			rep.Depth = cur.depth
-		}
+		rep.Depth = max(rep.Depth, cur.depth)
 		if v := checkInvariants(proto, b, &cur.state); v != "" {
-			return fail(node{parent: cur.parent, action: cur.action}, v), nil
+			return fail(cur.key, v), nil
 		}
 		if len(cur.state.Msgs) == 0 {
 			rep.Quiescent++
 			if v := checkQuiescent(b, &cur.state); v != "" {
-				return fail(node{parent: cur.parent, action: cur.action}, v), nil
+				return fail(cur.key, v), nil
 			}
 		}
 		if rep.States >= maxStates {
@@ -136,77 +134,81 @@ func CheckFault(proto Protocol, b Bounds, fault Fault) (Report, error) {
 		for p := 0; p < b.Procs; p++ {
 			for a := 0; a < b.Addrs; a++ {
 				next := cur.state.clone()
-				var ok bool
-				if proto == Lin {
-					ok = startWriteLin(b, &next, p, a)
-				} else {
-					ok = startWriteSC(b, &next, p, a)
-				}
-				if !ok {
-					continue
-				}
-				rep.Transitions++
-				if n, fresh := expand(cur, next, fmt.Sprintf("write(p%d,a%d)", p, a)); fresh {
-					rep.States++
-					queue = append(queue, n)
+				if startWrite(proto, b, &next, p, a) {
+					expand(cur, next, true, Msg{From: uint8(p), Addr: uint8(a)})
 				}
 			}
 		}
 		// ...or deliver any in-flight message (arbitrary reordering).
-		for i := range cur.state.Msgs {
+		for i, m := range cur.state.Msgs {
 			next := cur.state.clone()
-			m := next.Msgs[i]
-			if proto == Lin {
-				deliverLin(b, &next, i, fault)
-			} else {
-				deliverSC(b, &next, i)
-			}
-			rep.Transitions++
-			action := fmt.Sprintf("deliver(%s,a%d,ts%d.%d,to p%d)", msgName(m.Kind), m.Addr, m.TS.C, m.TS.W, m.To)
-			if n, fresh := expand(cur, next, action); fresh {
-				rep.States++
-				queue = append(queue, n)
-			}
+			deliver(proto, b, &next, i, fault)
+			expand(cur, next, false, m)
 		}
 	}
 	rep.States++ // count the initial state
 	return rep, nil
 }
 
-func msgName(kind uint8) string {
-	switch kind {
-	case MInv:
-		return "inv"
-	case MAck:
-		return "ack"
-	default:
-		return "upd"
+// step is how a state was first reached: from the state keyed parent, by
+// starting a write at (m.From, m.Addr) or by delivering m. Kept compact and
+// formatted only for a counterexample.
+type step struct {
+	parent string
+	write  bool
+	m      Msg
+}
+
+// String renders the step as a trace action.
+func (st step) String() string {
+	if st.write {
+		return fmt.Sprintf("write(p%d,a%d)", st.m.From, st.m.Addr)
 	}
+	return fmt.Sprintf("deliver(%v,a%d,ts%v,to p%d)", st.m.Kind, st.m.Addr, st.m.TS, st.m.To)
 }
 
 // checkInvariants verifies the per-state safety properties, returning a
 // description of the first violation.
 func checkInvariants(proto Protocol, b Bounds, s *State) string {
-	for p := 0; p < b.Procs; p++ {
-		for a := 0; a < b.Addrs; a++ {
+	for a := 0; a < b.Addrs; a++ {
+		var readable *Copy // first readable copy of a seen; Lin only
+		for p := 0; p < b.Procs; p++ {
 			l := s.line(b, p, a)
-			if l.St == StValid && l.Val != l.TS {
-				return fmt.Sprintf("data-value: p%d a%d Valid with val %d.%d != ts %d.%d",
-					p, a, l.Val.C, l.Val.W, l.TS.C, l.TS.W)
+			if l.State == core.StateValid && l.Val != l.TS {
+				return fmt.Sprintf("data-value: p%d a%d Valid with val %v != ts %v", p, a, l.Val, l.TS)
 			}
-			if l.St == StWrite && !l.Pend {
+			if l.State == core.StateWrite && !l.Pending {
 				return fmt.Sprintf("transient: p%d a%d in Write state with no pending write", p, a)
 			}
-			if proto == Lin && l.Pend && l.PTS.after(l.TS) {
-				return fmt.Sprintf("timestamp: p%d a%d pending ts %d.%d above line ts %d.%d",
-					p, a, l.PTS.C, l.PTS.W, l.TS.C, l.TS.W)
+			if proto != Lin {
+				continue
+			}
+			if l.Pending && l.PendTS.After(l.TS) {
+				return fmt.Sprintf("timestamp: p%d a%d pending ts %v above line ts %v", p, a, l.PendTS, l.TS)
+			}
+			// Real-time order, statelessly: a get may be invoked at any
+			// readable copy at any moment, so (ii) none may hold a value
+			// older than a put that has already returned, and (i) all must
+			// hold the same value, or two back-to-back gets at different
+			// replicas could observe new then old.
+			if l.State == core.StateInvalid {
+				continue
+			}
+			if s.Returned[a].After(l.Val) {
+				return fmt.Sprintf("real-time: p%d a%d serves val %v after the put stamped %v returned",
+					p, a, l.Val, s.Returned[a])
+			}
+			if readable == nil {
+				readable = l
+			} else if l.Val != readable.Val {
+				return fmt.Sprintf("real-time: readable copies of a%d disagree: p%d serves val %v, an earlier proc %v",
+					a, p, l.Val, readable.Val)
 			}
 		}
 	}
 	for _, m := range s.Msgs {
-		if m.Kind == MUpd && m.Val != m.TS {
-			return fmt.Sprintf("serialization: update for a%d carries val %d.%d != ts %d.%d",
-				m.Addr, m.Val.C, m.Val.W, m.TS.C, m.TS.W)
+		if m.Kind == core.MsgUpdate && m.Val != m.TS {
+			return fmt.Sprintf("serialization: update for a%d carries val %v != ts %v", m.Addr, m.Val, m.TS)
 		}
 	}
 	return ""
@@ -218,7 +220,7 @@ func checkInvariants(proto Protocol, b Bounds, s *State) string {
 func checkQuiescent(b Bounds, s *State) string {
 	for p := 0; p < b.Procs; p++ {
 		for a := 0; a < b.Addrs; a++ {
-			if l := s.line(b, p, a); l.Pend {
+			if l := s.line(b, p, a); l.Pending {
 				// No messages in flight yet a write is still waiting for
 				// acknowledgements: nothing can ever complete it.
 				return fmt.Sprintf("deadlock: p%d a%d pending write can never gather its acks", p, a)
@@ -230,8 +232,8 @@ func checkQuiescent(b Bounds, s *State) string {
 		ref := s.line(b, 0, a)
 		for p := 0; p < b.Procs; p++ {
 			l := s.line(b, p, a)
-			if l.St != StValid {
-				issues = append(issues, fmt.Sprintf("p%d a%d stuck in state %d", p, a, l.St))
+			if l.State != core.StateValid {
+				issues = append(issues, fmt.Sprintf("p%d a%d stuck in state %v", p, a, l.State))
 			}
 			if l.TS != ref.TS || l.Val != ref.Val {
 				issues = append(issues, fmt.Sprintf("p%d a%d diverged from p0", p, a))

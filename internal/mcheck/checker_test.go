@@ -3,6 +3,9 @@ package mcheck
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/timestamp"
 )
 
 func TestBoundsValidate(t *testing.T) {
@@ -24,24 +27,12 @@ func TestBoundsValidate(t *testing.T) {
 	}
 }
 
-func TestTSAfter(t *testing.T) {
-	if !(TS{C: 2, W: 0}).after(TS{C: 1, W: 3}) {
-		t.Error("clock must dominate")
-	}
-	if !(TS{C: 1, W: 2}).after(TS{C: 1, W: 1}) {
-		t.Error("writer must break ties")
-	}
-	if (TS{C: 1, W: 1}).after(TS{C: 1, W: 1}) {
-		t.Error("equal timestamps do not order")
-	}
-}
-
 func TestStateKeyCanonicalizesMessageOrder(t *testing.T) {
 	b := Bounds{Procs: 2, Addrs: 1, MaxClock: 2}
 	s1 := initial(b)
 	s1.Msgs = []Msg{
-		{Kind: MInv, Addr: 0, TS: TS{1, 0}, To: 1, From: 0},
-		{Kind: MUpd, Addr: 0, TS: TS{1, 1}, To: 0, From: 1, Val: TS{1, 1}},
+		{Kind: core.MsgInvalidation, Addr: 0, TS: timestamp.TS{Clock: 1, Writer: 0}, To: 1, From: 0},
+		{Kind: core.MsgUpdate, Addr: 0, TS: timestamp.TS{Clock: 1, Writer: 1}, To: 0, From: 1, Val: timestamp.TS{Clock: 1, Writer: 1}},
 	}
 	s2 := s1.clone()
 	s2.Msgs[0], s2.Msgs[1] = s2.Msgs[1], s2.Msgs[0]
@@ -53,11 +44,12 @@ func TestStateKeyCanonicalizesMessageOrder(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	b := Bounds{Procs: 2, Addrs: 1, MaxClock: 2}
 	s := initial(b)
-	s.Msgs = append(s.Msgs, Msg{Kind: MInv})
+	s.Msgs = append(s.Msgs, Msg{Kind: core.MsgInvalidation})
 	c := s.clone()
-	c.Lines[0].TS = TS{1, 1}
-	c.Msgs[0].Kind = MUpd
-	if s.Lines[0].TS != (TS{}) || s.Msgs[0].Kind != MInv {
+	c.Lines[0].Val = timestamp.TS{Clock: 1, Writer: 1}
+	c.Returned[0] = timestamp.TS{Clock: 1, Writer: 1}
+	c.Msgs[0].Kind = core.MsgUpdate
+	if s.Lines[0].Val != (timestamp.TS{}) || s.Returned[0] != (timestamp.TS{}) || s.Msgs[0].Kind != core.MsgInvalidation {
 		t.Error("clone aliases the original")
 	}
 }
@@ -85,11 +77,12 @@ func TestLinVerifiedSmallInstances(t *testing.T) {
 	}
 }
 
-// Paper-size instance (3 procs, 2-bit timestamps). ~1.8M states; kept out
-// of -short runs.
+// Paper-size instance (3 procs, 2-bit timestamps). ~1.6M states; kept out
+// of -short runs, and out of race builds: it is a single-goroutine BFS over
+// pure functions, which the race detector only makes several times slower.
 func TestLinVerifiedPaperDepth(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1.8M-state exhaustive check; run without -short")
+	if testing.Short() || raceEnabled {
+		t.Skip("1.6M-state exhaustive check; run without -short and without -race")
 	}
 	rep, err := Check(Lin, Bounds{Procs: 3, Addrs: 1, MaxClock: 2})
 	if err != nil {
@@ -157,9 +150,35 @@ func TestCheckerCatchesMismatchedUpdate(t *testing.T) {
 	t.Logf("violation: %s", rep.Violation)
 }
 
+// The Lin stale read this repo shipped until core.Line.Invalidate learned to
+// yield (ROADMAP item 1): a replica in the Write state acknowledges a
+// lower-stamped invalidation and keeps serving its pre-write value after
+// that put has returned. Undoing the transition must trip the real-time
+// invariant, by the shortest trace there is: both procs start a write, the
+// lower-stamped invalidation reaches the higher-stamped writer, its ack
+// completes the lower-stamped put.
+func TestCheckerCatchesServeAfterLowerAck(t *testing.T) {
+	rep, err := CheckFault(Lin, Bounds{Procs: 2, Addrs: 1, MaxClock: 1}, FaultServeAfterLowerAck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() {
+		t.Fatal("checker missed the stale read behind a returned put")
+	}
+	if !strings.Contains(rep.Violation, "real-time") {
+		t.Fatalf("expected a real-time violation, got: %s", rep.Violation)
+	}
+	want := []string{"write(p0,a0)", "write(p1,a0)", "deliver(invalidation,a0,ts1.0,to p1)", "deliver(ack,a0,ts1.0,to p0)"}
+	if strings.Join(rep.Trace, " ") != strings.Join(want, " ") {
+		t.Fatalf("counterexample:\n got %v\nwant %v", rep.Trace, want)
+	}
+	t.Logf("%s\ncounterexample (%d steps): %v", rep.Violation, len(rep.Trace), rep.Trace)
+}
+
 func TestFaultString(t *testing.T) {
 	if FaultNone.String() != "none" || FaultConditionalAck.String() != "conditional-ack" ||
-		FaultApplyMismatchedUpdate.String() != "apply-mismatched-update" {
+		FaultApplyMismatchedUpdate.String() != "apply-mismatched-update" ||
+		FaultServeAfterLowerAck.String() != "serve-after-lower-ack" {
 		t.Error("fault names wrong")
 	}
 }

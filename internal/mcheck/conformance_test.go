@@ -8,154 +8,9 @@ import (
 	"repro/internal/timestamp"
 )
 
-// The model checker verifies the *model*; this conformance test ties the
-// model to the *implementation*: random schedules are executed step by step
-// against both the mcheck state machine and real core.Cache replicas, and
-// the externally observable state (entry state, timestamp, pending flag)
-// must match after every step. A drift between lin.go and model.go fails
-// here.
-func TestLinModelMatchesImplementation(t *testing.T) {
-	const procs = 3
-	b := Bounds{Procs: procs, Addrs: 1, MaxClock: 3}
-	const key = uint64(0)
-
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-
-		// Model side.
-		ms := initial(b)
-		// Implementation side.
-		caches := make([]*core.Cache, procs)
-		for i := range caches {
-			caches[i] = core.NewCache(uint8(i), procs)
-			caches[i].Install([]uint64{key}, func(uint64) ([]byte, timestamp.TS, bool) {
-				return []byte{0, 0}, timestamp.TS{}, true
-			})
-		}
-		// In-flight implementation messages mirror ms.Msgs index for index.
-		var implMsgs []any
-
-		syncCheck := func(step string) {
-			t.Helper()
-			for p := 0; p < procs; p++ {
-				l := ms.line(b, p, 0)
-				st, ts, ok := caches[p].EntryState(key)
-				if !ok {
-					t.Fatalf("trial %d %s: impl lost the key", trial, step)
-				}
-				if uint8(st) != l.St {
-					t.Fatalf("trial %d %s: p%d state impl=%v model=%d", trial, step, p, st, l.St)
-				}
-				if ts.Clock != uint32(l.TS.C) || ts.Writer != l.TS.W {
-					t.Fatalf("trial %d %s: p%d ts impl=%v model=%d.%d", trial, step, p, ts, l.TS.C, l.TS.W)
-				}
-				if caches[p].PendingWrite(key) != l.Pend {
-					t.Fatalf("trial %d %s: p%d pend impl=%v model=%v",
-						trial, step, p, caches[p].PendingWrite(key), l.Pend)
-				}
-			}
-		}
-
-		for step := 0; step < 120; step++ {
-			// Pick: start a write at a random proc, or deliver a random
-			// in-flight message — keeping model and impl in lockstep.
-			if len(ms.Msgs) == 0 || rng.Intn(3) == 0 {
-				p := rng.Intn(procs)
-				next := ms.clone()
-				if !startWriteLin(b, &next, p, 0) {
-					continue
-				}
-				inv, err := caches[p].WriteLinStart(key, []byte{next.line(b, p, 0).PTS.C, next.line(b, p, 0).PTS.W})
-				if err == core.ErrWritePending {
-					t.Fatalf("trial %d: impl refused a write the model allowed", trial)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				ms = next
-				for q := 0; q < procs; q++ {
-					if q != p {
-						implMsgs = append(implMsgs, inv)
-					}
-				}
-				if len(implMsgs) != len(ms.Msgs) {
-					t.Fatalf("trial %d: message count drift %d vs %d", trial, len(implMsgs), len(ms.Msgs))
-				}
-				syncCheck("write")
-				continue
-			}
-			i := rng.Intn(len(ms.Msgs))
-			m := ms.Msgs[i]
-			next := ms.clone()
-			deliverLin(b, &next, i, FaultNone)
-
-			// Mirror onto the implementation. The model's removeMsg swaps
-			// with the tail; replicate exactly.
-			impl := implMsgs[i]
-			implMsgs[i] = implMsgs[len(implMsgs)-1]
-			implMsgs = implMsgs[:len(implMsgs)-1]
-			switch m.Kind {
-			case MInv:
-				inv := impl.(core.Invalidation)
-				ack, _ := caches[m.To].ApplyInvalidation(inv)
-				implMsgs = append(implMsgs, ack)
-			case MAck:
-				ack := impl.(core.Ack)
-				if upd, done := caches[m.To].ApplyAck(ack); done {
-					for q := 0; q < procs; q++ {
-						if q != int(m.To) {
-							implMsgs = append(implMsgs, upd)
-						}
-					}
-				}
-			case MUpd:
-				upd := impl.(core.Update)
-				caches[m.To].ApplyUpdateLin(upd)
-			}
-			ms = next
-			if len(implMsgs) != len(ms.Msgs) {
-				t.Fatalf("trial %d: message count drift after deliver: %d vs %d",
-					trial, len(implMsgs), len(ms.Msgs))
-			}
-			syncCheck("deliver")
-		}
-
-		// Drain everything and require convergence on both sides.
-		for len(ms.Msgs) > 0 {
-			i := len(ms.Msgs) - 1
-			m := ms.Msgs[i]
-			next := ms.clone()
-			deliverLin(b, &next, i, FaultNone)
-			impl := implMsgs[i]
-			implMsgs = implMsgs[:i]
-			switch m.Kind {
-			case MInv:
-				ack, _ := caches[m.To].ApplyInvalidation(impl.(core.Invalidation))
-				implMsgs = append(implMsgs, ack)
-			case MAck:
-				if upd, done := caches[m.To].ApplyAck(impl.(core.Ack)); done {
-					for q := 0; q < procs; q++ {
-						if q != int(m.To) {
-							implMsgs = append(implMsgs, upd)
-						}
-					}
-				}
-			case MUpd:
-				caches[m.To].ApplyUpdateLin(impl.(core.Update))
-			}
-			ms = next
-			syncCheck("drain")
-		}
-		// Model quiescence check must pass on the final state.
-		if v := checkQuiescent(b, &ms); v != "" {
-			t.Fatalf("trial %d: %s", trial, v)
-		}
-	}
-}
-
-// The model's value identity (Val == TS of the producing write) must hold
-// for the implementation too: after a drained run, every replica's value
-// bytes encode the entry timestamp.
+// The checker's value identity (Val == TS of the producing write) must hold
+// for real caches with real value bytes too: after a drained run, every
+// replica's value bytes encode the entry timestamp.
 func TestImplementationDataValueInvariant(t *testing.T) {
 	const procs = 3
 	const key = uint64(0)

@@ -1,16 +1,29 @@
 // Package mcheck is an explicit-state model checker for the ccKVS
 // consistency protocols, reproducing the paper's Murφ verification (§5.2):
 // the Lin protocol is exhaustively checked for safety (the data-value
-// invariant and unique write serialization) and for deadlock freedom, with
-// a configurable number of processors, addresses and timestamp bound — the
-// paper verified 3 processors, 2 addresses and 2-bit timestamps.
+// invariant, unique write serialization and the real-time order that makes
+// it linearizable: no readable copy is older than a put that has returned)
+// and for deadlock freedom, with a configurable number of processors,
+// addresses and timestamp bound — the paper verified 3 processors,
+// 2 addresses and 2-bit timestamps.
 //
-// The transition rules in this package mirror internal/core's lin.go and
-// sc.go statement for statement; a conformance test drives both with the
-// same traces to keep them from drifting apart.
+// There is no model of the protocol here. Every transition the checker takes
+// is a call into internal/core's step functions (core/step.go) over the same
+// core.Line the cache embeds in each entry, so what is verified is what
+// runs; this package owns only the network (an unordered multiset of
+// messages), the enumeration, and the invariants. The injectable faults
+// perturb that boundary — an ack not sent, a forged stamp handed to a step,
+// a step's result not committed — and never reach into core.
 package mcheck
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/timestamp"
+)
 
 // Bounds configure the finite protocol instance being checked.
 type Bounds struct {
@@ -22,6 +35,10 @@ type Bounds struct {
 	// two-bit timestamps.
 	MaxClock uint8
 }
+
+// live is the membership view every step counts against: all procs (crash
+// and view-flip transitions are not enumerated).
+func (b Bounds) live() core.NodeSet { return core.FullNodeSet(b.Procs) }
 
 // DefaultBounds returns the paper's Murφ configuration.
 func DefaultBounds() Bounds { return Bounds{Procs: 3, Addrs: 2, MaxClock: 3} }
@@ -40,80 +57,63 @@ func (b Bounds) Validate() error {
 	return nil
 }
 
-// TS is a compact Lamport timestamp: clock plus writer id. Ordering matches
-// timestamp.TS.
-type TS struct {
-	C uint8 // clock
-	W uint8 // writer
+// Copy is one replica's copy of one address: the protocol line core's steps
+// transition, plus the identity of the value the copy holds. The protocol
+// stamps every write's value with its timestamp, so the data-value invariant
+// is "Valid implies Val == TS"; Val is set from the effects the steps report.
+type Copy struct {
+	core.Line
+	Val timestamp.TS
 }
-
-// after reports whether t orders strictly after o.
-func (t TS) after(o TS) bool {
-	if t.C != o.C {
-		return t.C > o.C
-	}
-	return t.W > o.W
-}
-
-// Line states, matching core.State.
-const (
-	StValid uint8 = iota
-	StInvalid
-	StWrite
-)
-
-// Line is one replica's copy of one address. Val is the value identity; the
-// protocol stamps every write's value with its timestamp, so the data-value
-// invariant is "Valid implies Val == TS".
-type Line struct {
-	St   uint8
-	TS   TS
-	Val  TS
-	Pend bool
-	PTS  TS // pending write timestamp
-	Acks uint8
-}
-
-// Message kinds.
-const (
-	MInv uint8 = iota
-	MAck
-	MUpd
-)
 
 // Msg is one in-flight protocol message. The network is an unordered
 // multiset: any in-flight message may be delivered next, which models the
 // arbitrary reordering of RDMA UD datagrams.
 type Msg struct {
-	Kind uint8
+	Kind core.MsgType
 	Addr uint8
-	TS   TS
+	TS   timestamp.TS
 	To   uint8
 	From uint8
-	Val  TS // updates only
+	Val  timestamp.TS // updates only
 }
 
 // State is a global protocol configuration. Lines is indexed [proc][addr].
 type State struct {
-	Lines []Line // proc*addrs + addr
-	Msgs  []Msg
+	Lines []Copy // proc*addrs + addr
+	// Returned is, per address, the highest stamp of a put that has returned
+	// to its client (Lin: at the step that reports the write done). It is
+	// what turns a history property — a get invoked after a put returned
+	// must not observe an older write — into a state invariant.
+	Returned []timestamp.TS
+	Msgs     []Msg
 }
 
-// line returns the cache line of proc p, address a.
-func (s *State) line(b Bounds, p, a int) *Line { return &s.Lines[p*b.Addrs+a] }
+// line returns the copy of address a at proc p.
+func (s *State) line(b Bounds, p, a int) *Copy { return &s.Lines[p*b.Addrs+a] }
 
 // clone deep-copies the state.
 func (s *State) clone() State {
-	ns := State{
-		Lines: append([]Line(nil), s.Lines...),
-		Msgs:  append([]Msg(nil), s.Msgs...),
+	return State{
+		Lines:    append([]Copy(nil), s.Lines...),
+		Returned: append([]timestamp.TS(nil), s.Returned...),
+		Msgs:     append([]Msg(nil), s.Msgs...),
 	}
-	return ns
 }
 
 // initial returns the all-Valid zero state.
 func initial(b Bounds) State {
-	return State{Lines: make([]Line, b.Procs*b.Addrs)}
+	return State{Lines: make([]Copy, b.Procs*b.Addrs), Returned: make([]timestamp.TS, b.Addrs)}
+}
+
+// broadcast puts one copy of m in flight toward every proc but its sender.
+func (s *State) broadcast(b Bounds, m Msg) {
+	for q := 0; q < b.Procs; q++ {
+		if q != int(m.From) {
+			m.To = uint8(q)
+			s.Msgs = append(s.Msgs, m)
+		}
+	}
 }
 
 // removeMsg deletes message i (order is irrelevant: the set is canonicalized
@@ -124,84 +124,54 @@ func (s *State) removeMsg(i int) {
 }
 
 // key serializes the state into a canonical, hashable form. Messages are
-// sorted so that permutations of the multiset collapse to one state.
+// sorted so that permutations of the multiset collapse to one state. Clocks
+// fit a byte (MaxClock <= 3) and ack sets a bitmask (Procs <= 4). Of a line,
+// PendWait and Superseded are left out: only the view-change steps read
+// them, and those are not enumerated here.
 func (s *State) key(b Bounds) string {
-	buf := make([]byte, 0, len(s.Lines)*8+len(s.Msgs)*8+8)
+	buf := make([]byte, 0, len(s.Lines)*9+len(s.Returned)*2+len(s.Msgs)*8)
 	for i := range s.Lines {
 		l := &s.Lines[i]
-		pend := byte(0)
-		if l.Pend {
+		var pend, acks byte
+		if l.Pending {
 			pend = 1
 		}
-		buf = append(buf, l.St, l.TS.C, l.TS.W, l.Val.C, l.Val.W, pend, l.PTS.C, l.PTS.W, l.Acks)
+		for q := 0; q < b.Procs; q++ {
+			if l.AckFrom.Has(uint8(q)) {
+				acks |= 1 << q
+			}
+		}
+		buf = append(buf, byte(l.State), byte(l.TS.Clock), l.TS.Writer, byte(l.Val.Clock), l.Val.Writer,
+			pend, byte(l.PendTS.Clock), l.PendTS.Writer, acks)
 	}
-	msgs := append([]Msg(nil), s.Msgs...)
-	sortMsgs(msgs)
-	for _, m := range msgs {
-		buf = append(buf, m.Kind, m.Addr, m.TS.C, m.TS.W, m.To, m.From, m.Val.C, m.Val.W)
+	for _, r := range s.Returned {
+		buf = append(buf, byte(r.Clock), r.Writer)
+	}
+	msgs := make([]uint64, len(s.Msgs))
+	for i, m := range s.Msgs {
+		msgs[i] = m.sortKey()
+	}
+	slices.Sort(msgs)
+	for _, k := range msgs {
+		buf = binary.BigEndian.AppendUint64(buf, k)
 	}
 	return string(buf)
 }
 
-// sortMsgs orders messages lexicographically.
-func sortMsgs(ms []Msg) {
-	// Insertion sort: message counts are small.
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && msgLess(ms[j], ms[j-1]); j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
+// sortKey is m as the integer it is ordered and hashed by.
+func (m Msg) sortKey() uint64 {
+	return uint64(m.Kind)<<56 | uint64(m.Addr)<<48 | uint64(m.TS.Clock&0xff)<<40 | uint64(m.TS.Writer)<<32 |
+		uint64(m.To)<<24 | uint64(m.From)<<16 | uint64(m.Val.Clock&0xff)<<8 | uint64(m.Val.Writer)
 }
 
-func msgLess(a, b Msg) bool {
-	ka := [8]uint8{a.Kind, a.Addr, a.TS.C, a.TS.W, a.To, a.From, a.Val.C, a.Val.W}
-	kb := [8]uint8{b.Kind, b.Addr, b.TS.C, b.TS.W, b.To, b.From, b.Val.C, b.Val.W}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return ka[i] < kb[i]
-		}
-	}
-	return false
-}
-
-// Protocol selects which state machine to check.
-type Protocol int
+// Protocol selects which of core's two protocols to check.
+type Protocol = core.Protocol
 
 // Checked protocols.
 const (
-	Lin Protocol = iota
-	SC
+	Lin = core.Lin
+	SC  = core.SC
 )
-
-// String names the protocol.
-func (p Protocol) String() string {
-	if p == SC {
-		return "SC"
-	}
-	return "Lin"
-}
-
-// startWriteLin mirrors core.(*Cache).WriteLinStart.
-func startWriteLin(b Bounds, s *State, p, a int) bool {
-	l := s.line(b, p, a)
-	if l.Pend || l.TS.C >= b.MaxClock {
-		return false
-	}
-	nts := TS{C: l.TS.C + 1, W: uint8(p)}
-	l.PTS = nts
-	l.TS = nts
-	l.Pend = true
-	l.Acks = 0
-	if l.St == StValid {
-		l.St = StWrite
-	}
-	for q := 0; q < b.Procs; q++ {
-		if q != p {
-			s.Msgs = append(s.Msgs, Msg{Kind: MInv, Addr: uint8(a), TS: nts, To: uint8(q), From: uint8(p)})
-		}
-	}
-	return true
-}
 
 // Fault selects a deliberately broken protocol variant, used to demonstrate
 // that the checker detects the corresponding class of bug (the reason the
@@ -220,97 +190,85 @@ const (
 	// Invalid, without matching timestamps — breaking the data-value
 	// invariant when a superseded writer's update arrives late.
 	FaultApplyMismatchedUpdate
+	// FaultServeAfterLowerAck lets a replica in the Write state acknowledge
+	// a lower-stamped invalidation and keep serving its pre-write value —
+	// the protocol as it stood before core.Line.Invalidate learned to
+	// yield. The acknowledged put can return while that replica still
+	// serves the value it overwrote: a stale read, caught by the real-time
+	// invariant.
+	FaultServeAfterLowerAck
 )
 
 // String names the fault.
 func (f Fault) String() string {
-	switch f {
-	case FaultConditionalAck:
-		return "conditional-ack"
-	case FaultApplyMismatchedUpdate:
-		return "apply-mismatched-update"
-	default:
-		return "none"
-	}
+	return [...]string{"none", "conditional-ack", "apply-mismatched-update", "serve-after-lower-ack"}[f]
 }
 
-// deliverLin mirrors the receive paths of core's lin.go. It consumes
-// message i and applies its effect.
-func deliverLin(b Bounds, s *State, i int, fault Fault) {
-	m := s.Msgs[i]
-	s.removeMsg(i)
-	switch m.Kind {
-	case MInv:
-		l := s.line(b, int(m.To), int(m.Addr))
-		invalidated := false
-		if m.TS.after(l.TS) {
-			l.TS = m.TS
-			l.St = StInvalid
-			invalidated = true
-		}
-		// Acks are unconditional (deadlock freedom).
-		if fault != FaultConditionalAck || invalidated {
-			s.Msgs = append(s.Msgs, Msg{Kind: MAck, Addr: m.Addr, TS: m.TS, To: m.From, From: m.To})
-		}
-	case MAck:
-		l := s.line(b, int(m.To), int(m.Addr))
-		if !l.Pend || m.TS != l.PTS {
-			return
-		}
-		l.Acks++
-		if int(l.Acks) >= b.Procs-1 {
-			l.Pend = false
-			if l.TS == l.PTS {
-				l.Val = l.PTS // write performed locally
-				l.St = StValid
-			}
-			for q := 0; q < b.Procs; q++ {
-				if q != int(m.To) {
-					s.Msgs = append(s.Msgs, Msg{
-						Kind: MUpd, Addr: m.Addr, TS: l.PTS,
-						To: uint8(q), From: m.To, Val: l.PTS,
-					})
-				}
-			}
-		}
-	case MUpd:
-		l := s.line(b, int(m.To), int(m.Addr))
-		match := m.TS == l.TS
-		if fault == FaultApplyMismatchedUpdate {
-			match = true
-		}
-		if l.St == StInvalid && match {
-			l.Val = m.Val
-			l.St = StValid
-		}
-	}
-}
-
-// startWriteSC mirrors core.(*Cache).WriteSC: non-blocking local apply plus
-// an update broadcast.
-func startWriteSC(b Bounds, s *State, p, a int) bool {
+// startWrite takes core's write-start step at (p, a) and puts what it asks
+// to be broadcast in flight. It reports whether the write was enabled: the
+// clock bound leaves room and (Lin) no local write is pending.
+func startWrite(proto Protocol, b Bounds, s *State, p, a int) bool {
 	l := s.line(b, p, a)
-	if l.TS.C >= b.MaxClock {
+	if l.TS.Clock >= uint32(b.MaxClock) {
 		return false
 	}
-	nts := TS{C: l.TS.C + 1, W: uint8(p)}
-	l.TS = nts
-	l.Val = nts
-	for q := 0; q < b.Procs; q++ {
-		if q != p {
-			s.Msgs = append(s.Msgs, Msg{Kind: MUpd, Addr: uint8(a), TS: nts, To: uint8(q), From: uint8(p), Val: nts})
+	m := Msg{Addr: uint8(a), From: uint8(p)}
+	if proto == SC {
+		// Non-blocking: applied locally at once, one update broadcast.
+		m.Kind, m.TS = core.MsgUpdate, l.WriteSC(m.From)
+		l.Val, m.Val = m.TS, m.TS
+	} else {
+		var ok bool
+		if m.TS, ok = l.StartLin(m.From, b.live()); !ok {
+			return false
 		}
+		m.Kind = core.MsgInvalidation
 	}
+	s.broadcast(b, m)
 	return true
 }
 
-// deliverSC mirrors core.(*Cache).ApplyUpdateSC.
-func deliverSC(b Bounds, s *State, i int) {
+// deliver consumes message i and takes the receive step core defines for
+// it, turning the step's effect into messages, value identities and the
+// returned-put high-water mark.
+func deliver(proto Protocol, b Bounds, s *State, i int, fault Fault) {
 	m := s.Msgs[i]
 	s.removeMsg(i)
 	l := s.line(b, int(m.To), int(m.Addr))
-	if m.TS.after(l.TS) {
-		l.TS = m.TS
-		l.Val = m.Val
+	switch {
+	case proto == SC:
+		if l.AdoptSC(m.TS) {
+			l.Val = m.Val
+		}
+	case m.Kind == core.MsgInvalidation:
+		before := l.Line
+		eff := l.Invalidate(m.TS, true)
+		if fault == FaultServeAfterLowerAck && eff == core.InvYielded {
+			l.Line = before // the step's result is not committed
+		}
+		// Acks are unconditional (deadlock freedom) — unless the fault makes
+		// the receiver earn them.
+		if fault != FaultConditionalAck || eff == core.InvAdopted {
+			s.Msgs = append(s.Msgs, Msg{Kind: core.MsgAck, Addr: m.Addr, TS: m.TS, To: m.From, From: m.To})
+		}
+	case m.Kind == core.MsgAck:
+		eff := l.Ack(m.From, m.TS, b.live())
+		if eff == core.WriteOpen {
+			return
+		}
+		if eff == core.WriteApplied {
+			l.Val = l.PendTS // write performed locally
+		}
+		// Either way the put returns to its client here.
+		s.Returned[m.Addr] = timestamp.Max(s.Returned[m.Addr], l.PendTS)
+		s.broadcast(b, Msg{Kind: core.MsgUpdate, Addr: m.Addr, TS: l.PendTS, From: m.To, Val: l.PendTS})
+	case m.Kind == core.MsgUpdate:
+		ts := m.TS
+		if fault == FaultApplyMismatchedUpdate {
+			ts = l.TS // forged: whatever stamp the line is waiting for
+		}
+		if l.ApplyUpdateLin(ts) {
+			l.Val = m.Val
+		}
 	}
 }
