@@ -791,6 +791,18 @@ func (n *Node) start() {
 			})
 		})
 
+		// Handler lifetime (fabric.TCPTransport): p.Data is a window of the
+		// connection's receive buffer, dead the moment the handler returns
+		// (race builds poison it). Every handler registered here finishes with
+		// the bytes before it does: handleConsistency decodes messages whose
+		// values alias the packet and applies them synchronously — core copies
+		// under the entry lock; handleKVSRequest serves each request entry
+		// before the next (store and cache copy what they keep, rmwCompute's
+		// closure dies with the call); rpc.handleResponse and Client.onResponse
+		// copy the payload out; handleSession copies put/CAS values into the
+		// batch's own backing and a refresh's keys into a fresh slice before
+		// either leaves the goroutine; handleView and handleFlowControl read
+		// scalars.
 		tr.Register(fabric.Addr{Node: n.id, Thread: cfg.cacheThread(wk.idx)}, wk.handleConsistency)
 		tr.Register(fabric.Addr{Node: n.id, Thread: cfg.kvsThread(wk.idx)}, n.handleKVSRequest)
 		tr.Register(fabric.Addr{Node: n.id, Thread: cfg.respThread(wk.idx)}, wk.rpc.handleResponse)

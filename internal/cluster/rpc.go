@@ -680,19 +680,24 @@ func (ra *respAssembly) splice(meta []byte, lease store.Lease) {
 // vector interleaves meta spans and spliced values, in order, into a
 // segment list backed by ra's pooled scratch.
 func (ra *respAssembly) vector(meta []byte) [][]byte {
-	segs := ra.segs[:0]
-	prev := 0
-	for _, c := range ra.cuts {
-		if c.off > prev {
-			segs = append(segs, meta[prev:c.off])
+	ra.segs = appendSegs(ra.segs[:0], meta, 0, len(meta), ra.cuts)
+	return ra.segs
+}
+
+// appendSegs appends the wire segments of meta[lo:hi] to segs: its spans
+// interleaved, in order, with the values spliced into it at cuts (ascending
+// offsets into meta, all within [lo, hi]).
+func appendSegs(segs [][]byte, meta []byte, lo, hi int, cuts []respCut) [][]byte {
+	for _, c := range cuts {
+		if c.off > lo {
+			segs = append(segs, meta[lo:c.off])
 		}
 		segs = append(segs, c.lease.Value())
-		prev = c.off
+		lo = c.off
 	}
-	if prev < len(meta) {
-		segs = append(segs, meta[prev:])
+	if lo < hi {
+		segs = append(segs, meta[lo:hi])
 	}
-	ra.segs = segs
 	return segs
 }
 

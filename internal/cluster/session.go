@@ -60,9 +60,12 @@ import (
 // the burst's remote fetches on the coalescing pipeline — so concurrent
 // clients keep many remote accesses in flight without per-request goroutines.
 // The lane itself only drains and hands results back; the last lane to finish
-// a batch encodes and sends its response. Ping/stats are answered inline on
-// the dispatcher (non-blocking); refresh keeps its own goroutine (a
-// long-blocking control op that fans out its own RPCs).
+// a batch encodes its response, and every response a lane finishes in one burst
+// leaves in one transport burst (replyBurst) — on TCP a single vectored write
+// per client, the reply-side mirror of the burst the read loop delivered.
+// Ping/stats are answered inline on the dispatcher (non-blocking); refresh
+// keeps its own goroutine (a long-blocking control op that fans out its own
+// RPCs).
 const (
 	// sessOpGet, sessOpPut, sessOpCAS and sessOpFAA are batch entry kinds; as
 	// a frame's op byte they are refused like any unknown op.
@@ -104,6 +107,12 @@ const sessBatchMaxBytes = 1 << 20
 // overlapped serving pass.
 const sessLaneBurst = 64
 
+// sessReplyBurstBytes bounds the response bytes — metadata plus leased values —
+// a lane stages before writing them out: a burst that reaches it is flushed at
+// once, so a run of large batch replies never holds (or keeps leased) more than
+// this plus one frame.
+const sessReplyBurstBytes = 256 << 10
+
 // sessJob is one unit of lane work: one worker's group of a batch.
 type sessJob struct {
 	batch *sessBatch
@@ -116,8 +125,8 @@ type sessJob struct {
 // sessBatch is one in-flight batch frame. Its ops are chained into per-worker
 // groups, each served on its owning worker's lane; the last lane to finish
 // (remaining hits zero — the atomic ordering makes every group's results
-// visible to it) encodes the response frame in request order and sends it.
-// Pooled: that lane recycles it once the response left.
+// visible to it) encodes the response frame in request order into its reply
+// burst. Pooled: that lane recycles it once the response is encoded.
 type sessBatch struct {
 	src       fabric.Addr
 	reqID     uint64
@@ -178,7 +187,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 		}
 		resp = binary.LittleEndian.AppendUint64(resp, hot)
 		resp = binary.LittleEndian.AppendUint64(resp, n.FrozenRetries.Load())
-		n.sessSend(p.Src, resp, nil, nil)
+		n.sessSend(p.Src, resp)
 	case sessOpRefresh:
 		if len(body) < 4 {
 			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
@@ -302,7 +311,10 @@ func (n *Node) dispatchSessionBatch(src fabric.Addr, reqID uint64, body []byte) 
 		b.ops = append(b.ops, sessOp{Op: op, next: -1})
 	}
 	if count == 0 {
-		n.finishSessionBatch(b) // no lane will: answer the bare count inline
+		// No lane will answer: send the bare count inline.
+		rb := replyBurst{n: n}
+		rb.add(b)
+		rb.flush()
 		return
 	}
 	// The last enqueue may get b finished and recycled before this loop looks
@@ -338,37 +350,28 @@ func (n *Node) serveRefresh(src fabric.Addr, reqID uint64, target []uint64) {
 		resp = binary.LittleEndian.AppendUint32(resp, uint32(st.Demoted))
 		resp = binary.LittleEndian.AppendUint32(resp, uint32(st.WriteBacks))
 	}
-	n.sessSend(src, resp, nil, nil)
+	n.sessSend(src, resp)
 }
 
 // sessReplyStatus answers a request with a bare status, inline on the caller.
 func (n *Node) sessReplyStatus(dst fabric.Addr, reqID uint64, status byte) {
 	resp := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), reqID)
 	resp = append(resp, status)
-	n.sessSend(dst, resp, nil, nil)
+	n.sessSend(dst, resp)
 }
 
-// sessSend replies to wherever the request came from; the TCP transport
-// learned the return route from the inbound connection, so ephemeral clients
-// outside the peer table still get their answer. A failed send means the
-// client is gone (its timeout or peer-down handler cleans up). A non-nil segs
-// makes the reply vectored: the wire payload is the in-order concatenation of
-// segs (spans of resp interleaved with leased store values) — only legal on
-// transports that consume segments during Send (Cluster.trCopies); the caller
-// releases its leases right after. pooled, when non-nil, is resp's pooled
-// holder, recycled after the send — legal under the same condition.
-func (n *Node) sessSend(dst fabric.Addr, resp []byte, segs [][]byte, pooled *srvBuf) {
+// sessSend answers a control request (ping, stats, refresh, a refused frame)
+// with resp, a buffer built for it. Replies go to wherever the request came
+// from; the TCP transport learned the return route from the inbound connection,
+// so ephemeral clients outside the peer table still get their answer. A failed
+// send means the client is gone (its timeout or peer-down handler cleans up).
+func (n *Node) sessSend(dst fabric.Addr, resp []byte) {
 	_ = n.cluster.transport.Send(fabric.Packet{
 		Src:   fabric.Addr{Node: n.id, Thread: threadSession},
 		Dst:   dst,
 		Class: metrics.ClassCacheMiss,
 		Data:  resp,
-		Segs:  segs,
 	})
-	if pooled != nil {
-		pooled.b = resp
-		respBufPool.Put(pooled)
-	}
 }
 
 // sessLane is one worker's session serving loop state: burst-drain on top of
@@ -378,13 +381,14 @@ func (n *Node) sessSend(dst fabric.Addr, resp []byte, segs [][]byte, pooled *srv
 type sessLane struct {
 	burst []sessJob
 	x     opExec
+	out   replyBurst
 }
 
 // sessionLane serves one worker's session jobs until the lane closes. Each
 // iteration drains a burst of queued jobs and serves them in one executor
 // run, so concurrent clients' remote accesses overlap.
 func (n *Node) sessionLane(q chan sessJob) {
-	l := &sessLane{x: opExec{n: n}}
+	l := &sessLane{x: opExec{n: n}, out: replyBurst{n: n}}
 	for job := range q {
 		l.burst = l.burst[:0]
 		l.burst = append(l.burst, job)
@@ -407,8 +411,10 @@ func (n *Node) sessionLane(q chan sessJob) {
 
 // serveBurst runs the burst through the executor — scan every op (remote
 // accesses start without waiting), collect — then hands each group's results
-// to its batch. The last group of a batch to settle sends the response; a
-// zero-copy get's lease moves into the batch with its result.
+// to its batch. The last group of a batch to settle stages the response (a
+// zero-copy get's lease moves into the reply burst with its result), and the
+// staged responses leave together once the last result is copied: no reply
+// waits for anything but the encoding of the replies beside it.
 func (l *sessLane) serveBurst() {
 	l.x.res = l.x.res[:0]
 	for ji := range l.burst {
@@ -427,52 +433,101 @@ func (l *sessLane) serveBurst() {
 			k++
 		}
 		if b.remaining.Add(-1) == 0 {
-			l.x.n.finishSessionBatch(b)
+			l.out.add(b)
 		}
 	}
+	l.out.flush()
 }
 
-// finishSessionBatch encodes a settled batch's response frame in request
-// order, sends it and recycles the batch; the atomic decrement that elected
-// this lane ordered every other group's writes before its reads. Leased values
-// (zero-copy gets) leave as wire segments on transports that consume them
-// during Send and by one copy otherwise; either way every lease is released
-// here.
-func (n *Node) finishSessionBatch(b *sessBatch) {
-	var pooled *srvBuf
-	var resp []byte
-	var ra *respAssembly
-	if n.cluster.trCopies {
-		pooled = respBufPool.Get().(*srvBuf)
-		resp = pooled.b[:0]
-		ra = respAsmPool.Get().(*respAssembly)
-	} else {
-		// A by-reference transport hands this buffer to the client, which
-		// aliases it: fresh per response, sized for every value entry.
-		total := 13
-		for i := range b.ops {
-			total += 5 + len(b.ops[i].res.val)
-		}
-		resp = make([]byte, 0, total)
+// replyBurst stages the session responses one lane finishes during one burst
+// and sends them with one fabric.SendBurst. The frames' metadata is encoded
+// back to back into one reused buffer; leased values (zero-copy gets) are not
+// copied but recorded as splices at offsets into it (offsets, not slices: the
+// buffer may move as it grows), exactly as a single response does it. Packets
+// are only materialized in flush, when the buffer has stopped moving.
+type replyBurst struct {
+	n      *Node
+	meta   []byte
+	ra     respAssembly // the splices into meta, and flush's segment scratch
+	frames []replyFrame
+	pkts   []fabric.Packet
+	leased int // value bytes the splices hold leased
+}
+
+// replyFrame is one staged response: where its metadata and its splices end
+// (they start where the previous frame's end).
+type replyFrame struct {
+	dst       fabric.Addr
+	meta, cut int
+}
+
+// add encodes a settled batch's response frame in request order and recycles
+// the batch; the atomic decrement that elected the calling lane ordered every
+// other group's writes before its reads. On transports that consume segments
+// during Send, leased values stay leased until flush; otherwise each is copied
+// in and released here.
+func (rb *replyBurst) add(b *sessBatch) {
+	ra := &rb.ra
+	if !rb.n.cluster.trCopies {
+		ra = nil
 	}
-	resp = binary.LittleEndian.AppendUint64(resp, b.reqID)
-	resp = append(resp, sessStatusOK)
-	resp = binary.LittleEndian.AppendUint32(resp, uint32(len(b.ops)))
+	cut := len(rb.ra.cuts)
+	m := binary.LittleEndian.AppendUint64(rb.meta, b.reqID)
+	m = append(m, sessStatusOK)
+	m = binary.LittleEndian.AppendUint32(m, uint32(len(b.ops)))
 	for i := range b.ops {
-		resp = appendSessOpRes(resp, b.ops[i].Kind, &b.ops[i].res, ra)
+		m = appendSessOpRes(m, b.ops[i].Kind, &b.ops[i].res, ra)
 	}
-	var segs [][]byte
-	if ra != nil && len(ra.cuts) > 0 {
-		segs = ra.vector(resp)
+	rb.meta = m
+	for _, c := range rb.ra.cuts[cut:] {
+		rb.leased += len(c.lease.Value())
 	}
-	n.sessSend(b.src, resp, segs, pooled)
-	if ra != nil {
-		ra.release()
-		respAsmPool.Put(ra)
-	}
+	rb.frames = append(rb.frames, replyFrame{dst: b.src, meta: len(m), cut: len(rb.ra.cuts)})
 	clear(b.ops) // drop the value and error references before pooling
 	b.ops, b.groups = b.ops[:0], b.groups[:0]
 	sessBatchPool.Put(b)
+	if len(m)+rb.leased >= sessReplyBurstBytes {
+		rb.flush()
+	}
+}
+
+// flush sends the staged responses — adjacent ones for one client in a single
+// vectored write on TCP, leased values as wire segments of their own — then
+// releases every lease, sent or not: a failed send means the client is gone
+// (its timeout or peer-down handler cleans up), never that a value stays
+// pinned.
+func (rb *replyBurst) flush() {
+	if len(rb.frames) == 0 {
+		return
+	}
+	meta := rb.meta
+	if !rb.n.cluster.trCopies {
+		// A by-reference transport hands these bytes to the clients, which
+		// alias them: a fresh copy per burst, each frame clipped to its own.
+		meta = append([]byte(nil), meta...)
+	}
+	src := fabric.Addr{Node: rb.n.id, Thread: threadSession}
+	segs := rb.ra.segs[:0]
+	lo, cut := 0, 0
+	for _, f := range rb.frames {
+		p := fabric.Packet{Src: src, Dst: f.dst, Class: metrics.ClassCacheMiss}
+		if f.cut == cut {
+			p.Data = meta[lo:f.meta:f.meta]
+		} else {
+			// A frame's segment window stays valid if a later append moves segs:
+			// it keeps the array it was cut from, already filled.
+			at := len(segs)
+			segs = appendSegs(segs, meta, lo, f.meta, rb.ra.cuts[cut:f.cut])
+			p.Segs = segs[at:len(segs):len(segs)]
+		}
+		rb.pkts = append(rb.pkts, p)
+		lo, cut = f.meta, f.cut
+	}
+	rb.ra.segs = segs
+	_ = fabric.SendBurst(rb.n.cluster.transport, rb.pkts)
+	rb.ra.release()
+	clear(rb.pkts)
+	rb.meta, rb.frames, rb.pkts, rb.leased = rb.meta[:0], rb.frames[:0], rb.pkts[:0], 0
 }
 
 // appendSessOpRes encodes one op result entry and consumes its lease: the
@@ -482,7 +537,7 @@ func (n *Node) finishSessionBatch(b *sessBatch) {
 // everything served but a put (which answers the bare status) and for a failed
 // CAS's witness, the message for an error, nothing otherwise. Only a served
 // get can hold a lease: with ra non-nil its value is spliced in as a wire
-// segment after the entry's metadata (ra releases the lease once sent),
+// segment after the entry's metadata (ra's owner releases the lease once sent),
 // otherwise it is copied and released here.
 func appendSessOpRes(buf []byte, kind OpKind, r *opRes, ra *respAssembly) []byte {
 	switch {

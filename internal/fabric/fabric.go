@@ -128,6 +128,25 @@ type Transport interface {
 	Close() error
 }
 
+// SendBurst sends ps in order through tr. A transport with a burst path of its
+// own (TCP: one vectored write per run of packets for the same node) takes
+// the whole slice; on any other — the in-process transports, which hand
+// packets over by reference, and decorators around them — a burst is a loop
+// of Sends, so callers stage bursts without knowing which they have. Every
+// packet is attempted; the first error is returned.
+func SendBurst(tr Transport, ps []Packet) error {
+	if b, ok := tr.(interface{ SendBurst([]Packet) error }); ok {
+		return b.SendBurst(ps)
+	}
+	var first error
+	for i := range ps {
+		if err := tr.Send(ps[i]); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("fabric: transport closed")
 
@@ -139,6 +158,12 @@ type Stats struct {
 	SendsTotal  metrics.Counter
 	RecvsTotal  metrics.Counter
 	SendBlocked metrics.Counter // sends that found a full queue (backpressure)
+	// ReadCalls and WriteCalls count the TCP transport's socket reads and
+	// (vectored) socket writes, so RecvsTotal/ReadCalls is the achieved
+	// frames per read and SendsTotal/WriteCalls the packets per write. Like
+	// SendsTotal, WriteCalls moves before the write starts.
+	ReadCalls  metrics.Counter
+	WriteCalls metrics.Counter
 	// Vectored/flattened account how segmented payloads (Packet.Segs) left
 	// the process: VectoredBytes were handed to a scatter-gather write (zero
 	// copies of the segment memory), FlattenedBytes were copied into one

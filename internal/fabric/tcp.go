@@ -3,7 +3,7 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,18 +24,29 @@ import (
 // TCP provides reliability and per-connection FIFO, which is strictly
 // stronger than the RDMA UD datagrams of the paper; the consistency
 // protocols tolerate both (they assume neither ordering nor multicast).
+//
+// A system call moves a burst, not a frame (§6.3's argument, applied to the
+// socket): one read pulls every frame already queued on a connection
+// (readLoop), and one vectored write carries every adjacent packet of a
+// burst that goes to the same node (SendBurst; Send is its one-packet case).
 type TCPTransport struct {
 	self   uint8
 	ln     net.Listener
 	stats  *Stats
 	closed atomic.Bool
 
-	mu       sync.Mutex
-	peers    map[uint8]string
-	conns    map[uint8]*tcpConn
-	inbound  []net.Conn
-	handlers map[Addr]Handler
-	wg       sync.WaitGroup
+	// handlers and conns are read for every inbound frame and every send, by
+	// every connection's read loop and every sender, so readers take no lock:
+	// handlers is a copy-on-write snapshot, conns one slot per node id. Their
+	// writers (Register; connTo's dial, noteRoute, notePeerDown) serialize on
+	// mu.
+	handlers atomic.Pointer[map[Addr]Handler]
+	conns    [256]atomic.Pointer[tcpConn]
+
+	mu      sync.Mutex
+	peers   map[uint8]string
+	inbound []net.Conn
+	wg      sync.WaitGroup
 
 	// onPeerDown, when set, is invoked once per broken connection with the
 	// node id the connection served (see SetPeerDownHandler).
@@ -58,48 +69,55 @@ const tcpFrameHeader = 1 + 1 + 1 + 1 + 1 + 4
 // reseed write-backs).
 const MaxFrameBytes = 16 << 20
 
-// framePool recycles outbound frame buffers: Send fully serializes a packet
-// into one buffer before writing, so without a pool every send allocates a
-// frame-sized slice. Buffers are returned after the socket write completes.
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+// tcpReadBuf sizes each connection's receive buffer: one read returns up to
+// this many bytes of queued frames. 64 KiB holds hundreds of single-op frames
+// and dozens of batch-32 frames; a larger frame bypasses the buffer.
+const tcpReadBuf = 64 << 10
 
-type frameBuf struct{ b []byte }
+// sendBuf is the pooled scratch of one vectored write: the frame headers of
+// the packets it carries, back to back, and the scatter list pointing into
+// them and at the packets' payload memory. The list is nilled before pooling
+// so the pool never retains payload memory.
+type sendBuf struct {
+	hdrs []byte
+	v    net.Buffers // the full list; keeps the backing array
+	w    net.Buffers // the view WriteTo consumes
+}
 
-// vecPool recycles the scatter lists used by vectored sends (Packet.Segs):
-// a pooled backing array for the net.Buffers of header + segments, so a
-// zero-copy send allocates nothing. Entries are nilled before pooling so the
-// pool never retains payload memory.
-var vecPool = sync.Pool{New: func() any { return new(vecBuf) }}
+var sendBufPool = sync.Pool{New: func() any { return new(sendBuf) }}
 
-type vecBuf struct{ v net.Buffers }
-
-// SendCopiesData reports that Send serializes the packet into a private
-// frame (or, for vectored payloads, hands every segment to the kernel)
-// before returning: callers may reuse p.Data and p.Segs memory — e.g.
-// release store leases — as soon as Send returns.
-// Handlers get the mirror guarantee's *absence* — inbound frame buffers are
-// reused by the read loop, so a Handler must copy anything it retains past
-// its return (every in-tree handler either copies or finishes synchronously).
+// SendCopiesData reports that Send hands every byte of the packet — flat
+// payload or segments — to the kernel before returning: callers may reuse
+// p.Data and p.Segs memory — e.g. release store leases — as soon as Send
+// returns.
+// Handlers get the mirror guarantee's *absence*: p.Data aliases the
+// connection's receive buffer, which the next frame overwrites, so a Handler
+// must copy anything it retains past its return. Race builds scribble 0xDD
+// over the frame the moment the handler returns, so a handler that keeps an
+// alias fails loudly instead of reading the next frame's bytes.
 func (t *TCPTransport) SendCopiesData() bool { return true }
 
 // NewTCPTransport starts a transport for node self listening on listenAddr
-// (e.g. ":7000" or "127.0.0.1:0" for an ephemeral test port).
+// (e.g. ":7000" or "127.0.0.1:0" for an ephemeral test port). A nil stats is
+// replaced by a private block.
 func NewTCPTransport(self uint8, listenAddr string, stats *Stats) (*TCPTransport, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: listen %s: %w", listenAddr, err)
 	}
-	t := &TCPTransport{
-		self:     self,
-		ln:       ln,
-		stats:    stats,
-		peers:    map[uint8]string{},
-		conns:    map[uint8]*tcpConn{},
-		handlers: map[Addr]Handler{},
-	}
+	t := newTCPTransport(self, ln, stats)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
+}
+
+func newTCPTransport(self uint8, ln net.Listener, stats *Stats) *TCPTransport {
+	if stats == nil {
+		stats = NewStats()
+	}
+	t := &TCPTransport{self: self, ln: ln, stats: stats, peers: map[uint8]string{}}
+	t.handlers.Store(&map[Addr]Handler{})
+	return t
 }
 
 // ListenAddr returns the bound listen address (useful with ephemeral ports).
@@ -112,10 +130,13 @@ func (t *TCPTransport) AddPeer(node uint8, addr string) {
 	t.mu.Unlock()
 }
 
-// Register installs a handler for one local (node, thread) address.
+// Register installs a handler for one local (node, thread) address. Frames
+// parsed after Register returns see it.
 func (t *TCPTransport) Register(addr Addr, h Handler) {
 	t.mu.Lock()
-	t.handlers[addr] = h
+	m := maps.Clone(*t.handlers.Load())
+	m[addr] = h
+	t.handlers.Store(&m)
 	t.mu.Unlock()
 }
 
@@ -143,10 +164,10 @@ func (t *TCPTransport) notePeerDown(node uint8, c net.Conn, cause error) {
 		return
 	}
 	t.mu.Lock()
-	tc, ok := t.conns[node]
-	active := ok && tc.c == c
+	tc := t.conns[node].Load()
+	active := tc != nil && tc.c == c
 	if active {
-		delete(t.conns, node) // a retry will redial
+		t.conns[node].Store(nil) // a retry will redial
 	}
 	f := t.onPeerDown
 	t.mu.Unlock()
@@ -167,183 +188,219 @@ func (t *TCPTransport) acceptLoop() {
 			return // listener closed
 		}
 		t.mu.Lock()
-		t.inbound = append(t.inbound, c)
+		ok := t.adoptLocked(c)
 		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.readLoop(c, -1)
+		if !ok {
+			return
+		}
+		go t.readLoop(c, -1, make([]byte, tcpReadBuf))
 	}
 }
 
-// readLoop drains one connection. peer is the node id the connection serves
+// adoptLocked registers c for teardown by Close and accounts for the read
+// loop its caller is about to start; it refuses (and closes c) once Close has
+// begun, so no connection or read loop slips past Close's sweep. Callers hold
+// t.mu.
+func (t *TCPTransport) adoptLocked(c net.Conn) bool {
+	if t.closed.Load() {
+		c.Close()
+		return false
+	}
+	t.inbound = append(t.inbound, c)
+	t.wg.Add(1)
+	return true
+}
+
+// readLoop drains one connection through buf, its receive buffer (tcpReadBuf
+// bytes; at least a frame header). peer is the node id the connection serves
 // when known at start (outbound dials); inbound connections learn it from
 // the first frame. A broken connection whose peer is known reports it down.
 //
-// The payload buffer is reused across frames (the recv loop previously
-// allocated len(data) bytes per frame): a Handler runs synchronously and
-// must copy anything it keeps past its return.
-func (t *TCPTransport) readLoop(c net.Conn, peer int) {
+// One read fills the buffer with whatever the socket has queued — usually
+// several frames — and every complete frame in it is parsed in place and
+// handed to its handler before the next read. A Handler runs synchronously
+// and must copy anything it keeps past its return: its payload is a window of
+// the buffer. Only a frame too large for the buffer is read into a slice of
+// its own (after the MaxFrameBytes check).
+func (t *TCPTransport) readLoop(c net.Conn, peer int, buf []byte) {
 	defer t.wg.Done()
 	defer c.Close()
-	hdr := make([]byte, tcpFrameHeader)
-	var data []byte
+	var big []byte // payload of a frame that outgrows buf, reused
+	r, w := 0, 0   // buf[r:w] is read and not yet delivered
 	for {
-		if _, err := io.ReadFull(c, hdr); err != nil {
+		m, err := c.Read(buf[w:])
+		t.stats.ReadCalls.Add(1)
+		w += m
+		for w-r >= tcpFrameHeader {
+			hdr := buf[r : r+tcpFrameHeader]
+			if peer < 0 {
+				// Learn the return route: replies to this sender can reuse the
+				// inbound connection even when the sender (e.g. a client with
+				// an ephemeral port) is not in the peers table.
+				peer = int(hdr[2])
+				t.noteRoute(hdr[2], c)
+			}
+			n := binary.LittleEndian.Uint32(hdr[5:9])
+			if n > MaxFrameBytes {
+				t.stats.OversizeFrames.Add(1)
+				t.notePeerDown(uint8(peer), c, fmt.Errorf("fabric: frame of %d bytes exceeds MaxFrameBytes", n))
+				return
+			}
+			body, end := r+tcpFrameHeader, r+tcpFrameHeader+int(n)
+			if end <= w {
+				t.deliver(hdr, buf[body:end])
+				r = end
+				continue
+			}
+			if end-r <= len(buf) {
+				break // the rest of the frame fits behind what is here: read on
+			}
+			if uint32(cap(big)) < n {
+				big = make([]byte, n)
+			}
+			big = big[:n]
+			have := copy(big, buf[body:w])
+			for have < len(big) && err == nil {
+				m, err = c.Read(big[have:])
+				t.stats.ReadCalls.Add(1)
+				have += m
+			}
+			if have < len(big) {
+				break // err is set; the truncated frame is dropped below
+			}
+			t.deliver(hdr, big)
+			r, w = 0, 0
+		}
+		if err != nil {
 			if peer >= 0 {
 				t.notePeerDown(uint8(peer), c, err)
 			}
 			return
 		}
-		if peer < 0 {
-			// Learn the return route: replies to this sender can reuse the
-			// inbound connection even when the sender (e.g. a client with
-			// an ephemeral port) is not in the peers table.
-			peer = int(hdr[2])
-			t.noteRoute(hdr[2], c)
-		}
-		n := binary.LittleEndian.Uint32(hdr[5:9])
-		if n > MaxFrameBytes {
-			if t.stats != nil {
-				t.stats.OversizeFrames.Add(1)
-			}
-			t.notePeerDown(uint8(peer), c, fmt.Errorf("fabric: frame of %d bytes exceeds MaxFrameBytes", n))
-			return
-		}
-		if uint32(cap(data)) < n {
-			data = make([]byte, n)
-		}
-		data = data[:n]
-		if _, err := io.ReadFull(c, data); err != nil {
-			t.notePeerDown(uint8(peer), c, err)
-			return
-		}
-		p := Packet{
-			Dst:   Addr{Node: hdr[0], Thread: hdr[1]},
-			Src:   Addr{Node: hdr[2], Thread: hdr[3]},
-			Class: metrics.MsgClass(hdr[4]),
-			Data:  data,
-		}
-		t.mu.Lock()
-		h := t.handlers[p.Dst]
-		t.mu.Unlock()
-		if t.stats != nil {
-			t.stats.RecvsTotal.Add(1)
-		}
-		if h != nil {
-			h(p) // datagram semantics: unknown destinations are dropped
+		// Move the partial frame (if any) to the front, so it has the whole
+		// buffer to complete in and the next read the most room.
+		w = copy(buf, buf[r:w])
+		r = 0
+	}
+}
+
+// deliver hands one inbound frame to the handler registered for its
+// destination; unknown destinations are dropped (datagram semantics).
+func (t *TCPTransport) deliver(hdr, data []byte) {
+	p := Packet{
+		Dst:   Addr{Node: hdr[0], Thread: hdr[1]},
+		Src:   Addr{Node: hdr[2], Thread: hdr[3]},
+		Class: metrics.MsgClass(hdr[4]),
+		Data:  data,
+	}
+	t.stats.RecvsTotal.Add(1)
+	if h := (*t.handlers.Load())[p.Dst]; h != nil {
+		h(p)
+	}
+	if raceBuild {
+		for i := range data {
+			data[i] = 0xDD
 		}
 	}
 }
 
 // Send frames p and writes it to the destination node's connection, dialing
-// on first use. A vectored payload (p.Segs) goes to the socket by
-// scatter-gather write without being flattened; a flat payload is serialized
-// into one pooled frame.
-func (t *TCPTransport) Send(p Packet) error {
+// on first use: the one-packet case of SendBurst.
+func (t *TCPTransport) Send(p Packet) error { return t.SendBurst([]Packet{p}) }
+
+// SendBurst sends ps in order. Every run of adjacent packets for one
+// destination node leaves in a single vectored write (writev) — per frame its
+// 9-byte header, then the flat payload or the payload segments, each as its
+// own element of the scatter list — so value memory (store leases on the get
+// path) is handed to the kernel without ever being copied in user space, and
+// a burst of replies costs one system call, not one each. All payload memory
+// is consumed before return (net.Buffers.WriteTo drains the list), honoring
+// the Packet.Segs contract. A failed run does not stop the ones after it
+// (they may go elsewhere); the first error is returned.
+func (t *TCPTransport) SendBurst(ps []Packet) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
-	conn, err := t.connTo(p.Dst.Node)
+	var first error
+	for len(ps) > 0 {
+		k := 1
+		for k < len(ps) && ps[k].Dst.Node == ps[0].Dst.Node {
+			k++
+		}
+		if err := t.writeFrames(ps[:k]); err != nil && first == nil {
+			first = err
+		}
+		ps = ps[k:]
+	}
+	return first
+}
+
+// writeFrames is the transport's one write path: ps, all for one node, in one
+// vectored write. The counters move before the write starts: whoever observes
+// a packet's effect (a reply to it, say) then also observes the counts.
+func (t *TCPTransport) writeFrames(ps []Packet) error {
+	node := ps[0].Dst.Node
+	conn, err := t.connTo(node)
 	if err != nil {
 		return err
 	}
-	t.stats.account(p)
-	if p.Segs != nil {
-		return t.sendVectored(conn, p)
+	sb := sendBufPool.Get().(*sendBuf)
+	if cap(sb.hdrs) < len(ps)*tcpFrameHeader {
+		// Sized up front: the scatter list points into it, so it must not move.
+		sb.hdrs = make([]byte, 0, len(ps)*tcpFrameHeader)
 	}
-
-	fb := framePool.Get().(*frameBuf)
-	if cap(fb.b) < tcpFrameHeader+len(p.Data) {
-		fb.b = make([]byte, tcpFrameHeader+len(p.Data))
+	hdrs, bufs := sb.hdrs[:0], sb.v[:0]
+	vectored := 0
+	for i := range ps {
+		p := &ps[i]
+		t.stats.account(*p)
+		n := p.payloadLen()
+		hdrs = append(hdrs, p.Dst.Node, p.Dst.Thread, t.self, p.Src.Thread, byte(p.Class))
+		hdrs = binary.LittleEndian.AppendUint32(hdrs, uint32(n))
+		bufs = append(bufs, hdrs[len(hdrs)-tcpFrameHeader:])
+		if p.Segs != nil {
+			bufs = append(bufs, p.Segs...)
+			vectored += n
+		} else if n > 0 {
+			bufs = append(bufs, p.Data)
+		}
 	}
-	frame := fb.b[:tcpFrameHeader+len(p.Data)]
-	frame[0] = p.Dst.Node
-	frame[1] = p.Dst.Thread
-	frame[2] = t.self
-	frame[3] = p.Src.Thread
-	frame[4] = byte(p.Class)
-	binary.LittleEndian.PutUint32(frame[5:9], uint32(len(p.Data)))
-	copy(frame[9:], p.Data)
-
+	if vectored > 0 {
+		t.stats.VectoredBytes.Add(uint64(vectored))
+	}
+	t.stats.WriteCalls.Add(1)
+	sb.w = bufs // WriteTo consumes sb.w in place; bufs keeps the full backing array
 	conn.mu.Lock()
-	_, werr := conn.c.Write(frame)
+	_, werr := sb.w.WriteTo(conn.c)
 	conn.mu.Unlock()
-	fb.b = frame
-	framePool.Put(fb)
+	clear(bufs)
+	sb.hdrs, sb.v, sb.w = hdrs[:0], bufs[:0], nil
+	sendBufPool.Put(sb)
 	if werr != nil {
 		// Frames already written may never be answered; report the peer down
 		// so their pending calls fail (whichever of the read and write sides
 		// notices first wins; the other finds the route already gone).
-		t.notePeerDown(p.Dst.Node, conn.c, werr)
-		return fmt.Errorf("fabric: send to node %d: %w", p.Dst.Node, werr)
-	}
-	return nil
-}
-
-// sendVectored writes a segmented packet with one vectored write (writev):
-// the pooled 9-byte header frame and the payload segments go to the socket
-// as a scatter list, so value memory — store leases on the get path — is
-// handed to the kernel without ever being copied in user space. The
-// segments are fully consumed before return (net.Buffers.WriteTo drains the
-// list), honoring the Packet.Segs contract. VectoredBytes counts the bytes
-// *handed to* the write, before it starts: whoever observes the packet's
-// effect (a reply to it, say) then also observes the count.
-func (t *TCPTransport) sendVectored(conn *tcpConn, p Packet) error {
-	n := 0
-	for _, s := range p.Segs {
-		n += len(s)
-	}
-	fb := framePool.Get().(*frameBuf)
-	if cap(fb.b) < tcpFrameHeader {
-		fb.b = make([]byte, tcpFrameHeader)
-	}
-	hdr := fb.b[:tcpFrameHeader]
-	hdr[0] = p.Dst.Node
-	hdr[1] = p.Dst.Thread
-	hdr[2] = t.self
-	hdr[3] = p.Src.Thread
-	hdr[4] = byte(p.Class)
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(n))
-
-	vb := vecPool.Get().(*vecBuf)
-	bufs := append(vb.v[:0], hdr)
-	bufs = append(bufs, p.Segs...)
-	v := bufs // WriteTo consumes v in place; bufs keeps the full backing array
-	if t.stats != nil {
-		t.stats.VectoredBytes.Add(uint64(n))
-	}
-	conn.mu.Lock()
-	_, werr := v.WriteTo(conn.c)
-	conn.mu.Unlock()
-	for i := range bufs {
-		bufs[i] = nil
-	}
-	vb.v = bufs[:0]
-	vecPool.Put(vb)
-	fb.b = hdr
-	framePool.Put(fb)
-	if werr != nil {
-		t.notePeerDown(p.Dst.Node, conn.c, werr)
-		return fmt.Errorf("fabric: send to node %d: %w", p.Dst.Node, werr)
+		t.notePeerDown(node, conn.c, werr)
+		return fmt.Errorf("fabric: send to node %d: %w", node, werr)
 	}
 	return nil
 }
 
 // noteRoute records an inbound connection as the way back to node, unless
-// an outbound connection already exists.
+// a connection already routes there.
 func (t *TCPTransport) noteRoute(node uint8, c net.Conn) {
 	t.mu.Lock()
-	if _, ok := t.conns[node]; !ok {
-		t.conns[node] = &tcpConn{c: c}
+	if t.conns[node].Load() == nil {
+		t.conns[node].Store(&tcpConn{c: c})
 	}
 	t.mu.Unlock()
 }
 
 func (t *TCPTransport) connTo(node uint8) (*tcpConn, error) {
-	t.mu.Lock()
-	if c, ok := t.conns[node]; ok {
-		t.mu.Unlock()
+	if c := t.conns[node].Load(); c != nil {
 		return c, nil
 	}
+	t.mu.Lock()
 	addr, ok := t.peers[node]
 	t.mu.Unlock()
 	if !ok {
@@ -353,22 +410,24 @@ func (t *TCPTransport) connTo(node uint8) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: dial node %d (%s): %w", node, addr, err)
 	}
-	tc := &tcpConn{c: c}
 	t.mu.Lock()
-	if prev, ok := t.conns[node]; ok {
+	if prev := t.conns[node].Load(); prev != nil {
 		// Lost a dial race; keep the existing connection.
 		t.mu.Unlock()
 		c.Close()
 		return prev, nil
 	}
-	t.conns[node] = tc
-	t.inbound = append(t.inbound, c) // ensure Close tears it down
+	if !t.adoptLocked(c) {
+		t.mu.Unlock()
+		return nil, ErrClosed
+	}
+	tc := &tcpConn{c: c}
+	t.conns[node].Store(tc)
 	t.mu.Unlock()
 	// Outbound connections are full duplex: the peer replies on the same
 	// socket, so it needs a read loop just like accepted connections. The
 	// peer id is known from the dial.
-	t.wg.Add(1)
-	go t.readLoop(c, int(node))
+	go t.readLoop(c, int(node), make([]byte, tcpReadBuf))
 	return tc, nil
 }
 
@@ -379,10 +438,7 @@ func (t *TCPTransport) Close() error {
 	}
 	t.ln.Close()
 	t.mu.Lock()
-	for _, c := range t.conns {
-		c.c.Close()
-	}
-	t.conns = map[uint8]*tcpConn{}
+	// Every connection — accepted or dialed, routed over or not — is in inbound.
 	for _, c := range t.inbound {
 		c.Close()
 	}
