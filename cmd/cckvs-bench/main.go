@@ -39,15 +39,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		all     = fs.Bool("all", false, "run every experiment")
 		list    = fs.Bool("list", false, "list experiment ids")
 		local   = fs.Bool("local", false, "run the in-process cluster validation")
-		fig4    = fs.Bool("fig4", false, "run the Figure 4 serialization design space on the live cluster")
-		coal    = fs.Bool("coalesce", false, "run the request-coalescing (batched vs per-request) ablation on the live cluster")
 		churn   = fs.Bool("churn", false, "run the hot-set reconfiguration (full reinstall vs incremental) ablation under a moving hotspot")
 		workers = fs.Bool("workers", false, "run the per-node worker-scaling ablation (WorkersPerNode in {1,2,4,8}) on the live cluster")
 		reqScal = fs.Bool("require-scaling", false, "with -workers: exit non-zero unless 4-worker remote throughput beats 1-worker (skipped on a single hardware thread)")
 		rmw     = fs.Bool("rmw", false, "run the contended-counter atomic RMW ablation (client-side CAS loop vs server-side fetch-and-add, SC and Lin) on the live cluster")
-		fanout  = fs.Bool("writefanout", false, "run the consistency-plane coalescing ablation (uncoalesced vs batched write fan-out, SC and Lin) on the live cluster")
-		reqFan  = fs.Bool("require-fanout", false, "with -writefanout: exit non-zero unless Lin batch-32 reaches 1.4x its uncoalesced row with > 1.5 msgs/pkt")
-		ops     = fs.Int("ops", 2000, "operations per client for -local/-fig4/-coalesce/-churn/-workers/-rmw/-writefanout")
+		ops     = fs.Int("ops", 2000, "operations per client for -local/-churn/-workers/-rmw")
 		jsonOut = fs.String("json", "", "additionally write the produced tables as JSON to this file (CI benchmark artifacts)")
 		compare = fs.String("compare", "", "compare a fresh run's JSON (-json output) against this committed baseline JSON and exit non-zero on regression")
 		against = fs.String("against", "", "with -compare: the fresh run JSON to check (defaults to the file written by -json)")
@@ -95,14 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if code := liveRun("local validation", experiments.LocalValidation); code != 0 {
 			return code
 		}
-	case *fig4:
-		if code := liveRun("serialization ablation", experiments.LocalSerializationAblation); code != 0 {
-			return code
-		}
-	case *coal:
-		if code := liveRun("coalescing ablation", experiments.LocalCoalescingAblation); code != 0 {
-			return code
-		}
 	case *churn:
 		if code := liveRun("churn ablation", experiments.LocalChurnAblation); code != 0 {
 			return code
@@ -123,15 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// RMW errors out rather than skewing a throughput row.
 		if code := liveRun("rmw ablation", experiments.LocalRMWAblation); code != 0 {
 			return code
-		}
-	case *fanout:
-		tab, err := experiments.LocalWriteFanoutAblation(*ops, *reqFan)
-		if len(tab.Rows) > 0 {
-			emit(tab)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "write-fanout ablation: %v\n", err)
-			exit = 1
 		}
 	case *compare != "":
 		code, err := compareRuns(*compare, *against, *jsonOut, *report, *tol, stdout)

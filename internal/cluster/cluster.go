@@ -106,36 +106,9 @@ func (c Config) workerOf(key uint64) int {
 	return int(zipf.Mix64(key^0x2545f4914f6cdd1d) % uint64(c.WorkersPerNode))
 }
 
-// Serialization selects how hot writes obtain their place in the per-key
-// write order — the design space of the paper's Figure 4. The paper's
-// protocols are fully distributed (Figure 4c); the primary and sequencer
-// variants exist as executable baselines for the ablation.
-type Serialization int
-
-// Write-serialization designs.
-const (
-	// SerializationDistributed: any replica writes locally; Lamport
-	// timestamps serialize (Figure 4c, the paper's design).
-	SerializationDistributed Serialization = iota
-	// SerializationPrimary: all hot writes execute on a designated
-	// primary node, which broadcasts the updates (Figure 4a).
-	SerializationPrimary
-	// SerializationSequencer: writers fetch a per-key timestamp from a
-	// sequencer node, then apply and broadcast themselves (Figure 4b).
-	SerializationSequencer
-)
-
-// String names the design.
-func (s Serialization) String() string {
-	switch s {
-	case SerializationPrimary:
-		return "primary"
-	case SerializationSequencer:
-		return "sequencer"
-	default:
-		return "distributed"
-	}
-}
+// erewPartitions is BaseEREW's per-node partition count; it stands in for the
+// per-core partitioning of stock MICA.
+const erewPartitions = 8
 
 // Config parameterizes a cluster.
 type Config struct {
@@ -144,10 +117,6 @@ type Config struct {
 	// System picks the design; Protocol applies only to CCKVS.
 	System   System
 	Protocol core.Protocol
-	// Serialization selects the Figure 4 write-serialization design for
-	// ccKVS-SC hot writes (default: fully distributed). Node 0 acts as
-	// primary/sequencer when selected.
-	Serialization Serialization
 	// NumKeys is the dataset size; keys are 0..NumKeys-1 ranked by
 	// popularity (rank 0 hottest).
 	NumKeys uint64
@@ -181,15 +150,9 @@ type Config struct {
 	WorkersPerNode int
 	// ValueSize is the object payload size (paper default 40B).
 	ValueSize int
-	// KVSPartitions is the per-node partition count for BaseEREW
-	// (stands in for the per-core partitioning; default 8).
-	KVSPartitions int
-	// CreditsPerPeer bounds in-flight messages toward each peer (§6.3;
+	// CreditsPerPeer bounds in-flight packets toward each peer (§6.3;
 	// default 64).
 	CreditsPerPeer int
-	// CreditBatch is how many received consistency messages are
-	// acknowledged with one explicit credit update (§6.4; default 8).
-	CreditBatch int
 	// BatchMaxMsgs bounds how many remote requests the coalescing pipeline
 	// packs into one network packet (§6.3/§8.5; default 16; 1 disables
 	// coalescing, the per-request baseline of the ablation).
@@ -205,6 +168,14 @@ type Config struct {
 	ReorderDepth int
 	// ReorderSeed seeds the shuffle for reproducibility.
 	ReorderSeed uint64
+}
+
+// creditBatch is how many received consistency packets one explicit credit
+// update acknowledges (§6.4): an eighth of the sender's budget, so the sender
+// is never out of credits while the receiver still waits to fill a batch
+// (capped at what the update's one-byte count can carry).
+func (c Config) creditBatch() int {
+	return min(max(1, c.CreditsPerPeer/8), 255)
 }
 
 func (c Config) withDefaults() Config {
@@ -223,9 +194,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplicasPerShard > c.Nodes {
 		c.ReplicasPerShard = c.Nodes
 	}
-	if c.KVSPartitions == 0 {
-		c.KVSPartitions = 8
-	}
 	if c.WorkersPerNode == 0 {
 		c.WorkersPerNode = runtime.GOMAXPROCS(0)
 		if c.WorkersPerNode > MaxWorkersPerNode {
@@ -234,9 +202,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CreditsPerPeer == 0 {
 		c.CreditsPerPeer = 64
-	}
-	if c.CreditBatch == 0 {
-		c.CreditBatch = 8
 	}
 	if c.BatchMaxMsgs == 0 {
 		c.BatchMaxMsgs = 16
@@ -268,13 +233,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: WorkersPerNode %d out of range [0,%d] (0 selects the GOMAXPROCS-derived default)",
 			c.WorkersPerNode, MaxWorkersPerNode)
 	}
-	if c.Serialization != SerializationDistributed {
-		if c.System != CCKVS || c.Protocol != core.SC {
-			return errors.New("cluster: primary/sequencer serialization is implemented for ccKVS-SC only")
-		}
-	}
 	if c.ReplicasPerShard < 0 {
 		return fmt.Errorf("cluster: ReplicasPerShard %d must be >= 0 (0 selects the unreplicated default)", c.ReplicasPerShard)
+	}
+	// A negative queue depth panics in make(chan); a negative budget or bound
+	// blocks every sender for good.
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"QueueDepth", c.QueueDepth}, {"BatchMaxMsgs", c.BatchMaxMsgs},
+		{"BatchMaxBytes", c.BatchMaxBytes}, {"CreditsPerPeer", c.CreditsPerPeer},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("cluster: %s %d must be >= 0 (0 selects the default)", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -382,7 +355,7 @@ type Node struct {
 // stripe workerOf(key) == idx: its own fabric endpoints (one cache, KVS and
 // resp thread), its own coalescing pipeline senders, its own credit budget
 // and completion table, and its own stripe of the serialization state that
-// used to be node-global (sequencer clocks, the home-fetch mutex). Two
+// used to be node-global (put-stamp clocks, the home-fetch mutex). Two
 // operations contend on a lock only if they touch the same stripe; across
 // stripes the hot path is lock-disjoint.
 type worker struct {
@@ -390,14 +363,15 @@ type worker struct {
 	idx  int
 
 	rpc  *rpcClient
-	pipe *pipeline // per-destination request coalescing (pipeline.go)
-	con  *conPlane // per-destination consistency coalescing (consistency.go)
+	pipe *peerLanes[wireReq] // per-destination request coalescing (pipeline.go)
+	con  *peerLanes[conMsg]  // per-destination consistency coalescing (consistency.go)
 
 	credits *fabric.Credits
 	cbatch  *fabric.CreditBatcher
 
-	// Sequencer state (node 0 when SerializationSequencer is selected):
-	// per-key clocks handed out to writers, striped by key.
+	// seqClocks holds, per key of this stripe, the highest clock this node
+	// stamped a replicated put or cold RMW with as the key's acting primary
+	// (replicate.go, rmw.go): the next stamp goes strictly above it.
 	seqMu     sync.Mutex
 	seqClocks map[uint64]uint32
 
@@ -498,7 +472,7 @@ func build(cfg Config, tr fabric.Transport, stats *fabric.Stats, self int) (*Clu
 		}
 		parts := 1
 		if cfg.System == BaseEREW {
-			parts = cfg.KVSPartitions
+			parts = erewPartitions
 		}
 		n := &Node{
 			id:      uint8(i),
@@ -518,8 +492,10 @@ func build(cfg Config, tr fabric.Transport, stats *fabric.Stats, self int) (*Clu
 				rmwPins:   map[uint64]rmwPin{},
 			}
 			wk.rpc = newRPCClient(wk)
-			wk.pipe = newPipeline(wk, cfg.Nodes, cfg.QueueDepth, cfg.BatchMaxMsgs, cfg.BatchMaxBytes)
-			wk.con = newConPlane(wk, cfg.Nodes, cfg.QueueDepth, cfg.BatchMaxMsgs, cfg.BatchMaxBytes)
+			wk.pipe = newPeerLanes(n.id, cfg.Nodes, cfg.QueueDepth,
+				laneBounds[wireReq]{cfg.BatchMaxMsgs, cfg.BatchMaxBytes, wireReq.encodedSize}, wk.requestFlusher)
+			wk.con = newPeerLanes(n.id, cfg.Nodes, cfg.QueueDepth,
+				laneBounds[conMsg]{cfg.BatchMaxMsgs, cfg.BatchMaxBytes, conMsg.encodedSize}, wk.consistencyFlusher)
 			wk.sessQ = make(chan sessJob, cfg.QueueDepth)
 			n.workers[w] = wk
 		}
@@ -558,10 +534,6 @@ func (c *Cluster) LocalNode() *Node {
 	}
 	return c.nodes[0]
 }
-
-// IsMember reports whether this cluster view holds a single node of a
-// multi-process deployment.
-func (c *Cluster) IsMember() bool { return c.member }
 
 // HomeNode returns the node owning key's shard. Like the paper we place
 // keys by hash, so the hottest keys scatter across shards. Every member of
@@ -779,7 +751,7 @@ func (n *Node) start() {
 			wk.credits.SetBudget(fabric.Addr{Node: uint8(peer), Thread: cfg.cacheThread(wk.idx)}, cfg.CreditsPerPeer)
 			wk.credits.SetBudget(fabric.Addr{Node: uint8(peer), Thread: cfg.kvsThread(wk.idx)}, cfg.CreditsPerPeer)
 		}
-		wk.cbatch = fabric.NewCreditBatcher(cfg.CreditBatch, func(peer fabric.Addr, cnt int) {
+		wk.cbatch = fabric.NewCreditBatcher(cfg.creditBatch(), func(peer fabric.Addr, cnt int) {
 			// Header-only credit update (§6.4): the count rides in a 2-byte
 			// payload (count, bank thread) so the receiver can restore that
 			// many credits to the right worker's budget.
@@ -873,7 +845,7 @@ func (wk *worker) handleConsistency(p fabric.Packet) {
 // update/invalidation packet already headed there. This runs on the receive
 // dispatcher, hence post: it never blocks on a full lane.
 func (n *Node) sendAck(to uint8, ack core.Ack) {
-	n.workerFor(ack.Key).con.post(to, conMsg{kind: core.MsgAck, key: ack.Key, ts: ack.TS, from: ack.From})
+	n.workerFor(ack.Key).postConsistency(to, conMsg{kind: core.MsgAck, key: ack.Key, ts: ack.TS, from: ack.From})
 }
 
 // broadcastUpdate fans an SC update out to every live peer via the key's
@@ -902,9 +874,11 @@ func (n *Node) broadcastConsistency(m conMsg, mayBlock bool) {
 			continue
 		}
 		if mayBlock {
+			// Refused only by closed lanes, which drop the message: consistency
+			// traffic is fire-and-forget, as on a closed transport.
 			wk.con.enqueue(uint8(peer), m)
 		} else {
-			wk.con.post(uint8(peer), m)
+			wk.postConsistency(uint8(peer), m)
 		}
 	}
 }

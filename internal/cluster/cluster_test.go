@@ -36,6 +36,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 9999}); err == nil {
 		t.Fatal("absurd node count must be rejected")
 	}
+	// A negative depth, bound or budget is refused up front: it would panic in
+	// make(chan) or block every sender for good.
+	for name, cfg := range map[string]Config{
+		"QueueDepth":     {Nodes: 2, QueueDepth: -1},
+		"BatchMaxMsgs":   {Nodes: 2, BatchMaxMsgs: -1},
+		"BatchMaxBytes":  {Nodes: 2, BatchMaxBytes: -1},
+		"CreditsPerPeer": {Nodes: 2, CreditsPerPeer: -1},
+	} {
+		if c, err := New(cfg); err == nil {
+			c.Close()
+			t.Errorf("negative %s must be rejected", name)
+		}
+	}
 }
 
 func TestSystemString(t *testing.T) {
@@ -100,9 +113,9 @@ func TestBasePutVisibleEverywhere(t *testing.T) {
 }
 
 func TestBaseEREWPartitions(t *testing.T) {
-	c := newTestCluster(t, Config{Nodes: 2, System: BaseEREW, NumKeys: 500, KVSPartitions: 4})
+	c := newTestCluster(t, Config{Nodes: 2, System: BaseEREW, NumKeys: 500})
 	for i := 0; i < 2; i++ {
-		if c.Node(i).kvs.NumPartitions() != 4 {
+		if c.Node(i).kvs.NumPartitions() != erewPartitions {
 			t.Fatalf("node %d partitions = %d", i, c.Node(i).kvs.NumPartitions())
 		}
 	}
@@ -319,7 +332,7 @@ func TestRunPropagatesWorkloadError(t *testing.T) {
 func TestLinTrafficHasAllClasses(t *testing.T) {
 	c := newTestCluster(t, Config{
 		Nodes: 3, System: CCKVS, Protocol: core.Lin,
-		NumKeys: 1000, CacheItems: 32, CreditBatch: 2,
+		NumKeys: 1000, CacheItems: 32, CreditsPerPeer: 16, // a credit update every 2 packets
 	})
 	_, err := c.Run(RunOptions{
 		Clients:      4,
@@ -552,144 +565,6 @@ func TestLinSynchronousUnderReordering(t *testing.T) {
 				t.Fatalf("round %d node %d: %v %v", i, n, v, err)
 			}
 		}
-	}
-}
-
-// Figure 4 design space: primary- and sequencer-based write serialization
-// must preserve SC semantics (convergence, read-your-writes at the primary
-// path) while funneling serialization through node 0.
-func TestSerializationDesignSpace(t *testing.T) {
-	for _, ser := range []Serialization{SerializationPrimary, SerializationSequencer} {
-		t.Run(ser.String(), func(t *testing.T) {
-			c := newTestCluster(t, Config{
-				Nodes: 3, System: CCKVS, Protocol: core.SC,
-				NumKeys: 500, CacheItems: 16, Serialization: ser,
-			})
-			// Concurrent writers from all nodes to one hot key.
-			done := make(chan error, 3)
-			for n := 0; n < 3; n++ {
-				go func(n int) {
-					var err error
-					for i := 0; i < 15 && err == nil; i++ {
-						err = c.Node(n).Put(1, bytes.Repeat([]byte{byte(n*16 + i)}, 40))
-					}
-					done <- err
-				}(n)
-			}
-			for i := 0; i < 3; i++ {
-				if err := <-done; err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Convergence at quiescence.
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				ref, err := c.Node(0).Get(1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				agree := true
-				for n := 1; n < 3; n++ {
-					v, err := c.Node(n).Get(1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(v, ref) {
-						agree = false
-					}
-				}
-				if agree {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("replicas never converged")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			// Cold keys still forward to their home shards.
-			want := bytes.Repeat([]byte{0x3A}, 40)
-			if err := c.Node(1).Put(400, want); err != nil {
-				t.Fatal(err)
-			}
-			v, err := c.Node(2).Get(400)
-			if err != nil || !bytes.Equal(v, want) {
-				t.Fatalf("cold write lost: %v %v", v, err)
-			}
-		})
-	}
-}
-
-// Under primary serialization, every hot write executes on node 0's cache.
-func TestPrimarySerializesAtNodeZero(t *testing.T) {
-	c := newTestCluster(t, Config{
-		Nodes: 3, System: CCKVS, Protocol: core.SC,
-		NumKeys: 500, CacheItems: 16, Serialization: SerializationPrimary,
-	})
-	for n := 0; n < 3; n++ {
-		for i := 0; i < 5; i++ {
-			if err := c.Node(n).Put(2, bytes.Repeat([]byte{byte(n + i)}, 40)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// All 15 SC cache writes happened on the primary's cache.
-	if got := c.Node(0).cache.Stats().WritesSC.Load(); got != 15 {
-		t.Fatalf("primary executed %d writes, want 15", got)
-	}
-	for n := 1; n < 3; n++ {
-		if got := c.Node(n).cache.Stats().WritesSC.Load(); got != 0 {
-			t.Fatalf("node %d executed %d writes, want 0", n, got)
-		}
-	}
-}
-
-// The sequencer hands out strictly increasing per-key timestamps, so
-// sequenced writes serialize even when issued concurrently.
-func TestSequencerTimestampsMonotone(t *testing.T) {
-	c := newTestCluster(t, Config{
-		Nodes: 3, System: CCKVS, Protocol: core.SC,
-		NumKeys: 500, CacheItems: 16, Serialization: SerializationSequencer,
-	})
-	var prev uint32
-	for i := 0; i < 10; i++ {
-		ts, err := c.Node(1).SeqTS(0, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ts.Clock <= prev {
-			t.Fatalf("sequencer clock not monotone: %d then %d", prev, ts.Clock)
-		}
-		prev = ts.Clock
-	}
-	// Independent keys have independent clocks.
-	ts2, err := c.Node(1).SeqTS(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts2.Clock != 1 {
-		t.Fatalf("fresh key clock = %d, want 1", ts2.Clock)
-	}
-}
-
-func TestSerializationValidation(t *testing.T) {
-	if _, err := New(Config{
-		Nodes: 3, System: Base, Serialization: SerializationPrimary,
-	}); err == nil {
-		t.Fatal("primary serialization without ccKVS-SC must be rejected")
-	}
-	if _, err := New(Config{
-		Nodes: 3, System: CCKVS, Protocol: core.Lin, CacheItems: 8,
-		Serialization: SerializationSequencer,
-	}); err == nil {
-		t.Fatal("sequencer with Lin must be rejected")
-	}
-}
-
-func TestSerializationString(t *testing.T) {
-	if SerializationDistributed.String() != "distributed" ||
-		SerializationPrimary.String() != "primary" ||
-		SerializationSequencer.String() != "sequencer" {
-		t.Fatal("serialization names wrong")
 	}
 }
 

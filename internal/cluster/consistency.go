@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
@@ -16,13 +13,12 @@ import (
 // update/invalidation/ack as its own packet — one credit acquire, one
 // transport send, one receive apiece — makes per-message overhead the write
 // path's bottleneck long before bandwidth. Like the request pipeline
-// (pipeline.go), every worker runs one consistency sender per peer: callers
-// enqueue decoded messages, the sender drains whatever is pending into
-// multi-message packets (up to Config.BatchMaxMsgs / BatchMaxBytes),
-// encodes each message straight into the packet buffer, and flushes
-// immediately when the lane runs dry so an isolated write's latency is
-// untouched (doorbell batching: concurrency is the only source of
-// coalescing).
+// (pipeline.go), every worker runs one consistency send lane per peer
+// (lane.go): callers enqueue decoded messages, the lane drains whatever is
+// pending into multi-message batches (up to Config.BatchMaxMsgs /
+// BatchMaxBytes) — at once when it runs dry, so an isolated write's latency
+// is untouched — and the flush function below encodes each message straight
+// into the packet buffer.
 //
 // Flow control is charged per *packet*, not per message — the receiving
 // side already notes one credit per consistency packet
@@ -71,7 +67,7 @@ func classOf(k core.MsgType) metrics.MsgClass {
 }
 
 // encodedSize returns the message's wire size.
-func (m *conMsg) encodedSize() int {
+func (m conMsg) encodedSize() int {
 	switch m.kind {
 	case core.MsgUpdate:
 		return core.Update{Value: m.value}.EncodedSize()
@@ -102,81 +98,23 @@ type conCut struct {
 	val []byte
 }
 
-// conPlane aggregates outbound consistency messages per destination node
-// for one worker.
-type conPlane struct {
-	w        *worker
-	maxMsgs  int
-	maxBytes int
-
-	mu     sync.RWMutex
-	queues map[uint8]chan conMsg
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// newConPlane starts one consistency sender goroutine per remote peer.
-func newConPlane(w *worker, peers, depth, maxMsgs, maxBytes int) *conPlane {
-	cp := &conPlane{
-		w:        w,
-		maxMsgs:  maxMsgs,
-		maxBytes: maxBytes,
-		queues:   make(map[uint8]chan conMsg, peers),
-	}
-	for peer := 0; peer < peers; peer++ {
-		if peer == int(w.node.id) {
-			continue
-		}
-		q := make(chan conMsg, depth)
-		cp.queues[uint8(peer)] = q
-		cp.wg.Add(1)
-		go cp.sender(uint8(peer), q)
-	}
-	return cp
-}
-
-// enqueue hands one message to peer's lane, blocking when the lane is full
-// (backpressure on the writer). A closed plane or unknown peer drops the
-// message — consistency traffic is fire-and-forget, matching how a closed
-// transport dropped these sends before.
-func (cp *conPlane) enqueue(peer uint8, m conMsg) {
-	cp.mu.RLock()
-	ch := cp.queues[peer]
-	if cp.closed || ch == nil {
-		cp.mu.RUnlock()
+// postConsistency hands one message to w's lane toward peer without ever
+// blocking — the form receive dispatchers use, for the acks they return and
+// for the update a write's last ack publishes. A dispatcher that blocked on a
+// full lane would stop noting received packets toward credit updates, and two
+// nodes doing that to each other would starve both senders for good; so a full
+// lane falls back to an immediate uncoalesced send (the pre-coalescing
+// behavior: unacquired, with the receiver's matching grant absorbed by the
+// budget cap). Leaving the lane's order is safe for both kinds: an ack is
+// matched by timestamp, and a Lin update applies only on an exact timestamp
+// match. Closed lanes drop the message, as enqueue does — consistency traffic
+// is fire-and-forget.
+func (w *worker) postConsistency(peer uint8, m conMsg) {
+	if _, full := w.con.post(peer, m); !full {
 		return
 	}
-	// The channel send stays under the read lock so close() cannot close the
-	// queue between the check and the send.
-	ch <- m
-	cp.mu.RUnlock()
-}
-
-// post hands one message to peer's lane without ever blocking — the form
-// receive dispatchers use, for the acks they return and for the update a
-// write's last ack publishes. A dispatcher that blocked on a full lane would
-// stop noting received packets toward credit updates, and two nodes doing
-// that to each other would starve both senders for good; so a full lane
-// falls back to an immediate uncoalesced send (the pre-coalescing behavior:
-// unacquired, with the receiver's matching grant absorbed by the budget cap).
-// Leaving the lane's order is safe for both kinds: an ack is matched by
-// timestamp, and a Lin update applies only on an exact timestamp match.
-func (cp *conPlane) post(peer uint8, m conMsg) {
-	cp.mu.RLock()
-	ch := cp.queues[peer]
-	if cp.closed || ch == nil {
-		cp.mu.RUnlock()
-		return // dropped, like enqueue
-	}
-	select {
-	case ch <- m:
-		cp.mu.RUnlock()
-		return
-	default:
-	}
-	cp.mu.RUnlock()
-	n := cp.w.node
-	th := n.cluster.cfg.cacheThread(cp.w.idx)
+	n := w.node
+	th := n.cluster.cfg.cacheThread(w.idx)
 	n.cluster.transport.Send(fabric.Packet{
 		Src:   fabric.Addr{Node: n.id, Thread: th},
 		Dst:   fabric.Addr{Node: peer, Thread: th},
@@ -185,63 +123,36 @@ func (cp *conPlane) post(peer uint8, m conMsg) {
 	})
 }
 
-// sender drains peer's queue into multi-message consistency packets. Each
-// iteration takes one message (blocking) and then opportunistically
-// coalesces whatever else is already pending, up to the packet limits; a
-// message that would push the packet past maxBytes is carried into the next
-// packet (a single oversized message still ships alone).
-func (cp *conPlane) sender(peer uint8, q chan conMsg) {
-	defer cp.wg.Done()
-	w := cp.w
+// consistencyFlusher returns the flush function of w's consistency lane toward
+// peer: it charges a batch of messages one credit, encodes them into one
+// packet and sends it.
+func (w *worker) consistencyFlusher(peer uint8) func(batch []conMsg, size int) {
 	n := w.node
 	cfg := n.cluster.cfg
 	th := cfg.cacheThread(w.idx)
 	dst := fabric.Addr{Node: peer, Thread: th}
 	src := fabric.Addr{Node: n.id, Thread: th}
 	// When the transport serializes packets during Send (TCP), the packet
-	// buffer, scatter list and span list are all reused across iterations —
-	// the consistency hot path then allocates nothing per packet, and update
+	// buffer, scatter list and span list are all reused across packets — the
+	// consistency hot path then allocates nothing per packet, and update
 	// values go to the wire as their own segments (Packet.Segs) without ever
 	// being re-copied. Reference-passing transports get a fresh flat buffer
 	// per packet with the values copied in (they must break aliasing anyway).
 	vectored := n.cluster.trCopies
-	batch := make([]conMsg, 0, cp.maxMsgs)
-	cuts := make([]conCut, 0, cp.maxMsgs)
-	segs := make([][]byte, 0, 2*cp.maxMsgs+1)
+	cuts := make([]conCut, 0, cfg.BatchMaxMsgs)
+	segs := make([][]byte, 0, 2*cfg.BatchMaxMsgs+1)
 	var buf []byte
 	var spans []fabric.ClassSpan
-	var carry *conMsg
-	for {
-		var first conMsg
-		if carry != nil {
-			first, carry = *carry, nil
-		} else {
-			var ok bool
-			if first, ok = <-q; !ok {
-				return
-			}
-		}
-		batch = append(batch[:0], first)
-		size := first.encodedSize()
-		batch, size = cp.drain(q, batch, size, &carry)
-		if len(batch) > 1 && len(batch) < cp.maxMsgs && carry == nil {
-			// The doorbell pause: the first drain found company, so writers
-			// are actively ringing. One yield lets them enqueue what they are
-			// blocked on right now, deepening the packet without ever holding
-			// up an isolated write (a batch of one flushes immediately above).
-			// One shot, not a wait: there is no event to park on.
-			runtime.Gosched()
-			batch, size = cp.drain(q, batch, size, &carry)
-		}
+	return func(batch []conMsg, size int) {
 		// One credit per consistency packet (§6.3), restored by the
 		// receiver's batched credit updates. A failed acquire means peer left
 		// the membership view (its budget was dropped by the view change):
 		// discard the whole batch — consistency messages toward a dead peer
 		// are moot, and any Lin writer counting on its acks is completed by
-		// the view change (Cache.SetLive) — and keep draining; the queue may
-		// still hold messages enqueued before the flip.
+		// the view change (Cache.SetLive); the lane keeps draining, since its
+		// queue may still hold messages enqueued before the flip.
 		if !w.credits.Acquire(dst) {
-			continue
+			return
 		}
 		if vectored {
 			buf = buf[:0]
@@ -292,45 +203,4 @@ func (cp *conPlane) sender(peer uint8, q chan conMsg) {
 			w.credits.Grant(dst, 1)
 		}
 	}
-}
-
-// drain opportunistically moves whatever is already pending on q into batch,
-// up to the packet's message and byte bounds; it never waits. A message that
-// would push the packet past maxBytes is parked in carry for the next packet.
-func (cp *conPlane) drain(q chan conMsg, batch []conMsg, size int, carry **conMsg) ([]conMsg, int) {
-	for len(batch) < cp.maxMsgs && size < cp.maxBytes {
-		select {
-		case it, ok := <-q:
-			if !ok {
-				return batch, size
-			}
-			if size+it.encodedSize() > cp.maxBytes {
-				*carry = &it // would bust the byte bound: next packet
-				return batch, size
-			}
-			batch = append(batch, it)
-			size += it.encodedSize()
-		default:
-			return batch, size // lane drained: flush now, never wait
-		}
-	}
-	return batch, size
-}
-
-// close stops accepting messages and waits for the senders to drain: queued
-// messages still go out (call this while the transport is up, like
-// pipeline.close) or are discarded when the transport refuses the send.
-// Messages enqueued after close are dropped.
-func (cp *conPlane) close() {
-	cp.mu.Lock()
-	if cp.closed {
-		cp.mu.Unlock()
-		return
-	}
-	cp.closed = true
-	for _, q := range cp.queues {
-		close(q)
-	}
-	cp.mu.Unlock()
-	cp.wg.Wait()
 }

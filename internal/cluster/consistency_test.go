@@ -224,3 +224,35 @@ func TestConsistencyOrderingAcrossViewFlip(t *testing.T) {
 		}
 	}
 }
+
+// A credit budget below eight must not stall the write fan-out: the receiver
+// returns credits in batches derived from the sender's budget (an eighth of it,
+// at least one), so the sender can never be out of credits while the receiver
+// still waits to fill a batch. With the batch fixed at 8 and a budget of 4 this
+// hung within the first few writes, and so did Close.
+func TestSmallCreditBudgetDoesNotStall(t *testing.T) {
+	for _, proto := range []core.Protocol{core.SC, core.Lin} {
+		t.Run(proto.String(), func(t *testing.T) {
+			c := newTestCluster(t, Config{
+				Nodes: 3, System: CCKVS, Protocol: proto,
+				NumKeys: 256, CacheItems: 8, ValueSize: 8, CreditsPerPeer: 4,
+			})
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				for i := 0; i < 1000 && err == nil; i++ {
+					err = c.Node(0).Put(0, []byte{byte(i), byte(i >> 8), 0, 0, 0, 0, 0, 0})
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("1000 hot writes did not finish: senders are stalled on credits")
+			}
+		})
+	}
+}

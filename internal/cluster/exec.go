@@ -31,8 +31,7 @@ import (
 //     write-pending or frozen one), an op behind an unfinished op on its key
 //     (I2), and the blocking multi-phase protocols (replicated puts, RMWs,
 //     reads at a primary still re-syncing after its rejoin). Scan never waits
-//     on the cache protocol; the Figure 4a/4b strawmen's primary/sequencer
-//     exchange is the one synchronous round trip left in it.
+//     on the cache protocol, and no round trip is synchronous in it.
 //   - collect settles the pending ops in scan order: awaits a remote answer
 //     or a staged write's last ack, parks on the entry that refused an op
 //     (core/park.go) and re-runs it, runs the recorded blocking steps. An

@@ -21,8 +21,8 @@ var ErrRetriesExhausted = errors.New("cluster: read retries exhausted on invalid
 // frozen or write-pending entry past parkDeadline — a hot-set
 // reconfiguration always commits, aborts or removes the entry in bounded
 // time, so this indicates a reconfiguration that died without cleaning up.
-// Loops that re-issue an RPC per attempt (the executor's re-run loop, the
-// Figure 4a primary write) return it after frozenRetryLimit attempts.
+// Loops that re-issue an RPC per attempt (the executor's re-run loop) return
+// it after frozenRetryLimit attempts.
 var ErrFrozenRetriesExhausted = errors.New("cluster: write retries exhausted on frozen entry")
 
 // invalidRetryLimit and frozenRetryLimit bound the loops that re-issue an
@@ -229,55 +229,14 @@ func (n *Node) putCached(key uint64, value []byte) (w opWait, hit bool, err erro
 	}
 }
 
-// putSC runs one SC cache write under the configured Figure 4 serialization
-// design: applied locally and broadcast at once (§5.2, non-blocking). It
-// answers nil, core.ErrMiss (the key is not cached), core.ErrFrozen (the
-// entry is mid-reconfiguration; the executor parks on it and re-runs the put,
-// which misses to the home shard once a demotion dropped the key) or a hard
-// failure.
+// putSC runs one SC cache write: applied locally and broadcast at once, from
+// whichever replica the client reached (§5.2 — fully distributed writes,
+// Figure 4c; non-blocking). It answers nil, core.ErrMiss (the key is not
+// cached) or core.ErrFrozen (the entry is mid-reconfiguration; the executor
+// parks on it and re-runs the put, which misses to the home shard once a
+// demotion dropped the key).
 func (n *Node) putSC(key uint64, value []byte) error {
-	const coordinator = 0 // primary/sequencer node when selected
-	var upd core.Update
-	var err error
-	switch n.cluster.cfg.Serialization {
-	case SerializationPrimary:
-		if n.id != coordinator {
-			if !n.cache.Contains(key) {
-				return core.ErrMiss
-			}
-			// All writes serialize at the primary (Figure 4a): forward and
-			// wait for its ack; the update reaches us via broadcast.
-			if err = n.PrimaryWrite(coordinator, key, value); err == errPrimaryMiss {
-				// The primary already dropped the key; the same demotion froze
-				// our copy and is about to drop it too. Park on that, then
-				// miss to the home shard.
-				return core.ErrFrozen
-			}
-			return err
-		}
-		upd, err = n.cache.WriteSC(key, value)
-	case SerializationSequencer:
-		if !n.cache.Contains(key) {
-			return core.ErrMiss
-		}
-		var ts timestamp.TS
-		if n.id == coordinator {
-			// The sequencer's own writes take the timestamp locally.
-			wk := n.workerFor(key)
-			wk.seqMu.Lock()
-			wk.seqClocks[key]++
-			ts = timestamp.TS{Clock: wk.seqClocks[key], Writer: n.id}
-			wk.seqMu.Unlock()
-		} else if ts, err = n.SeqTS(coordinator, key); err != nil {
-			return err
-		}
-		// A timestamp consumed by a write that then finds its entry frozen is
-		// abandoned; gaps in the per-key clock are harmless (it only ever
-		// advances).
-		upd, err = n.cache.WriteSCWithTS(key, value, ts)
-	default:
-		upd, err = n.cache.WriteSC(key, value)
-	}
+	upd, err := n.cache.WriteSC(key, value)
 	if err == nil {
 		n.broadcastUpdate(upd)
 	}

@@ -349,7 +349,7 @@ func TestCompletionPublishNeverBlocksDispatcher(t *testing.T) {
 	cfg := Config{
 		Nodes: 2, System: CCKVS, Protocol: core.Lin,
 		NumKeys: 1024, CacheItems: 16, ValueSize: 8, WorkersPerNode: 1,
-		QueueDepth: 1, CreditsPerPeer: 2, CreditBatch: 1, BatchMaxMsgs: 1,
+		QueueDepth: 1, CreditsPerPeer: 2, BatchMaxMsgs: 1,
 	}
 	// The transport keeps its default depth: the hazard under test is the
 	// lane, not a one-slot switch.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -24,7 +23,7 @@ import (
 // Wire formats (little endian). A packet holds one or more back-to-back
 // entries; each entry is self-framing:
 //
-//	request:  op(1) reqID(8) key(8) [vlen(4) value]      op: 0=get 1=put 2=primary-write 3=seq-ts
+//	request:  op(1) reqID(8) key(8) [vlen(4) value]      op: 0=get 1=put
 //	          op(1) reqID(8) key(8) clock(4) writer(1) vlen(4) value
 //	                                                     op: 4=promote 8=writeback
 //	          op(1) reqID(8) key(8)                      op: 5/6/7=demote freeze/collect/commit, 9/10=promote prepare/fetch, 11=unfreeze, 12=demote-retire
@@ -33,12 +32,16 @@ import (
 // The response payload (timestamp + value) is present only when status is
 // rpcStatusOK. rpcStatusNotFound answers gets for absent keys;
 // rpcStatusBadRequest answers requests the server could identify (it parsed
-// op+reqID) but could not serve — a truncated value, an unknown op, a
-// primary write on a cache-less node — so the caller fails loudly instead of
+// op+reqID) but could not serve — a truncated value, an unknown op, a cache
+// op on a cache-less node — so the caller fails loudly instead of
 // deadlocking on a response that will never come. rpcStatusRetry is a
 // backpressure answer: the server cannot serve the request *yet* (a frozen
-// entry still has protocol traffic in flight, a primary write hit a frozen
-// entry) and the caller should re-issue it after yielding.
+// entry still has protocol traffic in flight) and the caller should re-issue
+// it after yielding.
+//
+// Op bytes 2 and 3 are retired (they carried Figure 4's primary write and
+// sequencer timestamp fetch) and are not reused: a packet naming one is
+// refused like any unknown op.
 //
 // Ops 4..8 are the incremental hot-set reconfiguration protocol (§4 under
 // live traffic, see reconfig.go): promote installs a fetched value on a
@@ -49,12 +52,6 @@ import (
 const (
 	rpcOpGet byte = 0
 	rpcOpPut byte = 1
-	// rpcOpPrimaryWrite executes a hot write on the primary's cache
-	// (Figure 4a design; the primary broadcasts the resulting update).
-	rpcOpPrimaryWrite byte = 2
-	// rpcOpSeqTS fetches the next per-key serialization timestamp from
-	// the sequencer (Figure 4b design).
-	rpcOpSeqTS byte = 3
 	// rpcOpPromote commits a promotion: the carried value+version turn the
 	// key's placeholder (rpcOpPromotePrepare) into a live cache entry.
 	// Without a placeholder it installs directly (no-op if already live).
@@ -255,7 +252,7 @@ func (r *rpcClient) failPeer(peer uint8, err error) {
 
 // wireReq is one not-yet-encoded request entry. The pipeline sender encodes
 // it straight into the outgoing packet buffer (encode-at-send), so issuing
-// a call allocates no per-request scratch. value (put/primary/promote/
+// a call allocates no per-request scratch. value (put/promote/
 // writeback) aliases caller memory and must stay stable until the call
 // completes — trivially true, the caller blocks on the response.
 type wireReq struct {
@@ -271,7 +268,7 @@ type wireReq struct {
 // encodedSize returns the entry's wire length.
 func (q wireReq) encodedSize() int {
 	switch q.op {
-	case rpcOpPut, rpcOpPrimaryWrite:
+	case rpcOpPut:
 		return 21 + len(q.value)
 	case rpcOpPromote, rpcOpWriteback, rpcOpPutCommit:
 		return 26 + len(q.value)
@@ -289,7 +286,7 @@ func (q wireReq) encodedSize() int {
 // appendTo encodes the entry onto buf.
 func (q wireReq) appendTo(buf []byte) []byte {
 	switch q.op {
-	case rpcOpPut, rpcOpPrimaryWrite:
+	case rpcOpPut:
 		return appendPutReq(buf, q.op, q.id, q.key, q.value)
 	case rpcOpPromote, rpcOpWriteback, rpcOpPutCommit:
 		return appendVersionedReq(buf, q.op, q.id, q.key, q.ts, q.value)
@@ -325,7 +322,10 @@ func (q wireReq) appendTo(buf []byte) []byte {
 func (r *rpcClient) start(home uint8, q wireReq) chan rpcResult {
 	q.id = r.newReqID()
 	ch := r.register(home, q.id)
-	r.w.pipe.enqueue(home, q)
+	if !r.w.pipe.enqueue(home, q) {
+		// Failed, never dropped: the caller blocked on ch always completes.
+		r.complete(q.id, rpcResult{err: fmt.Errorf("cluster: request for node %d not queued (%w)", home, ErrPipelineClosed)})
+	}
 	return ch
 }
 
@@ -414,14 +414,14 @@ func (c Config) grantKVS(wk *worker, peer uint8) {
 	wk.credits.Grant(fabric.Addr{Node: peer, Thread: c.kvsThread(wk.idx)}, 1)
 }
 
-// appendGetReq encodes a get (or seq-ts) request entry.
+// appendGetReq encodes a key-only request entry (get and the control ops).
 func appendGetReq(buf []byte, op byte, id, key uint64) []byte {
 	buf = append(buf, op)
 	buf = binary.LittleEndian.AppendUint64(buf, id)
 	return binary.LittleEndian.AppendUint64(buf, key)
 }
 
-// appendPutReq encodes a put (or primary-write) request entry.
+// appendPutReq encodes a put request entry.
 func appendPutReq(buf []byte, op byte, id, key uint64, value []byte) []byte {
 	buf = append(buf, op)
 	buf = binary.LittleEndian.AppendUint64(buf, id)
@@ -466,61 +466,13 @@ func (n *Node) remoteStamp(primary uint8, key uint64) (timestamp.TS, error) {
 // origin re-probes its own cache and re-executes the write.
 var errPutBounced = errors.New("cluster: put bounced by home (key is hot)")
 
-// errPrimaryMiss reports that the primary no longer caches the key (the hot
-// set shifted); the origin re-probes its own cache and falls back to the
-// home shard.
-var errPrimaryMiss = errors.New("cluster: primary missed the key")
-
-// PrimaryWrite forwards a hot write to the primary node's cache (Figure 4a).
-// A Retry answer means the primary's entry is frozen mid-demotion; the write
-// is re-issued until the key either writes through or leaves the primary's
-// hot set (errPrimaryMiss). The retries are bounded, so a freeze stranded by
-// a failed reconfiguration fails loudly.
-func (n *Node) PrimaryWrite(primary uint8, key uint64, value []byte) error {
-	for attempt := 0; ; attempt++ {
-		if attempt > frozenRetryLimit {
-			return ErrFrozenRetriesExhausted
-		}
-		res, err := n.workerFor(key).rpc.call(primary, wireReq{op: rpcOpPrimaryWrite, key: key, value: value})
-		if err != nil {
-			return err
-		}
-		switch res.status {
-		case rpcStatusOK:
-			return nil
-		case rpcStatusRetry:
-			n.FrozenRetries.Add(1)
-			// The frozen entry is the primary's, not ours: nothing local to
-			// park on, and the re-issued RPC paces the loop (strawman design).
-			yield()
-		case rpcStatusNotFound:
-			return errPrimaryMiss
-		default:
-			return fmt.Errorf("cluster: primary write failed (status %d)", res.status)
-		}
-	}
-}
-
-// SeqTS fetches the next serialization timestamp for key from the
-// sequencer node (Figure 4b).
-func (n *Node) SeqTS(sequencer uint8, key uint64) (timestamp.TS, error) {
-	res, err := n.workerFor(key).rpc.call(sequencer, wireReq{op: rpcOpSeqTS, key: key})
-	if err != nil {
-		return timestamp.TS{}, err
-	}
-	if res.status != rpcStatusOK {
-		return timestamp.TS{}, fmt.Errorf("cluster: sequencer failed (status %d)", res.status)
-	}
-	return res.ts, nil
-}
-
 // rpcRequest is one decoded request entry.
 type rpcRequest struct {
 	op     byte
 	reqID  uint64
 	key    uint64
 	ts     timestamp.TS // promote/writeback/rmw-wait/rmw-clear: the version
-	value  []byte       // nil for get/seq-ts/demote; aliases the packet buffer
+	value  []byte       // nil for get/demote; aliases the packet buffer
 	expect []byte       // cas only; aliases the packet buffer
 	delta  uint64       // faa only
 }
@@ -539,13 +491,7 @@ func parseRequest(buf []byte) (req rpcRequest, consumed int, err error) {
 	req.op = buf[0]
 	req.reqID = binary.LittleEndian.Uint64(buf[1:9])
 	switch req.op {
-	case rpcOpGet, rpcOpSeqTS:
-		if len(buf) < 17 {
-			return req, 0, errBadRequest
-		}
-		req.key = binary.LittleEndian.Uint64(buf[9:17])
-		return req, 17, nil
-	case rpcOpPut, rpcOpPrimaryWrite:
+	case rpcOpPut:
 		if len(buf) < 21 {
 			return req, 0, errBadRequest
 		}
@@ -556,7 +502,7 @@ func parseRequest(buf []byte) (req rpcRequest, consumed int, err error) {
 		}
 		req.value = buf[21 : 21+vlen]
 		return req, 21 + vlen, nil
-	case rpcOpDemoteFreeze, rpcOpDemoteCollect, rpcOpDemoteCommit, rpcOpPromotePrepare, rpcOpPromoteFetch, rpcOpUnfreeze, rpcOpDemoteRetire, rpcOpPutStamp:
+	case rpcOpGet, rpcOpDemoteFreeze, rpcOpDemoteCollect, rpcOpDemoteCommit, rpcOpPromotePrepare, rpcOpPromoteFetch, rpcOpUnfreeze, rpcOpDemoteRetire, rpcOpPutStamp:
 		if len(buf) < 17 {
 			return req, 0, errBadRequest
 		}
@@ -844,31 +790,6 @@ func (n *Node) serveRequest(src uint8, req rpcRequest, resp []byte, scratch *srv
 		n.kvs.Put(req.key, req.value, ts.Next(n.id))
 		wk.homeMu.Unlock()
 		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
-	case rpcOpPrimaryWrite:
-		if n.cache == nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
-		}
-		// All hot writes serialize through this node's cache; the update
-		// broadcast reaches every other node, including the origin.
-		upd, err := n.cache.WriteSC(req.key, req.value)
-		if err == core.ErrFrozen {
-			// Mid-demotion: the origin retries until the key leaves the
-			// hot set and the write goes to the home shard instead.
-			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
-		}
-		if err != nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusNotFound)
-		}
-		n.broadcastUpdate(upd)
-		return appendOKResponse(resp, req.reqID, upd.TS, nil)
-	case rpcOpSeqTS:
-		wk := n.workerFor(req.key)
-		wk.seqMu.Lock()
-		wk.seqClocks[req.key]++
-		clock := wk.seqClocks[req.key]
-		wk.seqMu.Unlock()
-		// Writer id: the requesting node.
-		return appendOKResponse(resp, req.reqID, timestamp.TS{Clock: clock, Writer: src}, nil)
 	case rpcOpPromotePrepare:
 		if n.cache == nil {
 			return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)

@@ -16,19 +16,25 @@ import (
 // or garbage inputs must fail the affected calls explicitly instead of
 // silently dropping them (the pre-pipeline code path deadlocked the caller).
 
-func TestParseRequestRoundTripMulti(t *testing.T) {
-	val := bytes.Repeat([]byte{0xAB}, 40)
+// multiRequestPacket is a four-entry request packet carrying val (40 bytes):
+// the round-trip test's input and the fuzz corpus's well-formed seed.
+func multiRequestPacket(val []byte) []byte {
 	var pkt []byte
 	pkt = appendGetReq(pkt, rpcOpGet, 1, 100)
 	pkt = appendPutReq(pkt, rpcOpPut, 2, 200, val)
-	pkt = appendPutReq(pkt, rpcOpPrimaryWrite, 3, 300, val[:7])
-	pkt = appendGetReq(pkt, rpcOpSeqTS, 4, 400)
+	pkt = appendPutReq(pkt, rpcOpPut, 3, 300, val[:7])
+	return appendGetReq(pkt, rpcOpPutStamp, 4, 400)
+}
+
+func TestParseRequestRoundTripMulti(t *testing.T) {
+	val := bytes.Repeat([]byte{0xAB}, 40)
+	pkt := multiRequestPacket(val)
 
 	want := []rpcRequest{
 		{op: rpcOpGet, reqID: 1, key: 100},
 		{op: rpcOpPut, reqID: 2, key: 200, value: val},
-		{op: rpcOpPrimaryWrite, reqID: 3, key: 300, value: val[:7]},
-		{op: rpcOpSeqTS, reqID: 4, key: 400},
+		{op: rpcOpPut, reqID: 3, key: 300, value: val[:7]},
+		{op: rpcOpPutStamp, reqID: 4, key: 400},
 	}
 	for i, w := range want {
 		req, consumed, err := parseRequest(pkt)
@@ -70,6 +76,59 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 	if err == nil || req.reqID != 7 {
 		t.Fatalf("truncated entry: id=%d err=%v, want id=7 and error", req.reqID, err)
 	}
+}
+
+// Hostile bytes at a KVS thread: whatever a request packet holds, parseRequest
+// either parses an entry cleanly — consuming at least its header and no more
+// than the packet, its value and expectation lying inside the bytes it consumed
+// — or refuses it; it never panics or reads past the packet. The walk is
+// handleKVSRequest's.
+func FuzzParseRequest(f *testing.F) {
+	val := bytes.Repeat([]byte{0xAB}, 40)
+	f.Add(multiRequestPacket(val))
+	f.Add(wireReq{op: rpcOpCAS, id: 5, key: 6, expect: val[:3], value: val[:9]}.appendTo(nil))
+	f.Add(wireReq{op: rpcOpFAA, id: 7, key: 8, delta: 9}.appendTo(nil))
+	f.Add(wireReq{op: rpcOpPutCommit, id: 10, key: 11, ts: timestamp.TS{Clock: 3, Writer: 1}, value: val}.appendTo(nil))
+	f.Add(wireReq{op: rpcOpRMWWait, id: 12, key: 13, ts: timestamp.TS{Clock: 4}}.appendTo(nil))
+	for _, op := range []byte{2, 3, 255} { // the two retired op bytes and an unknown one
+		f.Add(appendPutReq(nil, op, 14, 15, val))
+	}
+	f.Add(append(appendPutReq(nil, rpcOpPut, 16, 17, nil)[:17], 0xff, 0xff, 0xff, 0xff)) // negative as int32
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A private copy with no spare capacity: reading past the packet panics
+		// instead of finding stale bytes, and the marking below is ours to do.
+		buf := make([]byte, len(data))
+		copy(buf, data)
+		for len(buf) > 0 {
+			req, consumed, err := parseRequest(buf)
+			if err != nil {
+				if consumed != 0 {
+					t.Fatalf("refused entry consumed %d bytes", consumed)
+				}
+				return
+			}
+			if consumed < 17 || consumed > len(buf) {
+				t.Fatalf("op %d consumed %d of %d bytes", req.op, consumed, len(buf))
+			}
+			// Mark the entry's bytes and everything behind it differently: a
+			// slice that strays outside the entry shows the wrong mark.
+			for i := range buf {
+				buf[i] = 0x5A
+			}
+			for i := range buf[:consumed] {
+				buf[i] = 0xA5
+			}
+			for _, b := range append(append([]byte(nil), req.value...), req.expect...) {
+				if b != 0xA5 {
+					t.Fatalf("op %d: value or expectation reaches outside its %d-byte entry", req.op, consumed)
+				}
+			}
+			if len(req.value)+len(req.expect) > consumed-17 {
+				t.Fatalf("op %d: %d payload bytes in a %d-byte entry", req.op, len(req.value)+len(req.expect), consumed)
+			}
+			buf = buf[consumed:]
+		}
+	})
 }
 
 // respTestClient builds a bare client whose worker has just enough state
@@ -157,17 +216,23 @@ func TestHandleResponseGarbageTailIgnored(t *testing.T) {
 // A malformed or unservable request must come back as an explicit rpc error
 // through the live stack, not hang the caller. The encode-at-send pipeline
 // can no longer emit malformed bytes itself, so the raw packets are injected
-// straight into the transport, as a buggy or hostile peer would.
+// straight into the transport, as a buggy or hostile peer would. The refusal
+// is still the packet's one response, so it restores the credit the packet
+// cost — checked for a retired op byte, which an old peer could still send.
 func TestServerRefusesBadRequests(t *testing.T) {
 	c := newTestCluster(t, Config{Nodes: 2, System: Base, NumKeys: 100})
 	n := c.Node(0)
 	cfg := c.Config()
 	wk := n.workers[0]
+	kvs := fabric.Addr{Node: 1, Thread: cfg.kvsThread(0)}
 	for name, req := range map[string][]byte{
-		"unknown op":       appendGetReq(nil, 42, 0, 5),
-		"truncated put":    appendPutReq(nil, rpcOpPut, 0, 5, bytes.Repeat([]byte{1}, 16))[:15],
-		"primary no cache": appendPutReq(nil, rpcOpPrimaryWrite, 0, 5, []byte("v")),
+		"unknown op":    appendGetReq(nil, 42, 0, 5),
+		"truncated put": appendPutReq(nil, rpcOpPut, 0, 5, bytes.Repeat([]byte{1}, 16))[:15],
+		"retired op 2":  appendPutReq(nil, 2, 0, 5, []byte("v")),
 	} {
+		if !wk.credits.Acquire(kvs) {
+			t.Fatal("no budget toward node 1")
+		}
 		id := wk.rpc.newReqID()
 		// Stamp the fresh id into the encoded entry (offset 1, little endian).
 		if len(req) >= 9 {
@@ -176,7 +241,7 @@ func TestServerRefusesBadRequests(t *testing.T) {
 		ch := wk.rpc.register(1, id)
 		if err := c.transport.Send(fabric.Packet{
 			Src:   fabric.Addr{Node: 0, Thread: cfg.respThread(0)},
-			Dst:   fabric.Addr{Node: 1, Thread: cfg.kvsThread(0)},
+			Dst:   kvs,
 			Class: metrics.ClassCacheMiss,
 			Data:  req,
 		}); err != nil {
@@ -194,6 +259,10 @@ func TestServerRefusesBadRequests(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: call deadlocked", name)
+		}
+		// handleResponse grants before it completes the call.
+		if got := wk.credits.Available(kvs); got != cfg.CreditsPerPeer {
+			t.Errorf("%s: %d credits toward node 1 after the refusal, want %d", name, got, cfg.CreditsPerPeer)
 		}
 	}
 }

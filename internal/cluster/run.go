@@ -254,15 +254,6 @@ func (c *Cluster) systemName() string {
 	return c.cfg.System.String()
 }
 
-// CacheStatsWritesSC exposes how many SC cache writes this node executed
-// (used by the Figure 4 serialization ablation to show where writes land).
-func (n *Node) CacheStatsWritesSC() uint64 {
-	if n.cache == nil {
-		return 0
-	}
-	return n.cache.Stats().WritesSC.Load()
-}
-
 // VerifyShardIntegrity checks that every key is present on exactly its home
 // shard (test support). In member form only locally-homed keys are checked.
 func (c *Cluster) VerifyShardIntegrity() error {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -384,27 +385,21 @@ type sessLane struct {
 	out   replyBurst
 }
 
+// sessBurstBounds caps a lane burst by job count alone: a job holds parsed ops,
+// not wire bytes, so it weighs nothing against the (unreachable) byte bound.
+var sessBurstBounds = laneBounds[sessJob]{
+	maxMsgs: sessLaneBurst, maxBytes: math.MaxInt, size: func(sessJob) int { return 0 },
+}
+
 // sessionLane serves one worker's session jobs until the lane closes. Each
-// iteration drains a burst of queued jobs and serves them in one executor
-// run, so concurrent clients' remote accesses overlap.
+// iteration drains a burst of queued jobs (the send lanes' drain, lane.go) and
+// serves them in one executor run, so concurrent clients' remote accesses
+// overlap.
 func (n *Node) sessionLane(q chan sessJob) {
 	l := &sessLane{x: opExec{n: n}, out: replyBurst{n: n}}
 	for job := range q {
-		l.burst = l.burst[:0]
-		l.burst = append(l.burst, job)
-		draining := true
-		for draining && len(l.burst) < sessLaneBurst {
-			select {
-			case j, ok := <-q:
-				if !ok {
-					draining = false
-					break
-				}
-				l.burst = append(l.burst, j)
-			default:
-				draining = false
-			}
-		}
+		l.burst = append(l.burst[:0], job)
+		l.burst, _, _ = sessBurstBounds.drain(q, l.burst, 0)
 		l.serveBurst()
 	}
 }

@@ -65,9 +65,6 @@ func (v *View) Live(node int) bool {
 // LiveCount returns the number of live members.
 func (v *View) LiveCount() int { return v.live.Count() }
 
-// LiveSet returns the live-member bitset.
-func (v *View) LiveSet() core.NodeSet { return v.live }
-
 // Down lists the excised node ids in ascending order.
 func (v *View) Down() []int {
 	var down []int
@@ -286,9 +283,6 @@ func (c *Cluster) Kill() {
 		}
 	}
 }
-
-// Killed reports whether Kill was called (test hook).
-func (c *Cluster) Killed() bool { return c.killed.Load() }
 
 // The view wire protocol, on the dedicated threadView endpoint:
 //

@@ -68,9 +68,6 @@ func TestFreezeBlocksWritesServesReads(t *testing.T) {
 	if _, err := c.WriteSC(1, []byte{0xBB}); err != ErrFrozen {
 		t.Fatalf("WriteSC on frozen entry: %v, want ErrFrozen", err)
 	}
-	if _, err := c.WriteSCWithTS(1, []byte{0xBB}, timestamp.TS{Clock: 9}); err != ErrFrozen {
-		t.Fatalf("WriteSCWithTS on frozen entry: %v, want ErrFrozen", err)
-	}
 	if _, err := c.WriteLinStart(1, []byte{0xBB}); err != ErrFrozen {
 		t.Fatalf("WriteLinStart on frozen entry: %v, want ErrFrozen", err)
 	}

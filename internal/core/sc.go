@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/timestamp"
-
 // SC protocol (per-key Sequential Consistency, §5.2).
 //
 // The protocol is the update-based design of Burckhardt, fully distributed:
@@ -54,27 +52,6 @@ func (c *Cache) RMWSC(key uint64, compute func(cur []byte) ([]byte, bool)) (upd 
 	}
 	e.lock.Unlock()
 	return upd, witness, applied, nil
-}
-
-// WriteSCWithTS performs an SC write whose serialization timestamp was
-// assigned externally — by a sequencer node (the Figure 4b design the paper
-// contrasts with its fully-distributed protocol). The entry's clock is
-// advanced to the given timestamp if it is newer; otherwise the write is
-// superseded and not applied locally (the sequencer guarantees this cannot
-// happen while the sequencer is the only timestamp source).
-func (c *Cache) WriteSCWithTS(key uint64, value []byte, ts timestamp.TS) (Update, error) {
-	e, err := c.lockWritable(key)
-	if err != nil {
-		return Update{}, err
-	}
-	if e.AdoptSC(ts) {
-		e.setValueLocked(value)
-		e.dirty = true
-	}
-	e.lock.Unlock()
-	c.stats.Hits.Add(1)
-	c.stats.WritesSC.Add(1)
-	return Update{Key: key, TS: ts, Value: append([]byte(nil), value...)}, nil
 }
 
 // ApplyUpdateSC applies a received SC update: the change is applied only if

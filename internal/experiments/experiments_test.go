@@ -381,27 +381,3 @@ func TestLocalValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestLocalSerializationAblation(t *testing.T) {
-	tab, err := LocalSerializationAblation(400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		atZero := parseCell(t, row[2])
-		elsewhere := parseCell(t, row[3])
-		switch row[0] {
-		case "primary":
-			if elsewhere != 0 || atZero == 0 {
-				t.Errorf("primary must execute all writes at node 0: %v", row)
-			}
-		case "distributed", "sequencer":
-			if elsewhere == 0 {
-				t.Errorf("%s must spread write execution: %v", row[0], row)
-			}
-		}
-	}
-}

@@ -64,54 +64,3 @@ func LocalValidation(opsPerClient int) (Table, error) {
 		"functional validation on the real in-process cluster; paper-scale numbers come from the calibrated simulator (fig8/fig10)")
 	return t, nil
 }
-
-// LocalSerializationAblation runs the Figure 4 write-serialization design
-// space on the real cluster under a write-heavy hot workload: the fully
-// distributed design of the paper against executable primary- and
-// sequencer-based variants (all hot writes funneled through node 0).
-func LocalSerializationAblation(opsPerClient int) (Table, error) {
-	if opsPerClient <= 0 {
-		opsPerClient = 1500
-	}
-	t := Table{
-		ID:      "local-serialization",
-		Title:   "Figure 4 design space on the live cluster [4 nodes, alpha=0.99, 20% writes]",
-		Columns: []string{"design", "throughput ops/s", "writes at node 0", "writes elsewhere"},
-	}
-	for _, ser := range []cluster.Serialization{
-		cluster.SerializationDistributed,
-		cluster.SerializationSequencer,
-		cluster.SerializationPrimary,
-	} {
-		cl, err := cluster.New(cluster.Config{
-			Nodes: 4, System: cluster.CCKVS, Protocol: core.SC,
-			NumKeys: 5000, CacheItems: 64, Serialization: ser,
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		cl.Populate()
-		cl.InstallHotSet(cluster.DefaultHotSet(64))
-		res, err := cl.Run(cluster.RunOptions{
-			Clients:      8,
-			OpsPerClient: opsPerClient,
-			Workload: workload.Config{
-				NumKeys: 5000, Alpha: 0.99, WriteRatio: 0.2, ValueSize: 40, Seed: 13,
-			},
-		})
-		if err != nil {
-			cl.Close()
-			return Table{}, fmt.Errorf("%v: %w", ser, err)
-		}
-		atZero := cl.Node(0).CacheStatsWritesSC()
-		var elsewhere uint64
-		for i := 1; i < cl.NumNodes(); i++ {
-			elsewhere += cl.Node(i).CacheStatsWritesSC()
-		}
-		cl.Close()
-		t.AddRow(ser.String(), res.Throughput, int(atZero), int(elsewhere))
-	}
-	t.Notes = append(t.Notes,
-		"primary executes every hot write on node 0; sequencer only timestamps there; distributed spreads both")
-	return t, nil
-}

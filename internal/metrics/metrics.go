@@ -309,10 +309,6 @@ func (c *Coalescing) Record(cl MsgClass, msgs uint64) {
 // Hist returns the messages-per-packet histogram for a class.
 func (c *Coalescing) Hist(cl MsgClass) *Histogram { return c.hists[cl] }
 
-// Factor returns the mean messages per packet for a class (0 when no packet
-// of that class was sent).
-func (c *Coalescing) Factor(cl MsgClass) float64 { return c.hists[cl].Mean() }
-
 // String renders the nonzero per-class coalescing factors.
 func (c *Coalescing) String() string {
 	parts := make([]string, 0, numClasses)

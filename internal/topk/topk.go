@@ -44,9 +44,6 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	}
 }
 
-// K returns the summary capacity.
-func (s *SpaceSaving) K() int { return s.k }
-
 // Len returns the number of tracked keys.
 func (s *SpaceSaving) Len() int { return len(s.slots) }
 

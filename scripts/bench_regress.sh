@@ -5,9 +5,12 @@
 # Absolute ops/s are machine-bound, so the comparison (cckvs-bench -compare,
 # experiments.CompareRuns) is on each table's *shape*: every row's throughput
 # relative to its own table's first row. Those ratios are the property each
-# ablation exists to demonstrate — coalescing beats per-request framing,
-# more workers beat one — and they transfer across hosts. The gate fails when
-# any fresh ratio drops more than TOL below the committed one.
+# ablation exists to demonstrate — more workers beat one, a server-side FAA
+# beats a client-side CAS loop — and they transfer across hosts. The gate
+# fails when any fresh ratio drops more than TOL below the committed one.
+# (Request and write-fan-out coalescing are measured by benchmark/ —
+# uniform-batch.sc, skew-write-batch.lin — and pinned as packet counts by
+# tests in internal/cluster.)
 #
 # Like the worker-scaling gate, the script self-skips on a single hardware
 # thread: the worker and client-concurrency rows are flat without parallel
@@ -46,7 +49,7 @@ trap 'rm -rf "$BIN"' EXIT
 go build -o "$BIN/cckvs-bench" ./cmd/cckvs-bench
 
 fail=0
-for mode in coalesce workers rmw writefanout; do
+for mode in workers rmw; do
     base="bench/BENCH_baseline_${mode}.json"
     fresh="$BIN/fresh_${mode}.json"
     if [ ! -f "$base" ]; then
