@@ -48,6 +48,38 @@ func TestRemoteGetAllocsPerOp(t *testing.T) {
 	}
 }
 
+// A cold put homed on the node it arrives at is the executor calling the
+// home's step directly (homePut): no request, no channel, and the stored
+// version read into pooled scratch — the same body a KVS dispatcher runs for
+// a peer. 0 allocs/op; the hand-mirrored local form it replaced heap-copied
+// the stored value to read its timestamp (1.0).
+func TestLocalColdPutAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	c, err := New(Config{Nodes: 2, System: Base, NumKeys: 1024, WorkersPerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Populate()
+	n := c.Node(0)
+	key := uint64(0)
+	for c.HomeNode(key) != 0 {
+		key++
+	}
+	val := bytes.Repeat([]byte{0xCD}, 40)
+	allocs := testing.AllocsPerRun(2000, func() {
+		if err := n.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("local cold put %.1f allocs/op (parent: 1.0)", allocs)
+	if allocs > 0.5 {
+		t.Fatalf("local cold put costs %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // The consistency-plane counterpart: a hot Lin put fans out an invalidation
 // broadcast, gathers acks and broadcasts the update — before the coalescing
 // plane that was three Encode(nil) allocations per peer per write on top of

@@ -347,9 +347,11 @@ func TestClientBatchPutAllocsPerOp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}) / batch
+	// 0.08: the frame's fixed costs over 64 ops. It read 1.08 while the local
+	// cold put heap-copied the stored value to read its timestamp.
 	t.Logf("batched client put: %.2f allocs/op at batch=%d", allocs, batch)
-	if allocs > 1.5 {
-		t.Fatalf("batched client put costs %.2f allocs/op, want <= 1.5", allocs)
+	if allocs > 0.5 {
+		t.Fatalf("batched client put costs %.2f allocs/op, want <= 0.5", allocs)
 	}
 }
 

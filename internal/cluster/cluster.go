@@ -370,22 +370,21 @@ type worker struct {
 	cbatch  *fabric.CreditBatcher
 
 	// seqClocks holds, per key of this stripe, the highest clock this node
-	// stamped a replicated put or cold RMW with as the key's acting primary
-	// (replicate.go, rmw.go): the next stamp goes strictly above it.
+	// stamped a replicated put or cold RMW with as the key's acting primary:
+	// the next stamp goes strictly above it (home.go: nextStamp, liftToStamps).
 	seqMu     sync.Mutex
 	seqClocks map[uint64]uint32
 
-	// homeMu orders local miss-path puts against a local promotion fetch
-	// (reconfig.go) for this worker's keys: a put whose cache probe
-	// predates the promotion's placeholder re-checks the cache under this
-	// mutex before touching the local shard, so it either lands before the
-	// fetch reads the shard or bounces back through the cache. Remote
-	// miss-path puts get the same guarantee for free — a key's puts and
-	// promotion fetches serialize on the home's KVS dispatcher for the
-	// key's worker (same key, same worker, same dispatcher).
+	// homeMu makes each home-shard step (home.go) atomic for this worker's
+	// keys, whoever runs it — a KVS dispatcher for a peer, or a session of
+	// this node in place. It orders miss-path writes against a promotion's
+	// fetch: a write whose cache probe predates the promotion's placeholder
+	// re-checks the cache under this mutex before touching the shard, so it
+	// either lands before homeFetch reads the shard or bounces back through
+	// the cache. Never held across anything that waits.
 	homeMu sync.Mutex
 
-	// rmwPins serializes cold replicated RMWs per key (rmw.go): the acting
+	// rmwPins serializes cold replicated RMWs per key (home.go): the acting
 	// primary records the origin and stamp of an RMW it has stamped but whose
 	// replicated commit the origin is still driving, and answers Retry to
 	// competing RMWs on the same key until the commit (or an explicit clear,
@@ -848,14 +847,14 @@ func (n *Node) sendAck(to uint8, ack core.Ack) {
 	n.workerFor(ack.Key).postConsistency(to, conMsg{kind: core.MsgAck, key: ack.Key, ts: ack.TS, from: ack.From})
 }
 
-// broadcastUpdate fans an SC update out to every live peer via the key's
-// worker's consistency lanes, from the session that wrote it (a full lane is
-// backpressure on the writer). The value slice is enqueued as-is on every
-// lane — core hands out freshly-copied, immutable values, so coalescing
-// never re-copies them; on zero-copy transports they go to the wire as
-// their own packet segments (conPlane.sender).
-func (n *Node) broadcastUpdate(upd core.Update) {
-	n.broadcastConsistency(conMsg{kind: core.MsgUpdate, key: upd.Key, ts: upd.TS, value: upd.Value}, true)
+// broadcastUpdate fans an update out to every live peer via the key's
+// worker's consistency lanes: from the session that wrote it, where a full
+// lane is backpressure on the writer (mayBlock), or from a receive dispatcher.
+// The value slice is enqueued as-is on every lane — core hands out
+// freshly-copied, immutable values, so coalescing never re-copies them; on
+// zero-copy transports they go to the wire as their own packet segments.
+func (n *Node) broadcastUpdate(upd core.Update, mayBlock bool) {
+	n.broadcastConsistency(conMsg{kind: core.MsgUpdate, key: upd.Key, ts: upd.TS, value: upd.Value}, mayBlock)
 }
 
 // broadcastConsistency hands one consistency message to the key's worker's
@@ -924,7 +923,7 @@ func (n *Node) startLinWrite(inv core.Invalidation, mayBlock bool) {
 // must be re-driven through a fresh write (on its own goroutine — the
 // re-publish waits for live acks, and this may be called under viewMu).
 func (n *Node) completeLinWrite(upd core.Update) {
-	n.broadcastConsistency(conMsg{kind: core.MsgUpdate, key: upd.Key, ts: upd.TS, value: upd.Value}, false)
+	n.broadcastUpdate(upd, false)
 	if v := n.cluster.view.Load(); v.LiveCount() < n.cluster.cfg.Nodes {
 		if u, ok := n.cache.TakeOrphanedLoserWrite(upd.Key); ok {
 			go func() { _ = n.Put(u.Key, u.Value) }()

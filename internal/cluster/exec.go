@@ -109,7 +109,6 @@ type execPend struct {
 	ri int // the op's slot in opExec.res
 	op Op
 	opWait
-	compute func([]byte) ([]byte, bool) // RMW only; built by the first attempt
 }
 
 var errRemotePutFailed = errors.New("cluster: remote put failed")
@@ -187,8 +186,16 @@ func (n *Node) opStart(op *Op, r *opRes) (w opWait, pending bool) {
 		}
 		home := c.HomeNode(key)
 		if home == int(n.id) {
-			// A bounce (stale probe: the key is hot again) re-runs in collect.
-			return opWait{}, n.localHomePut(key, op.Value)
+			// The home's step, called directly: no channel, no wireReq. A
+			// refusal (stale probe: the key is hot again) re-runs in collect.
+			sc := scratchPool.Get().(*srvBuf)
+			status := n.homePut(key, op.Value, sc)
+			scratchPool.Put(sc)
+			if status != rpcStatusOK {
+				return opWait{}, true
+			}
+			n.LocalOps.Add(1)
+			return opWait{}, false
 		}
 		if !c.view.Load().Live(home) {
 			// Hot keys never get here — they commit through the cache
@@ -335,17 +342,15 @@ func (n *Node) opSettle(p *execPend, r *opRes) (rerun bool) {
 
 // rmwAttempt routes one CAS/FAA attempt to the key's serialization point
 // (rmw.go: the RMW coordinator while the key is hot, else the acting primary
-// — the home when unreplicated) and executes it there. It asks for a re-run
-// only on outcomes proving the op did not run; a transport failure
-// mid-exchange surfaces as ErrRMWUnknown, never as a retry.
+// — the home when unreplicated) and executes it there: homeRMW, in place when
+// that is this node. It asks for a re-run only on outcomes proving the op did
+// not run; a transport failure mid-exchange surfaces as ErrRMWUnknown, never
+// as a retry.
 func (n *Node) rmwAttempt(p *execPend, r *opRes) (rerun bool) {
 	c := n.cluster
 	key, cas := p.op.Key, p.op.Kind == OpCAS
-	if p.compute == nil {
-		p.compute = rmwCompute(cas, p.op.Expect, p.op.Value, p.op.Delta)
-	}
 	view := c.view.Load()
-	hot := n.cache != nil && n.cache.Contains(key)
+	hot := n.caches(key)
 	var target int
 	if hot {
 		target = c.rmwCoordinator(key, view)
@@ -355,44 +360,59 @@ func (n *Node) rmwAttempt(p *execPend, r *opRes) (rerun bool) {
 		}
 		target = c.primaryFor(key, view)
 	}
-	var w []byte
-	var applied bool
-	var err error
-	switch {
-	case target < 0:
+	if target < 0 {
 		r.err = homeDownErr(c.HomeNode(key), key)
 		return false
-	case target != int(n.id):
+	}
+	req := wireReq{op: rpcOpFAA, key: key, delta: p.op.Delta}
+	if cas {
+		req = wireReq{op: rpcOpCAS, key: key, expect: p.op.Expect, value: p.op.Value}
+	}
+	res, err := awaitRPC(n.startAt(target, req))
+	// The exchange is counted where it ran; a step that refused in place, or
+	// only stamped (its commit's last phase counts), executed nothing here.
+	switch {
+	case !res.local:
 		n.RemoteOps.Add(1)
-		req := wireReq{op: rpcOpFAA, key: key, delta: p.op.Delta}
-		if cas {
-			req = wireReq{op: rpcOpCAS, key: key, expect: p.op.Expect, value: p.op.Value}
-		}
-		w, applied, rerun, err = n.rmwRemote(uint8(target), key, req, p.compute)
+	case res.status == rpcStatusRetry || res.status == rpcStatusRMWStamped:
 	case hot:
-		if w, applied, rerun, err = n.rmwLocalHot(key, p.compute); rerun {
-			p.stall, err = err, nil // nil when the key just left the hot set
-		}
-	case c.replicated():
-		w, applied, rerun, err = n.rmwLocalReplicated(key, p.compute, view)
+		n.CacheHits.Add(1)
 	default:
-		w, applied, rerun = n.rmwLocalCold(key, p.compute)
+		n.LocalOps.Add(1)
+	}
+	if err != nil {
+		// Transport failure mid-exchange: the op may or may not have executed
+		// at target. Re-running it could double-apply; surface the uncertainty.
+		err = fmt.Errorf("%w: key %d at node %d: %v", ErrRMWUnknown, key, target, err)
+	} else {
+		res, err = n.rmwSettle(target, req, res)
 	}
 	switch {
 	case err != nil:
 		r.err = err
-	case rerun:
+	case res.status == rpcStatusRetry:
+		// Only a step that ran in place says why it refused (res.stall): the
+		// local cache's refusal of a hot key is parked on, not polled; on a cold
+		// key the reason is only counted and the re-run follows a yield.
+		switch {
+		case hot:
+			p.stall = res.stall
+		case res.stall == core.ErrFrozen:
+			n.FrozenRetries.Add(1)
+		case res.stall == core.ErrWritePending:
+			n.WritePendingRetries.Add(1)
+		}
 		return true
 	case cas:
-		r.val = w
-		if !applied {
+		r.val = res.value
+		if res.status == rpcStatusCASFail {
 			r.err = ErrCASMismatch
 		}
 	default:
 		// FAA answers the pre-add counter; a declined add means the stored
 		// value is not a counter, which decoding the witness reproduces.
-		old, derr := DecodeCounter(w)
-		if derr == nil && !applied {
+		old, derr := DecodeCounter(res.value)
+		if derr == nil && res.status == rpcStatusCASFail {
 			derr = fmt.Errorf("cluster: fetch-and-add declined unexpectedly (key %d)", key)
 		}
 		if r.err = derr; derr == nil {

@@ -176,22 +176,6 @@ func (n *Node) MultiPut(keys []uint64, values [][]byte) error {
 	return nil
 }
 
-// localHomePut applies a miss-path put to this node's own shard, unless the
-// key is (again) cached — the stale-probe re-check runs under homeMu, the
-// mutex a local promotion fetch holds while reading the shard, so the put
-// either lands before the fetch or bounces back through the cache.
-func (n *Node) localHomePut(key uint64, value []byte) (bounced bool) {
-	wk := n.workerFor(key)
-	wk.homeMu.Lock()
-	defer wk.homeMu.Unlock()
-	if n.cache != nil && n.cache.Contains(key) {
-		return true
-	}
-	n.LocalOps.Add(1)
-	n.localKVSPut(key, value)
-	return false
-}
-
 // putCached attempts the write through the symmetric cache under the
 // configured protocol. hit=false with a nil error means the key missed the
 // cache (the caller forwards to the home shard); the miss is already counted.
@@ -238,14 +222,7 @@ func (n *Node) putCached(key uint64, value []byte) (w opWait, hit bool, err erro
 func (n *Node) putSC(key uint64, value []byte) error {
 	upd, err := n.cache.WriteSC(key, value)
 	if err == nil {
-		n.broadcastUpdate(upd)
+		n.broadcastUpdate(upd, true)
 	}
 	return err
-}
-
-// localKVSPut writes a cache-missing key to the local shard with a fresh
-// serialization timestamp (a missing key advances from the zero timestamp).
-func (n *Node) localKVSPut(key uint64, value []byte) {
-	_, ts, _ := n.kvs.Get(key, nil)
-	n.kvs.Put(key, value, ts.Next(n.id))
 }

@@ -11,22 +11,28 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/timestamp"
 )
 
 // Path parity: the op executor is the single serving path, so the same op
 // list must produce the same per-op values and error classes whichever door
 // it comes through — Node.Batch, the one-op Node calls, Client.Batch, the
-// single-op Client calls — under both protocols, with and without shard
-// replication, before and after a member dies.
+// single-op Client calls — and whichever node it arrives at, under both
+// protocols, with and without shard replication, before and after a member
+// dies. The origin axis is what holds the home-shard steps (home.go) to one
+// behaviour on both sides of the wire: every cold put, CAS and FAA runs once
+// with the origin being its serialization point (the step runs in place) and
+// twice with a peer being it (the step serves the peer's request).
 //
-// Every path gets a fresh, identically populated deployment and issues its
-// ops at node 0. Within a phase every op touches its own key: a batch scans
+// Every (origin, path) pair gets a fresh, identically populated deployment and
+// issues its ops at the origin. Within a phase every op touches its own key: a batch scans
 // all its ops before it collects any, so ops of one batch on different keys
 // are concurrent by contract and only independent ops can be compared
 // against a sequential path (ops on one key keep their order —
 // TestLinBatchPerKeyOrder). Written keys are read back by the following
-// phase — except hot keys RMW'd at a remote coordinator, whose update reaches
-// node 0 asynchronously under SC.
+// phase; under SC a hot write returns before its update reached the other
+// replicas, so a phase first waits for the replicas of the hot keys it reads
+// to agree.
 
 // parityOutcome is what is compared across paths: the value and the
 // errors.Is class of the error.
@@ -128,7 +134,6 @@ func TestPathParity(t *testing.T) {
 				cfg := Config{
 					Nodes: 3, System: CCKVS, Protocol: proto, ReplicasPerShard: replicas,
 					NumKeys: 2048, CacheItems: 32, ValueSize: 8, WorkersPerNode: 2,
-					PingInterval: 5 * time.Millisecond, PingTimeout: chaosSuspicion(60 * time.Millisecond),
 				}
 				// populated(k) is what Populate stored under k.
 				populated := func(k uint64) []byte {
@@ -200,31 +205,64 @@ func TestPathParity(t *testing.T) {
 					}},
 				}
 
-				var want [][]parityOutcome // the first path's outcomes, per phase
-				for pi, path := range parityPaths {
-					members, cl := newChanClient(t, cfg)
-					if _, err := members[0].ApplyHotSet(0, DefaultHotSet(cfg.CacheItems)); err != nil {
-						t.Fatal(err)
-					}
-					n := members[0].LocalNode()
-					for phi, ph := range phases {
-						if ph.kill {
-							members[doomed].Kill()
-							waitViewDown(t, members[:doomed], doomed, 10*time.Second)
-						}
-						got, err := path.run(n, cl, ph.ops)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if pi == 0 {
-							want = append(want, got)
+				// converged waits until every live member caches the same value
+				// for each hot key ops reads.
+				converged := func(members []*Cluster, ops []Op) {
+					for _, op := range ops {
+						if op.Kind != OpGet || op.Key >= uint64(cfg.CacheItems) {
 							continue
 						}
-						for i := range got {
-							if got[i].class != want[phi][i].class || !bytes.Equal(got[i].val, want[phi][i].val) {
-								t.Errorf("%s, phase %q, op %d (%+v): got (%x, %s), %s got (%x, %s)",
-									path.name, ph.name, i, ph.ops[i], got[i].val, got[i].class,
-									parityPaths[0].name, want[phi][i].val, want[phi][i].class)
+						until(func() bool {
+							var first []byte
+							for i, m := range members {
+								v, _, err := m.LocalNode().cache.Read(op.Key, nil)
+								if err != nil || (i > 0 && !bytes.Equal(v, first)) {
+									return false
+								}
+								first = v
+							}
+							return true
+						})
+					}
+				}
+
+				var want [][]parityOutcome // the first deployment's outcomes, per phase
+				for origin := 0; origin < cfg.Nodes; origin++ {
+					for _, path := range parityPaths {
+						members, cl := newChanClient(t, cfg)
+						if _, err := members[0].ApplyHotSet(0, DefaultHotSet(cfg.CacheItems)); err != nil {
+							t.Fatal(err)
+						}
+						n, live := members[origin].LocalNode(), members
+						for phi, ph := range phases {
+							if ph.kill {
+								if origin == doomed {
+									break // the doomed member issues nothing from the grave
+								}
+								// No prober: twelve deployments per config under -race
+								// would each be one starved pong away from a false
+								// suspicion. The chaos tests own detection; here the
+								// survivors are told.
+								members[doomed].Kill()
+								live = members[:doomed]
+								live[0].PeerDown(doomed, errors.New("test: killed"))
+								waitViewDown(t, live, doomed, 10*time.Second)
+							}
+							converged(live, ph.ops)
+							got, err := path.run(n, cl, ph.ops)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if len(want) == phi {
+								want = append(want, got)
+								continue
+							}
+							for i := range got {
+								if got[i].class != want[phi][i].class || !bytes.Equal(got[i].val, want[phi][i].val) {
+									t.Errorf("%s at node %d, phase %q, op %d (%+v): got (%x, %s), %s at node 0 got (%x, %s)",
+										path.name, origin, ph.name, i, ph.ops[i], got[i].val, got[i].class,
+										parityPaths[0].name, want[phi][i].val, want[phi][i].class)
+								}
 							}
 						}
 					}
@@ -263,6 +301,66 @@ func TestPathParity(t *testing.T) {
 				expect(2, 6, "ok", nil)
 				expect(3, 0, deadClass, deadPut)
 				expect(3, 3, "ok", val(0xB3))
+
+				// The three refusals that prove an op did not run — the key went
+				// hot since the sender's probe, the key is RMW-pinned, the node is
+				// re-syncing — are answers of the same step whether the request
+				// came off the wire or was run in place (startAt at its own node).
+				members := newChanMembers(t, cfg)
+				if _, err := members[0].ApplyHotSet(0, DefaultHotSet(cfg.CacheItems)); err != nil {
+					t.Fatal(err)
+				}
+				home := members[0].LocalNode()
+				hotKey, pinned, plain := hotOn(0, 3), cold(0, 5), cold(0, 6)
+				for _, row := range []struct {
+					name    string
+					arrange func() (undo func())
+					reqs    []wireReq
+				}{
+					{"key went hot", func() func() { return func() {} }, []wireReq{
+						{op: rpcOpPut, key: hotKey, value: val(1)},
+						{op: rpcOpPutStamp, key: hotKey},
+						{op: rpcOpPutCommit, key: hotKey, ts: timestamp.TS{Clock: 99}, value: val(1)},
+					}},
+					{"key pinned", func() func() {
+						wk := home.workerFor(pinned)
+						wk.homeMu.Lock()
+						wk.rmwPins[pinned] = rmwPin{origin: 1, ts: timestamp.TS{Clock: 7, Writer: 0}}
+						wk.homeMu.Unlock()
+						return func() { home.homeClearPin(1, pinned, timestamp.TS{Clock: 7, Writer: 0}) }
+					}, []wireReq{
+						{op: rpcOpCAS, key: pinned, expect: populated(pinned), value: val(2)},
+						{op: rpcOpFAA, key: pinned, delta: 1},
+					}},
+					{"node syncing", func() func() {
+						members[0].syncing.Store(true)
+						return func() { members[0].syncing.Store(false) }
+					}, []wireReq{
+						{op: rpcOpPut, key: plain, value: val(3)},
+						{op: rpcOpPutStamp, key: plain},
+						{op: rpcOpPromoteFetch, key: plain},
+						{op: rpcOpCAS, key: plain, expect: populated(plain), value: val(3)},
+						{op: rpcOpFAA, key: plain, delta: 1},
+					}},
+				} {
+					undo := row.arrange()
+					for _, q := range row.reqs {
+						inPlace, err1 := awaitRPC(home.startAt(0, q))
+						served, err2 := awaitRPC(members[1].LocalNode().startAt(0, q))
+						if err1 != nil || err2 != nil || !inPlace.local || served.local ||
+							inPlace.status != rpcStatusRetry || served.status != rpcStatusRetry {
+							t.Errorf("%s, op %d: in place (status %d, local %v, err %v), served (status %d, local %v, err %v); want Retry from both",
+								row.name, q.op, inPlace.status, inPlace.local, err1, served.status, served.local, err2)
+						}
+					}
+					undo()
+				}
+				// Nothing ran: the three keys hold what Populate stored.
+				for _, k := range []uint64{hotKey, pinned, plain} {
+					if v, err := home.Get(k); err != nil || !bytes.Equal(v, populated(k)) {
+						t.Errorf("key %d reads (%x, %v) after refused requests, want the populated value", k, v, err)
+					}
+				}
 			})
 		}
 	}

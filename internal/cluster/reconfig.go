@@ -193,38 +193,21 @@ func (n *Node) peerIDs() []uint8 {
 	return peers
 }
 
-// controlCall is one in-flight reconfiguration call awaiting its response.
-type controlCall struct {
-	peer uint8
-	key  uint64
-	ch   chan rpcResult
-}
-
-// controlAll sends one key-only control entry per (peer, key) — every call
-// in flight at once, coalesced per destination by the pipeline, so a phase
-// costs one overlapped round instead of one round-trip per peer (the freeze
-// window client writes are parked for must not grow with the node count) — and
-// verifies every answer is OK. All responses are awaited even after a
-// failure; the first error is returned.
-func (n *Node) controlAll(peers []uint8, op byte, keys []uint64) error {
-	calls := make([]controlCall, 0, len(peers)*len(keys))
+// controlCalls builds one key-only control entry per (peer, key).
+func controlCalls(peers []uint8, op byte, keys []uint64) []homeCall {
+	calls := make([]homeCall, 0, len(peers)*len(keys))
 	for _, peer := range peers {
 		for _, k := range keys {
-			ch := n.workerFor(k).rpc.start(peer, wireReq{op: op, key: k})
-			calls = append(calls, controlCall{peer: peer, key: k, ch: ch})
+			calls = append(calls, homeCall{int(peer), wireReq{op: op, key: k}})
 		}
 	}
-	var firstErr error
-	for _, c := range calls {
-		res, err := awaitRPC(c.ch)
-		if err == nil && res.status != rpcStatusOK {
-			err = fmt.Errorf("cluster: control op %d refused by node %d (status %d)", op, c.peer, res.status)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return calls
+}
+
+// controlAll runs one control phase: op for every key at every peer, every
+// answer OK.
+func (n *Node) controlAll(peers []uint8, op byte, keys []uint64) error {
+	return n.fanOut(controlCalls(peers, op, keys), peersRequired, mustOK("control op"))
 }
 
 // demoteKeys runs the freeze → collect → write-back → retire → commit
@@ -292,50 +275,21 @@ func (n *Node) demoteKeys(keys []uint64, st *DeltaStats) (err error) {
 	}
 	// Remote collects run in overlapped rounds: every still-draining
 	// (peer, key) pair is re-probed together.
-	pending := make([]controlCall, 0, len(peers)*len(keys))
-	for _, peer := range peers {
-		for _, k := range keys {
-			pending = append(pending, controlCall{peer: peer, key: k})
+	err = n.fanOut(controlCalls(peers, rpcOpDemoteCollect, keys), peersRequired, func(c homeCall, res rpcResult) (bool, error) {
+		switch res.status {
+		case rpcStatusOK:
+			merge(core.WriteBack{Key: c.req.key, Value: res.value, TS: res.ts})
+		case rpcStatusNotFound: // clean entry: nothing to flush
+		case rpcStatusRetry:
+			st.CollectRetries++
+			return true, nil
+		default:
+			return false, fmt.Errorf("cluster: refused by node %d (status %d)", c.node, res.status)
 		}
-	}
-	for len(pending) > 0 {
-		for i := range pending {
-			pending[i].ch = n.workerFor(pending[i].key).rpc.start(
-				pending[i].peer, wireReq{op: rpcOpDemoteCollect, key: pending[i].key})
-		}
-		retry := pending[:0]
-		var firstErr error
-		for _, c := range pending {
-			res, cerr := awaitRPC(c.ch)
-			if cerr != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("demote collect: %w", cerr)
-				}
-				continue
-			}
-			switch res.status {
-			case rpcStatusOK:
-				merge(core.WriteBack{Key: c.key, Value: res.value, TS: res.ts})
-			case rpcStatusNotFound:
-				// Clean entry: nothing to flush.
-			case rpcStatusRetry:
-				retry = append(retry, c)
-			default:
-				if firstErr == nil {
-					firstErr = fmt.Errorf("cluster: demote collect refused by node %d (status %d)", c.peer, res.status)
-				}
-			}
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-		if len(retry) > 0 {
-			st.CollectRetries += len(retry)
-			// Waits for peers' entries to drain; each round re-issues RPCs, the
-			// yield only lets our dispatchers in between two rounds.
-			yield()
-		}
-		pending = retry
+		return false, nil
+	})
+	if err != nil {
+		return fmt.Errorf("demote collect: %w", err)
 	}
 
 	// Phase 3: flush the winning dirty values to every live shard replica
@@ -343,37 +297,17 @@ func (n *Node) demoteKeys(keys []uint64, st *DeltaStats) (err error) {
 	// key's acting primary, which must hold a copy at least as new as
 	// anything the caches ever committed (with replication, so must the
 	// backups, or the next promotion would resurrect the pre-cache value).
-	wbCalls := make([]controlCall, 0, len(best))
+	var flush []homeCall
 	view := n.cluster.view.Load()
 	for _, wb := range best {
 		for _, node := range ReplicasOf(wb.Key, n.cluster.cfg.Nodes, n.cluster.cfg.ReplicasPerShard) {
-			if node == int(n.id) {
-				// ErrStale means a peer's flush or client write was newer.
-				_ = n.kvs.PutIfNewer(wb.Key, wb.Value, wb.TS)
-				continue
+			if view.Live(node) { // a dead replica is re-seeded on rejoin
+				flush = append(flush, homeCall{node, wireReq{op: rpcOpWriteback, key: wb.Key, ts: wb.TS, value: wb.Value}})
 			}
-			if !view.Live(node) {
-				continue // a dead replica is re-seeded on rejoin
-			}
-			ch := n.workerFor(wb.Key).rpc.start(uint8(node), wireReq{op: rpcOpWriteback, key: wb.Key, ts: wb.TS, value: wb.Value})
-			wbCalls = append(wbCalls, controlCall{peer: uint8(node), key: wb.Key, ch: ch})
 		}
 	}
-	var wbErr error
-	for _, c := range wbCalls {
-		res, cerr := awaitRPC(c.ch)
-		if cerr != nil && !n.cluster.view.Load().Live(int(c.peer)) {
-			continue // the replica died mid-flush; excised, re-seeded on rejoin
-		}
-		if cerr == nil && res.status != rpcStatusOK {
-			cerr = fmt.Errorf("cluster: writeback refused by node %d (status %d)", c.peer, res.status)
-		}
-		if cerr != nil && wbErr == nil {
-			wbErr = cerr
-		}
-	}
-	if wbErr != nil {
-		return fmt.Errorf("demote writeback: %w", wbErr)
+	if err := n.fanOut(flush, deadExcused, mustOK("writeback")); err != nil {
+		return fmt.Errorf("demote writeback: %w", err)
 	}
 	st.WriteBacks += len(best)
 	wroteBack = true
@@ -451,83 +385,35 @@ func (n *Node) promoteKeys(keys []uint64, st *DeltaStats) (err error) {
 	}
 	vals := make(map[uint64]fetched, len(keys))
 	view := n.cluster.view.Load()
-	pending := make([]controlCall, 0, len(keys))
-	var local []uint64
+	var fetch []homeCall
 	for _, k := range keys {
-		primary := n.cluster.primaryFor(k, view)
-		if primary < 0 {
-			continue // lost its last replica mid-delta; the placeholder rolls back
-		}
-		if primary == int(n.id) {
-			local = append(local, k)
-			continue
-		}
-		st.HomeFetches++
-		st.RemoteFetches++
-		pending = append(pending, controlCall{peer: uint8(primary), key: k})
-	}
-	// The key's worker homeMu orders each local fetch against local
-	// miss-path puts whose cache probe predates the placeholders (see
-	// localHomePut); remote puts serialize with the rpcOpPromoteFetch
-	// handler under the same mutex on their home nodes.
-	for _, k := range local {
-		st.HomeFetches++
-		wk := n.workerFor(k)
-		wk.homeMu.Lock()
-		v, ts, gerr := n.kvs.Get(k, nil)
-		if gerr == nil && n.cluster.replicated() {
-			// Lift the fetched version above every stamp handed out for the
-			// key, mirroring the rpcOpPromoteFetch handler: orphaned backup
-			// commits from a bounced stamped put must lose to this entry's
-			// demotion write-backs.
-			wk.seqMu.Lock()
-			if clk := wk.seqClocks[k]; clk > ts.Clock {
-				ts = timestamp.TS{Clock: clk, Writer: n.id}
-			}
-			wk.seqMu.Unlock()
-		}
-		wk.homeMu.Unlock()
-		if gerr == nil {
-			vals[k] = fetched{val: v, ts: ts}
+		// A key that lost its last replica mid-delta has no primary; its
+		// placeholder rolls back.
+		if primary := n.cluster.primaryFor(k, view); primary >= 0 {
+			fetch = append(fetch, homeCall{primary, wireReq{op: rpcOpPromoteFetch, key: k}})
 		}
 	}
-	// Remote fetches run in overlapped rounds: a Retry answer means the
-	// primary is still re-syncing after a rejoin (its seed streams settle,
+	// Overlapped rounds: a Retry answer means the primary — this node
+	// included — is still re-syncing after a rejoin (its seed streams settle,
 	// then its gate clears — or it dies and the view moves on).
-	var fetchErr error
-	for len(pending) > 0 {
-		for i := range pending {
-			pending[i].ch = n.workerFor(pending[i].key).rpc.start(
-				pending[i].peer, wireReq{op: rpcOpPromoteFetch, key: pending[i].key})
+	err = n.fanOut(fetch, peersRequired, func(c homeCall, res rpcResult) (bool, error) {
+		switch res.status {
+		case rpcStatusRetry:
+			return true, nil
+		case rpcStatusOK:
+			vals[c.req.key] = fetched{val: res.value, ts: res.ts}
 		}
-		retry := pending[:0]
-		for _, c := range pending {
-			res, ferr := awaitRPC(c.ch)
-			if ferr != nil {
-				if fetchErr == nil {
-					fetchErr = ferr
-				}
-				continue
-			}
-			switch res.status {
-			case rpcStatusOK:
-				vals[c.key] = fetched{val: res.value, ts: res.ts}
-			case rpcStatusRetry:
-				retry = append(retry, c)
-			}
-			// NotFound: the key does not exist at its home; its placeholder is
-			// rolled back — an uncached nonexistent key behaves identically
-			// either way.
+		// NotFound: the key does not exist at its home; its placeholder is
+		// rolled back — an uncached nonexistent key behaves identically
+		// either way.
+		st.HomeFetches++
+		if !res.local {
+			st.RemoteFetches++
 		}
-		if fetchErr != nil {
-			return fmt.Errorf("promotion fetch: %w", fetchErr)
-		}
-		if len(retry) > 0 {
-			// Waits for a re-syncing primary's seed streams; each round
-			// re-issues RPCs, the yield only spaces them.
-			yield()
-		}
-		pending = retry
+		return false, nil
+	})
+	if err != nil {
+		return fmt.Errorf("promotion fetch: %w", err)
 	}
 
 	// Phase 3: fill the placeholders everywhere — reads start hitting the
@@ -543,26 +429,13 @@ func (n *Node) promoteKeys(keys []uint64, st *DeltaStats) (err error) {
 	if len(install) == 0 {
 		return nil
 	}
-	fillCalls := make([]controlCall, 0, len(peers)*len(install))
-	for _, peer := range peers {
-		for _, k := range install {
-			f := vals[k]
-			ch := n.workerFor(k).rpc.start(peer, wireReq{op: rpcOpPromote, key: k, ts: f.ts, value: f.val})
-			fillCalls = append(fillCalls, controlCall{peer: peer, key: k, ch: ch})
-		}
+	fill := controlCalls(peers, rpcOpPromote, install)
+	for i := range fill {
+		f := vals[fill[i].req.key]
+		fill[i].req.ts, fill[i].req.value = f.ts, f.val
 	}
-	var fillErr error
-	for _, c := range fillCalls {
-		res, cerr := awaitRPC(c.ch)
-		if cerr == nil && res.status != rpcStatusOK {
-			cerr = fmt.Errorf("cluster: promotion refused by node %d (status %d)", c.peer, res.status)
-		}
-		if cerr != nil && fillErr == nil {
-			fillErr = cerr
-		}
-	}
-	if fillErr != nil {
-		return fmt.Errorf("promotion install: %w", fillErr)
+	if err := n.fanOut(fill, peersRequired, mustOK("promotion")); err != nil {
+		return fmt.Errorf("promotion install: %w", err)
 	}
 	for _, k := range install {
 		f := vals[k]

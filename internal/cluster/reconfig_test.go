@@ -6,8 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/timestamp"
 )
 
 // TestApplyHotSetDeltaMovesKeysEverywhere checks the basic contract: the
@@ -258,5 +260,74 @@ func TestApplyHotSetDeltaUnderLiveTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// A promotion fetch served by the node that drives the promotion honours the
+// rejoin re-sync gate exactly like one served to a peer: a rejoined, still
+// seeding member that drives a refresh must not install its pre-crash value
+// in every cache. The gated member is the acting primary of k and drives
+// ApplyHotSet itself; the stand-in holds a newer k; the fetch has to wait for
+// the seed (Retry rounds) and install the post-seed value.
+func TestPromotionFetchHonoursResyncGate(t *testing.T) {
+	// The long hold outlasts any count of in-place rounds a fan-out could
+	// mistake for a hang (ten million of them spin by in about three seconds):
+	// a slow re-seed is not an error.
+	for _, hold := range []time.Duration{100 * time.Millisecond, 4 * time.Second} {
+		t.Run(hold.String(), func(t *testing.T) {
+			if hold > time.Second && testing.Short() {
+				t.Skip("long re-seed")
+			}
+			t.Parallel()
+			promotionFetchUnderGate(t, hold)
+		})
+	}
+}
+
+func promotionFetchUnderGate(t *testing.T, hold time.Duration) {
+	cfg := Config{
+		Nodes: 3, System: CCKVS, Protocol: core.SC, ReplicasPerShard: 2,
+		NumKeys: 2048, CacheItems: 32, ValueSize: 16, WorkersPerNode: 2,
+	}
+	const rejoined, standIn = 2, 0 // ReplicasOf(k) = {2, 0}
+	members := newChanMembers(t, cfg)
+	k := coldKeyHomedOnCfg(t, cfg, rejoined)
+	postSeed, ts := bytes.Repeat([]byte{0xC7}, cfg.ValueSize), timestamp.TS{Clock: 9, Writer: standIn}
+
+	// The stand-in served k while the member was away; the member is back,
+	// its seed stream announced (gate armed) but not yet landed.
+	members[standIn].LocalNode().kvs.Put(k, postSeed, ts)
+	members[rejoined].addSyncSource(standIn)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := members[rejoined].ApplyHotSet(rejoined, []uint64{k})
+		done <- err
+	}()
+	// The seed lands (a write-back: PutIfNewer), then seed-done.
+	seed := func() {
+		if err := members[rejoined].LocalNode().kvs.PutIfNewer(k, postSeed, ts); err != nil {
+			t.Fatal(err)
+		}
+		members[rejoined].removeSyncSource(standIn)
+	}
+	// Nothing can complete while the gate is armed; the wait only gives a
+	// fetch that ignores the gate the time to show it.
+	var err error
+	select {
+	case err = <-done:
+		t.Errorf("ApplyHotSet returned while the driving member's re-sync gate was armed")
+		seed()
+	case <-time.After(hold):
+		seed()
+		err = <-done
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range members {
+		if v, _, err := m.LocalNode().cache.Read(k, nil); err != nil || !bytes.Equal(v, postSeed) {
+			t.Errorf("node %d caches %x (err=%v), want the post-seed value %x", i, v, err, postSeed)
+		}
 	}
 }

@@ -24,7 +24,8 @@ import (
 //               (rpcOpPutStamp), so commits can use PutIfNewer everywhere
 //               without an acked write ever losing to the stored value.
 //  2. commit  — the origin fans the stamped value out to every other live
-//               replica (rpcOpPutCommit, PutIfNewer semantics).
+//               replica, its own included (rpcOpPutCommit, PutIfNewer
+//               semantics).
 //  3. apply   — the acting primary itself applies LAST. Ordering matters:
 //               were the primary to apply first, a reader could observe
 //               the new version at the primary, the primary die, and the
@@ -42,6 +43,10 @@ import (
 // fetch lifts the cache entry's version above every issued stamp
 // (rpcOpPromoteFetch), so orphaned commits from the bounced attempt lose to
 // the cache's eventual demotion write-back.
+//
+// What a replica does with a stamp or a commit is homeStamp / homeCommit
+// (home.go), one body whether the replica is a peer or this node (startAt);
+// this file is the origin's side.
 //
 // Known residual, documented rather than solved: the protocol is exactly as
 // strong as the failure detector beneath it. During a false-suspicion
@@ -76,141 +81,51 @@ func (n *Node) replicatedPut(key uint64, value []byte) (bounced bool, err error)
 		if primary < 0 {
 			return false, homeDownErr(c.HomeNode(key), key)
 		}
-		ts, bounced, err := n.stampAt(primary, key)
-		if bounced {
-			return true, nil
-		}
-		if err != nil {
-			if nv := c.view.Load(); c.primaryFor(key, nv) != primary {
+		res, err := awaitRPC(n.startAt(primary, wireReq{op: rpcOpPutStamp, key: key}))
+		switch {
+		case err != nil:
+			if c.primaryFor(key, c.view.Load()) != primary {
 				continue // primary died mid-stamp; re-run against its successor
 			}
 			return false, err
+		case res.status == rpcStatusRetry:
+			return true, nil // the primary caches the key (stale probe) or is re-syncing
+		case res.status != rpcStatusOK:
+			return false, fmt.Errorf("cluster: put stamp failed (status %d)", res.status)
 		}
-		bounced, err = n.commitReplicated(key, value, ts, primary, view)
-		if bounced {
-			return true, nil
-		}
+		bounced, err = n.commitReplicated(key, value, res.ts, primary, view)
 		if err == errReplicaMoved {
 			continue
 		}
-		return false, err
+		return bounced, err
 	}
-}
-
-// stampAt runs phase 1 at the acting primary (locally when this node is it).
-func (n *Node) stampAt(primary int, key uint64) (timestamp.TS, bool, error) {
-	if primary == int(n.id) {
-		ts, bounced := n.stampLocal(key)
-		return ts, bounced, nil
-	}
-	ts, err := n.remoteStamp(uint8(primary), key)
-	if err == errPutBounced {
-		return timestamp.TS{}, true, nil
-	}
-	return ts, false, err
-}
-
-// stampLocal is the local form of rpcOpPutStamp: reserve the next write
-// timestamp for key, strictly above the stored version and every prior
-// stamp. bounced=true when the key is cached (stale probe) or this node is
-// still re-syncing after a rejoin.
-func (n *Node) stampLocal(key uint64) (timestamp.TS, bool) {
-	if n.cluster.syncing.Load() {
-		return timestamp.TS{}, true
-	}
-	wk := n.workerFor(key)
-	wk.homeMu.Lock()
-	if n.cache != nil && n.cache.Contains(key) {
-		wk.homeMu.Unlock()
-		return timestamp.TS{}, true
-	}
-	sc := scratchPool.Get().(*srvBuf)
-	v, ts, err := n.kvs.Get(key, sc.b[:0])
-	if err != nil {
-		ts = timestamp.TS{}
-	} else {
-		sc.b = v
-	}
-	scratchPool.Put(sc)
-	wk.seqMu.Lock()
-	clock := wk.seqClocks[key]
-	if ts.Clock > clock {
-		clock = ts.Clock
-	}
-	clock++
-	wk.seqClocks[key] = clock
-	wk.seqMu.Unlock()
-	wk.homeMu.Unlock()
-	return timestamp.TS{Clock: clock, Writer: n.id}, false
-}
-
-// commitLocal is the local form of rpcOpPutCommit: apply a stamped value to
-// this node's own replica, unless the key is (again) cached.
-func (n *Node) commitLocal(key uint64, value []byte, ts timestamp.TS) (bounced bool) {
-	wk := n.workerFor(key)
-	wk.homeMu.Lock()
-	defer wk.homeMu.Unlock()
-	if n.cache != nil && n.cache.Contains(key) {
-		return true
-	}
-	_ = n.kvs.PutIfNewer(key, value, ts)
-	// A commit carrying an RMW pin's stamp is that RMW landing (rmw.go);
-	// release the pin so the next RMW on the key can be stamped.
-	if pin, ok := wk.rmwPins[key]; ok && pin.ts == ts {
-		delete(wk.rmwPins, key)
-	}
-	return false
 }
 
 // commitReplicated runs phases 2 and 3: commit the stamped value to every
 // live backup in parallel, then apply at the acting primary last.
 func (n *Node) commitReplicated(key uint64, value []byte, ts timestamp.TS, primary int, view *View) (bounced bool, err error) {
 	c := n.cluster
-	home := c.HomeNode(key)
-	wk := n.workerFor(key)
 	req := wireReq{op: rpcOpPutCommit, key: key, ts: ts, value: value}
-
-	// Phase 2: every live replica except the acting primary, fanned out on
-	// the coalescing pipeline; the origin's own replica (if any) applies
-	// inline.
-	var chs []chan rpcResult
-	var peers []int
-	for i := 0; i < c.cfg.ReplicasPerShard; i++ {
-		node := (home + i) % c.cfg.Nodes
-		if node == primary {
-			continue
-		}
-		if node == int(n.id) {
-			if n.commitLocal(key, value, ts) {
-				bounced = true
-			}
-			continue
-		}
-		if !view.Live(node) {
-			continue
-		}
-		chs = append(chs, wk.rpc.start(uint8(node), req))
-		peers = append(peers, node)
-	}
-	for i, ch := range chs {
-		res, aerr := awaitRPC(ch)
-		if aerr != nil {
-			// The backup died mid-commit: once the view excises it, its
-			// replica is no longer required; otherwise surface the failure.
-			if !c.view.Load().Live(peers[i]) {
-				continue
-			}
-			if err == nil {
-				err = aerr
-			}
-			continue
-		}
-		if res.status == rpcStatusRetry {
+	settle := func(at homeCall, res rpcResult) (bool, error) {
+		switch res.status {
+		case rpcStatusOK:
+		case rpcStatusRetry:
 			bounced = true
-		} else if res.status != rpcStatusOK && err == nil {
-			err = fmt.Errorf("cluster: replica commit failed (status %d)", res.status)
+		default:
+			return false, fmt.Errorf("cluster: replica commit failed at node %d (status %d)", at.node, res.status)
+		}
+		return false, nil
+	}
+
+	// Phase 2: every live replica except the acting primary. A backup that
+	// dies mid-commit is excused once the view excises it (fanOut).
+	var backups []homeCall
+	for i, home := 0, c.HomeNode(key); i < c.cfg.ReplicasPerShard; i++ {
+		if node := (home + i) % c.cfg.Nodes; node != primary && view.Live(node) {
+			backups = append(backups, homeCall{node, req})
 		}
 	}
+	err = n.fanOut(backups, deadExcused, settle)
 	if bounced {
 		// The key went hot mid-flight (the symmetric caches are, well,
 		// symmetric — if one replica caches it they all do). Orphaned
@@ -223,28 +138,21 @@ func (n *Node) commitReplicated(key uint64, value []byte, ts timestamp.TS, prima
 	}
 
 	// Phase 3: apply at the acting primary, strictly after every backup
-	// holds the value.
-	if primary == int(n.id) {
-		if n.commitLocal(key, value, ts) {
-			return true, nil
-		}
+	// answered. It is the put's (or RMW's) serving access, counted where it
+	// ran — a refused local apply executed nothing.
+	res, err := awaitRPC(n.startAt(primary, req))
+	switch {
+	case !res.local:
+		n.RemoteOps.Add(1)
+	case res.status == rpcStatusOK:
 		n.LocalOps.Add(1)
-		return false, nil
 	}
-	n.RemoteOps.Add(1)
-	res, aerr := awaitRPC(wk.rpc.start(uint8(primary), req))
-	if aerr != nil {
+	if err != nil {
 		if !c.view.Load().Live(primary) {
 			return false, errReplicaMoved
 		}
-		return false, aerr
+		return false, err
 	}
-	switch res.status {
-	case rpcStatusOK:
-		return false, nil
-	case rpcStatusRetry:
-		return true, nil
-	default:
-		return false, fmt.Errorf("cluster: primary commit failed (status %d)", res.status)
-	}
+	_, err = settle(homeCall{primary, req}, res)
+	return bounced, err
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -21,34 +20,53 @@ import (
 // costs one credit that the response packet restores (§6.3).
 //
 // Wire formats (little endian). A packet holds one or more back-to-back
-// entries; each entry is self-framing:
+// entries; each entry is self-framing. Every request starts with the same
+// header H = op(1) id(8) key(8); T is a timestamp, clock(4) writer(1); V a
+// length-prefixed byte string, len(4) bytes.
 //
-//	request:  op(1) reqID(8) key(8) [vlen(4) value]      op: 0=get 1=put
-//	          op(1) reqID(8) key(8) clock(4) writer(1) vlen(4) value
-//	                                                     op: 4=promote 8=writeback
-//	          op(1) reqID(8) key(8)                      op: 5/6/7=demote freeze/collect/commit, 9/10=promote prepare/fetch, 11=unfreeze, 12=demote-retire
-//	response: reqID(8) status(1) [clock(4) writer(1) vlen(4) value]
+//	op  name             request     served by (serveRequest)       answers
+//	 0  get              H           the shard, leased or copied    OK T V · NotFound · Retry (re-syncing)
+//	 1  put              H V         homePut                        OK · Retry (stale probe; re-syncing)
+//	 4  promote          H T V       cache.FillAdd / Add            OK
+//	 5  demote-freeze    H           cache.Freeze                   OK
+//	 6  demote-collect   H           cache.CollectFrozen            OK T V (dirty) · NotFound (clean) · Retry (draining)
+//	 7  demote-commit    H           cache.Remove                   OK
+//	 8  writeback        H T V       homeStep: PutIfNewer           OK
+//	 9  promote-prepare  H           cache.AddPending               OK
+//	10  promote-fetch    H           homeFetch                      OK T V · NotFound · Retry (re-syncing)
+//	11  unfreeze         H           cache.Unfreeze                 OK
+//	12  demote-retire    H           cache.Retire                   OK
+//	13  put-stamp        H           homeStamp                      OK T · Retry (stale probe; re-syncing)
+//	14  put-commit       H T V       homeCommit                     OK · Retry (stale probe)
+//	15  cas              H V V       homeRMW (expect, then new)     OK T V · CASFail V · RMWStamped T V · RMWStarted T V · Retry
+//	16  faa              H delta(8)  homeRMW                        as cas
+//	17  rmw-clear        H T         homeClearPin                   OK
+//	18  rmw-wait         H T         homeStep: PendingWriteTS       OK · Retry (still pending)
 //
-// The response payload (timestamp + value) is present only when status is
-// rpcStatusOK. rpcStatusNotFound answers gets for absent keys;
-// rpcStatusBadRequest answers requests the server could identify (it parsed
-// op+reqID) but could not serve — a truncated value, an unknown op, a cache
-// op on a cache-less node — so the caller fails loudly instead of
-// deadlocking on a response that will never come. rpcStatusRetry is a
-// backpressure answer: the server cannot serve the request *yet* (a frozen
-// entry still has protocol traffic in flight) and the caller should re-issue
-// it after yielding.
+//	response: id(8) status(1) [T V]
+//
+// The ops served by a home.go step are the ones a node also runs in place, as
+// its own home (startAt); the cache ops (4-7, 9, 11, 12) answer BadRequest on
+// a cache-less node, and their local form is the same one-line cache call.
+// The response payload (T V) is present only under a status that carries one
+// (rpcStatusHasPayload). rpcStatusBadRequest answers requests the server
+// could identify (it parsed op+id) but could not serve — a truncated value,
+// an unknown op, a cache op on a cache-less node — so the caller fails loudly
+// instead of deadlocking on a response that will never come. rpcStatusRetry
+// proves the op did not run here: the server cannot serve it *yet* (a frozen
+// entry still has protocol traffic in flight, a shard is re-syncing) or is
+// not, or no longer, the place to run it (a put whose key went hot); the
+// caller re-issues or re-routes after yielding.
 //
 // Op bytes 2 and 3 are retired (they carried Figure 4's primary write and
 // sequencer timestamp fetch) and are not reused: a packet naming one is
 // refused like any unknown op.
 //
-// Ops 4..8 are the incremental hot-set reconfiguration protocol (§4 under
-// live traffic, see reconfig.go): promote installs a fetched value on a
-// node's cache; demote-freeze/collect/commit run the three-step demotion;
-// writeback applies a demoted dirty value to its home shard with
-// PutIfNewer semantics (the version travels with the value, unlike op 1
-// puts, which re-stamp against the stored clock).
+// Ops 4..12 are the incremental hot-set reconfiguration protocol (§4 under
+// live traffic, see reconfig.go); 13 and 14 the replicated miss-path put
+// (replicate.go); 15..18 the atomic read-modify-writes (rmw.go). A writeback
+// carries its version with the value, unlike an op 1 put, which re-stamps
+// against the stored clock.
 const (
 	rpcOpGet byte = 0
 	rpcOpPut byte = 1
@@ -74,10 +92,9 @@ const (
 	// park. Once every node holds it, the home value is stable and the
 	// coordinator can fetch it without racing client puts.
 	rpcOpPromotePrepare byte = 9
-	// rpcOpPromoteFetch reads key's value+version for a promotion. Unlike
-	// a plain get it takes the home's homeMu, so it serializes with local
-	// miss-path puts whose cache probe predates the placeholders (remote
-	// puts already serialize on this dispatcher thread).
+	// rpcOpPromoteFetch reads key's value+version for a promotion: unlike a
+	// plain get under homeMu, with the version lifted above every stamp
+	// handed out for the key (homeFetch).
 	rpcOpPromoteFetch byte = 10
 	// rpcOpUnfreeze lifts the write freeze from key in the receiving
 	// node's cache: the final round of a promotion (only once every
@@ -91,30 +108,16 @@ const (
 	// key — otherwise a write landing at the home shard after the home's
 	// own removal would be invisible to readers of the remaining copies.
 	rpcOpDemoteRetire byte = 12
-	// rpcOpPutStamp reserves a replicated put's write timestamp at the
-	// key's acting primary (phase 1 of the replicated miss-path put,
-	// replicate.go): strictly above both the shard's stored version and every
-	// previously stamped write, so the commits that follow can use
-	// PutIfNewer everywhere without an acked write ever losing to the
-	// stored value. Answers Retry when the key is cached (stale probe, as
-	// for rpcOpPut) or while the node is re-syncing after a rejoin.
+	// rpcOpPutStamp reserves a replicated put's write timestamp at the key's
+	// acting primary (homeStamp; phase 1 of replicate.go).
 	rpcOpPutStamp byte = 13
-	// rpcOpPutCommit applies a stamped replicated put at one replica
-	// (phases 2-3): the carried version travels with the value and the
-	// shard applies it with PutIfNewer semantics. Bounces with Retry when
-	// the key is cached — the origin re-probes and re-executes through the
-	// cache protocol.
+	// rpcOpPutCommit applies a stamped replicated put at one replica with
+	// PutIfNewer semantics — the carried version travels with the value
+	// (homeCommit; phases 2-3).
 	rpcOpPutCommit byte = 14
 	// rpcOpCAS / rpcOpFAA execute an atomic read-modify-write at the key's
-	// serialization point (rmw.go): the acting primary for a cold replicated
-	// key, the home for a cold unreplicated one, or the RMW coordinator's
-	// cache for a hot key. CAS carries expect+new, FAA carries a delta; both
-	// answer with the witnessed value. A hot Lin RMW answers
-	// rpcStatusRMWStarted (the coordinator's write protocol is still
-	// collecting acks; the origin polls rpcOpRMWWait), a cold replicated one
-	// answers rpcStatusRMWStamped (the origin drives the replicated commit of
-	// the computed value), and a failed CAS answers rpcStatusCASFail with the
-	// witness. Anything that must serialize elsewhere answers Retry.
+	// serialization point (homeRMW; rmw.go). CAS carries expect+new, FAA
+	// carries a delta; both answer with the witnessed value.
 	rpcOpCAS byte = 15
 	rpcOpFAA byte = 16
 	// rpcOpRMWClear releases an RMW pin the origin can no longer commit
@@ -179,6 +182,15 @@ type rpcResult struct {
 	ts     timestamp.TS
 	value  []byte
 	err    error
+	// Set only on the answer of a step that ran in place (home.go startAt):
+	// local marks it as such — no wire was crossed, which is what the origin's
+	// LocalOps/RemoteOps and DeltaStats.RemoteFetches count by — and stall says
+	// why the step answered Retry when the origin can do better than ask again:
+	// the local cache's refusal, which the executor parks on (core.ErrInvalid,
+	// ErrWritePending, ErrFrozen on a hot key), or, on a cold key, that the key
+	// is cached (core.ErrFrozen) or RMW-pinned (core.ErrWritePending).
+	local bool
+	stall error
 }
 
 // resChPool recycles completion channels: every call uses its channel for
@@ -250,11 +262,13 @@ func (r *rpcClient) failPeer(peer uint8, err error) {
 	}
 }
 
-// wireReq is one not-yet-encoded request entry. The pipeline sender encodes
-// it straight into the outgoing packet buffer (encode-at-send), so issuing
-// a call allocates no per-request scratch. value (put/promote/
-// writeback) aliases caller memory and must stay stable until the call
-// completes — trivially true, the caller blocks on the response.
+// wireReq is one request entry in decoded form, on either side of the wire.
+// The pipeline sender encodes it straight into the outgoing packet buffer
+// (encode-at-send), so issuing a call allocates no per-request scratch;
+// value and expect alias caller memory and must stay stable until the call
+// completes — trivially true, the caller blocks on the response. parseRequest
+// decodes one whose value and expect alias the packet buffer, valid only
+// while the packet's handler runs.
 type wireReq struct {
 	op     byte
 	id     uint64
@@ -442,54 +456,19 @@ func appendVersionedReq(buf []byte, op byte, id, key uint64, ts timestamp.TS, va
 	return append(buf, value...)
 }
 
-// remoteStamp reserves a replicated put's write timestamp at the key's
-// acting primary (phase 1, replicate.go replicatedPut). errPutBounced reports the
-// primary caches the key or is re-syncing; the origin re-probes and
-// re-executes.
-func (n *Node) remoteStamp(primary uint8, key uint64) (timestamp.TS, error) {
-	res, err := n.workerFor(key).rpc.call(primary, wireReq{op: rpcOpPutStamp, key: key})
-	if err != nil {
-		return timestamp.TS{}, err
-	}
-	switch res.status {
-	case rpcStatusOK:
-		return res.ts, nil
-	case rpcStatusRetry:
-		return timestamp.TS{}, errPutBounced
-	default:
-		return timestamp.TS{}, fmt.Errorf("cluster: put stamp failed (status %d)", res.status)
-	}
-}
-
-// errPutBounced reports that the acting primary refused a put stamp because
-// it currently caches the key (the probe was stale) or is re-syncing; the
-// origin re-probes its own cache and re-executes the write.
-var errPutBounced = errors.New("cluster: put bounced by home (key is hot)")
-
-// rpcRequest is one decoded request entry.
-type rpcRequest struct {
-	op     byte
-	reqID  uint64
-	key    uint64
-	ts     timestamp.TS // promote/writeback/rmw-wait/rmw-clear: the version
-	value  []byte       // nil for get/demote; aliases the packet buffer
-	expect []byte       // cas only; aliases the packet buffer
-	delta  uint64       // faa only
-}
-
 // errBadRequest distinguishes identifiable-but-unservable requests (the
 // parser recovered op+reqID) from undecodable ones.
 var errBadRequest = fmt.Errorf("cluster: malformed rpc request")
 
 // parseRequest decodes the next request entry of a packet. When it returns
-// an error with req.reqID != 0, the entry's header was intact and the server
-// answers it with rpcStatusBadRequest; with reqID == 0 the framing is gone.
-func parseRequest(buf []byte) (req rpcRequest, consumed int, err error) {
+// an error with req.id != 0, the entry's header was intact and the server
+// answers it with rpcStatusBadRequest; with id == 0 the framing is gone.
+func parseRequest(buf []byte) (req wireReq, consumed int, err error) {
 	if len(buf) < 9 {
-		return rpcRequest{}, 0, errBadRequest
+		return wireReq{}, 0, errBadRequest
 	}
 	req.op = buf[0]
-	req.reqID = binary.LittleEndian.Uint64(buf[1:9])
+	req.id = binary.LittleEndian.Uint64(buf[1:9])
 	switch req.op {
 	case rpcOpPut:
 		if len(buf) < 21 {
@@ -694,8 +673,8 @@ func (n *Node) handleKVSRequest(p fabric.Packet) {
 			// An identifiable entry gets an explicit refusal so its caller
 			// fails instead of waiting forever; either way the rest of the
 			// packet has lost framing and cannot be decoded.
-			if req.reqID != 0 {
-				resp = appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
+			if req.id != 0 {
+				resp = appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 			}
 			n.RPCDecodeErrors.Add(1)
 			break
@@ -734,108 +713,59 @@ func (n *Node) handleKVSRequest(p fabric.Packet) {
 // into resp) without allocating. When ra is non-nil (transports that consume
 // segments during Send), gets skip even that copy: the value is leased from
 // the store and spliced into the packet as its own wire segment.
-func (n *Node) serveRequest(src uint8, req rpcRequest, resp []byte, scratch *srvBuf, ra *respAssembly) []byte {
+func (n *Node) serveRequest(src uint8, req wireReq, resp []byte, scratch *srvBuf, ra *respAssembly) []byte {
 	switch req.op {
 	case rpcOpGet:
 		if n.cluster.syncing.Load() {
 			// Re-syncing after a rejoin: the shard may still hold pre-crash
 			// state; readers wait for the seed stream (the executor re-issues).
-			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
+			return appendStatusOnly(resp, req.id, rpcStatusRetry)
 		}
 		if ra != nil {
 			lease, ts, err := n.kvs.GetLease(req.key)
 			if err != nil {
-				return appendStatusOnly(resp, req.reqID, rpcStatusNotFound)
+				return appendStatusOnly(resp, req.id, rpcStatusNotFound)
 			}
-			resp = appendPayloadHeader(resp, req.reqID, rpcStatusOK, ts, len(lease.Value()))
+			resp = appendPayloadHeader(resp, req.id, rpcStatusOK, ts, len(lease.Value()))
 			ra.splice(resp, lease)
 			return resp
 		}
 		v, ts, err := n.kvs.Get(req.key, scratch.b[:0])
 		if err != nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusNotFound)
+			return appendStatusOnly(resp, req.id, rpcStatusNotFound)
 		}
 		scratch.b = v
-		return appendOKResponse(resp, req.reqID, ts, v)
-	case rpcOpPut:
-		if n.cluster.syncing.Load() {
-			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
+		return appendOKResponse(resp, req.id, ts, v)
+	case rpcOpPut, rpcOpWriteback, rpcOpPromoteFetch, rpcOpPutStamp, rpcOpPutCommit,
+		rpcOpCAS, rpcOpFAA, rpcOpRMWClear, rpcOpRMWWait:
+		// The home-shard ops: one body each (home.go), run here for a peer
+		// exactly as startAt runs it in place for this node.
+		res := n.homeStep(src, &req, scratch, false)
+		if rpcStatusHasPayload(res.status) {
+			return appendPayloadResponse(resp, req.id, res.status, res.ts, res.value)
 		}
-		// Puts that miss the cache go to the home shard; they carry no
-		// protocol timestamp, so advance the stored clock to serialize
-		// (home-node writes are trivially serialized per key).
-		//
-		// A put for a key this node currently caches is a stale probe: the
-		// key (re)entered the hot set between the origin's cache miss and
-		// this packet's arrival. Bounce it — the origin re-probes and the
-		// write re-executes through the cache protocol. The check and the
-		// shard write run under the key's worker homeMu, the mutex a
-		// promotion fetch holds while reading this shard (whether served by
-		// rpcOpPromoteFetch or read directly by a coordinator homed here),
-		// so a miss-path put can never slip into the home shard between the
-		// placeholder barrier and the fetch — on any transport, however its
-		// dispatch threads are laid out.
-		wk := n.workerFor(req.key)
-		wk.homeMu.Lock()
-		if n.cache != nil && n.cache.Contains(req.key) {
-			wk.homeMu.Unlock()
-			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
-		}
-		v, ts, err := n.kvs.Get(req.key, scratch.b[:0])
-		if err != nil {
-			ts = timestamp.TS{}
-		} else {
-			scratch.b = v
-		}
-		n.kvs.Put(req.key, req.value, ts.Next(n.id))
-		wk.homeMu.Unlock()
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
+		return appendStatusOnly(resp, req.id, res.status)
 	case rpcOpPromotePrepare:
 		if n.cache == nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
+			return appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 		}
 		n.cache.AddPending([]uint64{req.key})
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
-	case rpcOpPromoteFetch:
-		if n.cluster.syncing.Load() {
-			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
-		}
-		wk := n.workerFor(req.key)
-		wk.homeMu.Lock()
-		v, ts, err := n.kvs.Get(req.key, scratch.b[:0])
-		if err == nil && n.cluster.replicated() {
-			// Lift the fetched version above every stamp handed out for the
-			// key (rpcOpPutStamp): a stamped put that bounces off the fresh
-			// cache entry re-executes through the cache protocol, and its
-			// orphaned backup commits must lose to the cache's subsequent
-			// demotion write-backs, not outlive them.
-			wk.seqMu.Lock()
-			if c := wk.seqClocks[req.key]; c > ts.Clock {
-				ts = timestamp.TS{Clock: c, Writer: n.id}
-			}
-			wk.seqMu.Unlock()
-		}
-		wk.homeMu.Unlock()
-		if err != nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusNotFound)
-		}
-		scratch.b = v
-		return appendOKResponse(resp, req.reqID, ts, v)
+		return appendOKResponse(resp, req.id, timestamp.TS{}, nil)
 	case rpcOpUnfreeze:
 		if n.cache == nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
+			return appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 		}
 		n.cache.Unfreeze([]uint64{req.key})
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
+		return appendOKResponse(resp, req.id, timestamp.TS{}, nil)
 	case rpcOpDemoteRetire:
 		if n.cache == nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
+			return appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 		}
 		n.cache.Retire([]uint64{req.key})
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
+		return appendOKResponse(resp, req.id, timestamp.TS{}, nil)
 	case rpcOpPromote:
 		if n.cache == nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
+			return appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 		}
 		if !n.cache.FillAdd(req.key, req.value, req.ts) {
 			// No placeholder (e.g. a prepare raced an overlapping epoch):
@@ -845,96 +775,34 @@ func (n *Node) serveRequest(src uint8, req rpcRequest, resp []byte, scratch *srv
 				return val, ts, true
 			})
 		}
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
+		return appendOKResponse(resp, req.id, timestamp.TS{}, nil)
 	case rpcOpDemoteFreeze:
 		if n.cache == nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
+			return appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 		}
 		n.cache.Freeze([]uint64{req.key})
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
+		return appendOKResponse(resp, req.id, timestamp.TS{}, nil)
 	case rpcOpDemoteCollect:
 		if n.cache == nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
+			return appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 		}
 		wb, dirty, quiescent := n.cache.CollectFrozen(req.key)
 		if !quiescent {
-			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
+			return appendStatusOnly(resp, req.id, rpcStatusRetry)
 		}
 		if !dirty {
-			return appendStatusOnly(resp, req.reqID, rpcStatusNotFound)
+			return appendStatusOnly(resp, req.id, rpcStatusNotFound)
 		}
-		return appendOKResponse(resp, req.reqID, wb.TS, wb.Value)
+		return appendOKResponse(resp, req.id, wb.TS, wb.Value)
 	case rpcOpDemoteCommit:
 		if n.cache == nil {
-			return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
+			return appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 		}
 		n.cache.Remove([]uint64{req.key})
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
-	case rpcOpWriteback:
-		// A stale write-back (the home already holds something newer, e.g.
-		// a post-demotion client put) loses quietly — exactly the
-		// PutIfNewer contract the epoch change relies on.
-		_ = n.kvs.PutIfNewer(req.key, req.value, req.ts)
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
-	case rpcOpPutStamp:
-		if n.cluster.syncing.Load() {
-			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
-		}
-		wk := n.workerFor(req.key)
-		wk.homeMu.Lock()
-		if n.cache != nil && n.cache.Contains(req.key) {
-			wk.homeMu.Unlock()
-			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
-		}
-		_, ts, err := n.kvs.Get(req.key, scratch.b[:0])
-		if err != nil {
-			ts = timestamp.TS{}
-		}
-		wk.seqMu.Lock()
-		clock := wk.seqClocks[req.key]
-		if ts.Clock > clock {
-			clock = ts.Clock
-		}
-		clock++
-		wk.seqClocks[req.key] = clock
-		wk.seqMu.Unlock()
-		wk.homeMu.Unlock()
-		return appendOKResponse(resp, req.reqID, timestamp.TS{Clock: clock, Writer: n.id}, nil)
-	case rpcOpPutCommit:
-		// Applying a stamped put at a replica: the bounce check mirrors
-		// rpcOpPut (the key went hot between the stamp and this commit; the
-		// origin re-executes through the cache protocol), the write itself
-		// is PutIfNewer — a commit racing a newer stamp's commit loses
-		// quietly, exactly the order the stamps define.
-		wk := n.workerFor(req.key)
-		wk.homeMu.Lock()
-		if n.cache != nil && n.cache.Contains(req.key) {
-			wk.homeMu.Unlock()
-			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
-		}
-		_ = n.kvs.PutIfNewer(req.key, req.value, req.ts)
-		// A commit carrying an RMW pin's stamp IS that RMW landing at its
-		// serialization point; the pin has done its job.
-		if pin, ok := wk.rmwPins[req.key]; ok && pin.ts == req.ts {
-			delete(wk.rmwPins, req.key)
-		}
-		wk.homeMu.Unlock()
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
-	case rpcOpCAS, rpcOpFAA:
-		return n.serveRMW(src, req, resp)
-	case rpcOpRMWWait:
-		return n.serveRMWWait(req, resp)
-	case rpcOpRMWClear:
-		wk := n.workerFor(req.key)
-		wk.homeMu.Lock()
-		if pin, ok := wk.rmwPins[req.key]; ok && pin.origin == src && pin.ts == req.ts {
-			delete(wk.rmwPins, req.key)
-		}
-		wk.homeMu.Unlock()
-		return appendOKResponse(resp, req.reqID, timestamp.TS{}, nil)
+		return appendOKResponse(resp, req.id, timestamp.TS{}, nil)
 	default:
 		// Unreachable today — parseRequest rejects unknown ops — but kept so
 		// the two dispatch tables cannot drift apart silently.
-		return appendStatusOnly(resp, req.reqID, rpcStatusBadRequest)
+		return appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 	}
 }

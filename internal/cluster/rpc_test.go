@@ -30,18 +30,18 @@ func TestParseRequestRoundTripMulti(t *testing.T) {
 	val := bytes.Repeat([]byte{0xAB}, 40)
 	pkt := multiRequestPacket(val)
 
-	want := []rpcRequest{
-		{op: rpcOpGet, reqID: 1, key: 100},
-		{op: rpcOpPut, reqID: 2, key: 200, value: val},
-		{op: rpcOpPut, reqID: 3, key: 300, value: val[:7]},
-		{op: rpcOpPutStamp, reqID: 4, key: 400},
+	want := []wireReq{
+		{op: rpcOpGet, id: 1, key: 100},
+		{op: rpcOpPut, id: 2, key: 200, value: val},
+		{op: rpcOpPut, id: 3, key: 300, value: val[:7]},
+		{op: rpcOpPutStamp, id: 4, key: 400},
 	}
 	for i, w := range want {
 		req, consumed, err := parseRequest(pkt)
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
-		if req.op != w.op || req.reqID != w.reqID || req.key != w.key || !bytes.Equal(req.value, w.value) {
+		if req.op != w.op || req.id != w.id || req.key != w.key || !bytes.Equal(req.value, w.value) {
 			t.Fatalf("entry %d: got %+v want %+v", i, req, w)
 		}
 		pkt = pkt[consumed:]
@@ -73,8 +73,8 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 	// Entries whose 9-byte header survived must surface the request id so
 	// the server can refuse them explicitly.
 	req, _, err := parseRequest(full[:12])
-	if err == nil || req.reqID != 7 {
-		t.Fatalf("truncated entry: id=%d err=%v, want id=7 and error", req.reqID, err)
+	if err == nil || req.id != 7 {
+		t.Fatalf("truncated entry: id=%d err=%v, want id=7 and error", req.id, err)
 	}
 }
 
@@ -211,6 +211,103 @@ func TestHandleResponseGarbageTailIgnored(t *testing.T) {
 	if r.w.node.RPCDecodeErrors.Load() != 1 {
 		t.Fatal("garbage tail not counted")
 	}
+}
+
+// Hostile bytes at a resp thread: whatever a response packet holds,
+// handleResponse completes each registered call at most once — with the first
+// entry naming it, decoded exactly — fails the call of a truncated entry with
+// an error and counts it, and stops there; it never panics, never reads past
+// the packet, never sizes an allocation by a length it has not checked against
+// the packet, and hands out values that do not alias the packet (the
+// transport reuses it). A reference walk over the same bytes says what each
+// call must have received.
+func FuzzRPCResponse(f *testing.F) {
+	val := bytes.Repeat([]byte{0xE1}, 24)
+	var all []byte // one entry per status
+	for status := rpcStatusOK; status <= rpcStatusRMWStarted; status++ {
+		var one []byte
+		if rpcStatusHasPayload(status) {
+			one = appendPayloadResponse(nil, uint64(status)+1, status, timestamp.TS{Clock: 9, Writer: 2}, val)
+		} else {
+			one = appendStatusOnly(nil, uint64(status)+1, status)
+		}
+		f.Add(one)
+		all = append(all, one...)
+	}
+	for cut := 0; cut <= len(all); cut++ {
+		f.Add(all[:cut])
+	}
+	f.Add(append(appendPayloadHeader(nil, 1, rpcStatusOK, timestamp.TS{}, 0)[:14], 0xff, 0xff, 0xff, 0xff)) // a 4 GiB value
+	f.Add(append(appendStatusOnly(nil, 3, rpcStatusRetry), appendStatusOnly(nil, 3, rpcStatusOK)...))       // one id twice
+
+	const ids = 8 // registered: 1..ids
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A private copy with no spare capacity: reading past the packet panics
+		// instead of finding stale bytes.
+		pkt := make([]byte, len(data))
+		copy(pkt, data)
+		r := respTestClient()
+		chs := make([]chan rpcResult, ids+1)
+		for id := uint64(1); id <= ids; id++ {
+			chs[id] = r.register(1, id)
+		}
+		r.handleResponse(fabric.Packet{Data: pkt})
+		for i := range pkt {
+			pkt[i] = 0x5A // the transport reuses the buffer
+		}
+
+		// The reference walk.
+		type expect struct {
+			res       rpcResult
+			truncated bool
+		}
+		want := map[uint64]expect{}
+		var decodeErrors uint64
+		buf := data
+		for len(buf) >= 9 && decodeErrors == 0 {
+			id, status := binary.LittleEndian.Uint64(buf), buf[8]
+			buf = buf[9:]
+			e := expect{res: rpcResult{status: status}}
+			if rpcStatusHasPayload(status) {
+				if len(buf) < 9 || uint64(len(buf)-9) < uint64(binary.LittleEndian.Uint32(buf[5:])) {
+					e.truncated, decodeErrors = true, 1
+				} else {
+					vlen := int(binary.LittleEndian.Uint32(buf[5:]))
+					e.res.ts = timestamp.TS{Clock: binary.LittleEndian.Uint32(buf), Writer: buf[4]}
+					e.res.value = buf[9 : 9+vlen]
+					buf = buf[9+vlen:]
+				}
+			}
+			if _, seen := want[id]; !seen {
+				want[id] = e
+			}
+		}
+		if decodeErrors == 0 && len(buf) > 0 {
+			decodeErrors = 1 // a tail too short to name a call
+		}
+
+		for id := uint64(1); id <= ids; id++ {
+			e, named := want[id]
+			if len(chs[id]) > 1 || named != (len(chs[id]) == 1) {
+				t.Fatalf("call %d: %d completions, named by the packet: %v", id, len(chs[id]), named)
+			}
+			if !named {
+				continue
+			}
+			got := <-chs[id]
+			switch {
+			case e.truncated:
+				if got.err == nil {
+					t.Fatalf("call %d: truncated entry completed without an error: %+v", id, got)
+				}
+			case got.err != nil || got.status != e.res.status || got.ts != e.res.ts || !bytes.Equal(got.value, e.res.value):
+				t.Fatalf("call %d: got %+v, want %+v", id, got, e.res)
+			}
+		}
+		if got := r.w.node.RPCDecodeErrors.Load(); got != decodeErrors {
+			t.Fatalf("%d decode errors counted, want %d", got, decodeErrors)
+		}
+	})
 }
 
 // A malformed or unservable request must come back as an explicit rpc error

@@ -418,13 +418,6 @@ func (c *Cluster) reseedThenAdmit(peer uint8) {
 	}()
 }
 
-// seedRecord is one shard entry staged for a re-seed push.
-type seedRecord struct {
-	key   uint64
-	ts    timestamp.TS
-	value []byte
-}
-
 // reseed pushes every key this member served as acting primary while peer
 // was down (and for which peer holds a replica) back at peer, then declares
 // the stream settled. The order is what makes it safe:
@@ -462,13 +455,12 @@ func (c *Cluster) reseed(peer uint8) {
 	c.PeerUp(peer)
 	defer c.sendSeedMark(peer, viewMsgSeedDone)
 
-	var seeds []seedRecord
+	var seeds []homeCall
 	for pi := 0; pi < n.kvs.NumPartitions(); pi++ {
 		n.kvs.Partition(pi).Range(func(key uint64, value []byte, ts timestamp.TS) bool {
-			if c.primaryFor(key, oldView) != self || !c.isReplica(key, int(peer)) {
-				return true
+			if c.primaryFor(key, oldView) == self && c.isReplica(key, int(peer)) {
+				seeds = append(seeds, homeCall{int(peer), wireReq{op: rpcOpWriteback, key: key, ts: ts, value: append([]byte(nil), value...)}})
 			}
-			seeds = append(seeds, seedRecord{key: key, ts: ts, value: append([]byte(nil), value...)})
 			return true
 		})
 	}
@@ -477,21 +469,11 @@ func (c *Cluster) reseed(peer uint8) {
 	// died again (its own PeerDown clears the rejoiner gate) or the
 	// deployment is closing.
 	const seedWindow = 128
-	chs := make([]chan rpcResult, 0, seedWindow)
-	flush := func() {
-		for _, ch := range chs {
-			_, _ = awaitRPC(ch)
-		}
-		chs = chs[:0]
+	for len(seeds) > 0 {
+		window := seeds[:min(seedWindow, len(seeds))]
+		_ = n.fanOut(window, peersRequired, mustOK("seed"))
+		seeds = seeds[len(window):]
 	}
-	for _, s := range seeds {
-		wk := n.workerFor(s.key)
-		chs = append(chs, wk.rpc.start(peer, wireReq{op: rpcOpWriteback, key: s.key, ts: s.ts, value: s.value}))
-		if len(chs) >= seedWindow {
-			flush()
-		}
-	}
-	flush()
 }
 
 // sendSeedMark sends one seed-begin/seed-done marker to peer's view thread.
