@@ -268,15 +268,17 @@ type Cluster struct {
 	// so there the buffers must stay fresh per packet.
 	trCopies bool
 	// nodes is indexed by node id and always cfg.Nodes long; in member form
-	// every entry except the local node is nil.
+	// every entry except the local node is nil. locals lists the nodes this
+	// process runs: all of them in-process, the member's own in member form.
 	nodes  []*Node
+	locals []*Node
 	member bool
 	self   int
 	closed bool
 	mu     sync.Mutex
-	// stop is closed by Close and Kill: every caller parked on a cache entry
-	// or on its own Lin write's acks (ops.go: park, awaitLinWrite) fails
-	// instead of outliving the cluster.
+	// stop is closed by Close and Kill: every parked caller — on a cache
+	// entry, the re-sync gate, an RMW pin or its own Lin write's acks (ops.go:
+	// park, awaitLinWrite) — fails instead of outliving the cluster.
 	stop     chan struct{}
 	stopOnce sync.Once
 	// reconfigMu serializes hot-set reconfigurations (reconfig.go).
@@ -304,13 +306,14 @@ type Cluster struct {
 
 	// Rejoin re-seed state (view.go). syncSources holds the peers currently
 	// streaming shard seeds at this member (seed-begin received, seed-done
-	// pending); while non-empty the member answers acting-primary traffic
-	// with retries so no reader observes its pre-crash state. syncing
-	// mirrors len(syncSources) > 0 for lock-free hot-path checks. reseeding
-	// guards one concurrent outbound reseed per rejoining peer.
+	// pending); while non-empty the re-sync gate is armed — syncGate, a
+	// close-on-clear channel, nil while open — and the member answers
+	// acting-primary traffic with retries (its own such ops park), so no
+	// reader observes its pre-crash state. reseeding guards one concurrent
+	// outbound reseed per rejoining peer.
 	syncMu      sync.Mutex
 	syncSources map[uint8]struct{}
-	syncing     atomic.Bool
+	syncGate    atomic.Pointer[chan struct{}]
 	reseedMu    sync.Mutex
 	reseeding   map[uint8]bool
 	reseedWG    sync.WaitGroup
@@ -388,9 +391,13 @@ type worker struct {
 	// primary records the origin and stamp of an RMW it has stamped but whose
 	// replicated commit the origin is still driving, and answers Retry to
 	// competing RMWs on the same key until the commit (or an explicit clear,
-	// or the origin's death) releases the pin. Guarded by homeMu — the pin is
-	// only ever consulted where the shard state it protects is consulted.
+	// the origin's death, or this member's re-seed) releases the pin. Guarded
+	// by homeMu — the pin is only ever consulted where the shard state it
+	// protects is consulted. pinWake is closed by the next release of any of
+	// this worker's pins (unpinLocked) and made lazily by the first RMW of
+	// this node that parks on one (pinWait); nil while nobody waits.
 	rmwPins map[uint64]rmwPin
+	pinWake chan struct{}
 
 	// sessQ feeds this worker's session lane (session.go): client-edge
 	// requests steered here by key hash, served in overlapped bursts.
@@ -499,11 +506,10 @@ func build(cfg Config, tr fabric.Transport, stats *fabric.Stats, self int) (*Clu
 			n.workers[w] = wk
 		}
 		c.nodes[i] = n
+		c.locals = append(c.locals, n)
 	}
-	for _, n := range c.nodes {
-		if n != nil {
-			n.start()
-		}
+	for _, n := range c.locals {
+		n.start()
 	}
 	// The membership endpoint answers pings and applies gossiped view
 	// changes; one per process (in member form the local id, else node 0 —
@@ -616,10 +622,7 @@ func (c *Cluster) Close() error {
 	// of waiting on a response that can no longer arrive. The consistency
 	// lanes drain the same way so queued updates/invalidations/acks still
 	// reach their peers before the transport goes down.
-	for _, n := range c.nodes {
-		if n == nil {
-			continue
-		}
+	for _, n := range c.locals {
 		for _, wk := range n.workers {
 			wk.pipe.close()
 			wk.con.close()
@@ -629,10 +632,7 @@ func (c *Cluster) Close() error {
 	// A response whose send lost the race against the transport close never
 	// reached its caller; fail whatever is still pending so no session
 	// blocks forever.
-	for _, n := range c.nodes {
-		if n == nil {
-			continue
-		}
+	for _, n := range c.locals {
 		for _, wk := range n.workers {
 			wk.rpc.failAll(ErrPipelineClosed)
 		}
@@ -645,10 +645,7 @@ func (c *Cluster) Close() error {
 	// with sessEnqueue's read lock so no enqueue races the close.
 	c.sessMu.Lock()
 	c.sessClosed = true
-	for _, n := range c.nodes {
-		if n == nil {
-			continue
-		}
+	for _, n := range c.locals {
 		for _, wk := range n.workers {
 			close(wk.sessQ)
 		}
@@ -931,7 +928,8 @@ func (n *Node) completeLinWrite(upd core.Update) {
 	}
 }
 
-// yield gives up the processor between two polls of something that cannot
-// wake its waiter (each call site says what). Nothing on the path of a get,
-// put, CAS or FAA of a hot key at its own node polls: those park (ops.go).
+// yield gives up the processor between two re-asks of a peer over the wire
+// (opFinish, fanOut): what a peer's "not yet" waits for happens on that peer,
+// and nothing on this node can wake the caller. Every local "not yet" parks
+// instead (ops.go: park).
 func yield() { runtime.Gosched() }

@@ -27,20 +27,20 @@ import (
 //     Whatever must wait is started and left pending — a cold access homed
 //     elsewhere goes onto the coalescing pipeline, a hot Lin put is staged
 //     and its invalidations broadcast (startLinWrite) — or only recorded: an
-//     op the cache refused (a get on an invalidated entry, a put on a
-//     write-pending or frozen one), an op behind an unfinished op on its key
-//     (I2), and the blocking multi-phase protocols (replicated puts, RMWs,
-//     reads at a primary still re-syncing after its rejoin). Scan never waits
-//     on the cache protocol, and no round trip is synchronous in it.
+//     op this node refused (a get on an invalidated entry or at a primary
+//     still re-syncing after its rejoin, a put on a write-pending or frozen
+//     entry), an op behind an unfinished op on its key (I2), and the blocking
+//     multi-phase protocols (replicated puts, RMWs). Scan never waits on the
+//     cache protocol, and no round trip is synchronous in it.
 //   - collect settles the pending ops in scan order: awaits a remote answer
-//     or a staged write's last ack, parks on the entry that refused an op
-//     (core/park.go) and re-runs it, runs the recorded blocking steps. An
-//     answer that proves the op did not execute where it was sent — a put
-//     bounced because the key went hot mid-flight, a read whose primary died
-//     or is re-syncing, a refused RMW attempt — re-runs the op from the cache
-//     probe, bounded by frozenRetryLimit. That loop is the one retry policy
-//     of the serving path; every iteration of it slept on an entry or crossed
-//     the wire.
+//     or a staged write's last ack, parks on whatever on this node refused an
+//     op — its cache entry, the re-sync gate, an RMW pin (ops.go: park) — and
+//     re-runs it, runs the recorded blocking steps. An answer that proves the
+//     op did not execute where it was sent — a put bounced because the key
+//     went hot mid-flight, a read whose primary died or is re-syncing, a
+//     refused RMW attempt — re-runs the op from the cache probe. That loop is
+//     the one retry policy of the serving path; every iteration of it slept
+//     on what refused it or crossed the wire, so it counts none.
 //
 // Three invariants keep the overlap safe:
 //
@@ -95,12 +95,12 @@ type opRes struct {
 
 // opWait says what an unfinished op waits for; at most one field is set. The
 // zero value is a blocking step left for collect (a replicated put, an RMW
-// attempt, the re-sync gate, a local-home put that bounced).
+// attempt, a local-home put that bounced).
 type opWait struct {
 	target int            // the node ch's answer comes from
 	ch     chan rpcResult // a remote access in flight
 	lin    timestamp.TS   // a hot Lin put staged in the cache, awaiting its last ack
-	stall  error          // the cache's refusal: park on the entry, then re-run
+	stall  error          // this node's refusal: park on it (ops.go), then re-run
 	turn   bool           // deferred behind an earlier op of the run on its key (I2)
 }
 
@@ -230,8 +230,8 @@ func (n *Node) opStart(op *Op, r *opRes) (w opWait, pending bool) {
 	case target != int(n.id):
 		n.RemoteOps.Add(1)
 		return opWait{target: target, ch: n.workerFor(key).rpc.start(uint8(target), wireReq{op: rpcOpGet, key: key})}, true
-	case c.syncing.Load():
-		return opWait{}, true // our shard may hold pre-crash state; collect waits out the seed stream
+	case c.resyncing():
+		return opWait{stall: errResyncing}, true // our shard may hold pre-crash state: wait out the seed stream
 	}
 	n.LocalOps.Add(1)
 	lv, _, err := n.kvs.GetLease(key)
@@ -244,10 +244,12 @@ func (n *Node) opStart(op *Op, r *opRes) (w opWait, pending bool) {
 
 // opFinish settles a pending op, re-running it from opStart for as long as
 // its answers prove it did not execute. It is where the serving path sleeps:
-// an op the local cache refused — in scan, or in the step opSettle just ran —
-// parks on the entry until it changes.
+// an op refused on this node — by the cache, the re-sync gate or an RMW pin,
+// in scan or in the step opSettle just ran — parks on what refused it until
+// that changes. Rounds are not counted: each one parked or crossed the wire,
+// and a peer that never answers leaves the view.
 func (n *Node) opFinish(p *execPend, r *opRes) {
-	for attempt := 0; ; attempt++ {
+	for {
 		if p.stall == nil && !p.turn {
 			if !n.opSettle(p, r) {
 				return
@@ -267,10 +269,6 @@ func (n *Node) opFinish(p *execPend, r *opRes) {
 				return
 			}
 		}
-		if attempt >= frozenRetryLimit {
-			r.err = ErrFrozenRetriesExhausted
-			return
-		}
 		var pending bool
 		if p.opWait, pending = n.opStart(&p.op, r); !pending {
 			return
@@ -281,7 +279,7 @@ func (n *Node) opFinish(p *execPend, r *opRes) {
 // opSettle finishes one pending op — awaits what it started or runs its
 // blocking step — and fills r, unless the op provably did not execute, in
 // which case it asks for a re-run (after a park, when it also sets p.stall:
-// the local cache refused the step).
+// this node refused the step).
 func (n *Node) opSettle(p *execPend, r *opRes) (rerun bool) {
 	c := n.cluster
 	kind := p.op.Kind
@@ -315,29 +313,17 @@ func (n *Node) opSettle(p *execPend, r *opRes) (rerun bool) {
 		r.err = n.awaitLinWrite(p.op.Key, p.lin)
 		return false
 	}
-	switch kind {
-	case OpPut:
-		bounced := true // unreplicated: the local home found the key hot
-		if c.replicated() {
-			bounced, r.err = n.replicatedPut(p.op.Key, p.op.Value)
-		}
-		if bounced {
-			n.FrozenRetries.Add(1)
-		}
-		return bounced
-	case OpGet:
-		// The re-sync gate opens when the last seed stream's done marker
-		// arrives on the view dispatcher, which has nothing to wake: poll.
-		for spin := 0; c.syncing.Load(); spin++ {
-			if spin > frozenRetryLimit {
-				r.err = ErrFrozenRetriesExhausted
-				return false
-			}
-			yield()
-		}
-		return true
+	if kind != OpPut {
+		return n.rmwAttempt(p, r)
 	}
-	return n.rmwAttempt(p, r)
+	bounced := true // unreplicated: the local home found the key hot
+	if c.replicated() {
+		bounced, p.stall, r.err = n.replicatedPut(p.op.Key, p.op.Value)
+	}
+	if bounced && p.stall == nil {
+		n.FrozenRetries.Add(1) // a parked bounce is counted by its park
+	}
+	return bounced
 }
 
 // rmwAttempt routes one CAS/FAA attempt to the key's serialization point
@@ -391,17 +377,10 @@ func (n *Node) rmwAttempt(p *execPend, r *opRes) (rerun bool) {
 	case err != nil:
 		r.err = err
 	case res.status == rpcStatusRetry:
-		// Only a step that ran in place says why it refused (res.stall): the
-		// local cache's refusal of a hot key is parked on, not polled; on a cold
-		// key the reason is only counted and the re-run follows a yield.
-		switch {
-		case hot:
-			p.stall = res.stall
-		case res.stall == core.ErrFrozen:
-			n.FrozenRetries.Add(1)
-		case res.stall == core.ErrWritePending:
-			n.WritePendingRetries.Add(1)
-		}
+		// Only a step that ran in place says why it refused (res.stall): its
+		// entry, the pin or the gate, parked on before the re-run; a peer's
+		// refusal is re-asked over the wire.
+		p.stall = res.stall
 		return true
 	case cas:
 		r.val = res.value

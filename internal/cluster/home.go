@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/timestamp"
@@ -21,9 +20,12 @@ import (
 // executor's hot path — a cold put homed here — calls homePut directly.
 //
 // What every step keeps:
+//   - No step ever waits for its refusal to end: it answers Retry, and only
+//     the origin of the client operation parks on what refused it (ops.go:
+//     park) — a KVS dispatcher, running a step for a peer, never parks.
 //   - homeMu is never held across anything that waits (a lane, a peer, an
-//     ack): a view change takes it under viewMu, and a KVS dispatcher that
-//     waited on a peer under it would deadlock two nodes on each other.
+//     ack, a park): a view change takes it under viewMu, and a KVS dispatcher
+//     that waited on a peer under it would deadlock two nodes on each other.
 //   - A step run on a KVS dispatcher (mayBlock=false) never blocks on a
 //     consistency lane: it posts (startLinWrite(inv, false)).
 //   - A step counts nothing. LocalOps, RemoteOps, CacheHits and the retry
@@ -46,6 +48,32 @@ import (
 type rmwPin struct {
 	origin uint8
 	ts     timestamp.TS
+}
+
+// unpinLocked deletes key's RMW pin and releases every RMW of this node parked
+// on one of wk's pins, to re-run and re-check its own key. Every pin deletion —
+// homeCommit, homeClearPin, applyDown's dead-origin clear, addSyncSource's
+// re-seed clear — comes here with homeMu held, which pinWait takes too.
+func (wk *worker) unpinLocked(key uint64) {
+	delete(wk.rmwPins, key)
+	if wk.pinWake != nil {
+		close(wk.pinWake)
+		wk.pinWake = nil
+	}
+}
+
+// pinWait returns a channel closed at the next release of one of wk's pins,
+// or nil when key is not pinned (any more).
+func (wk *worker) pinWait(key uint64) <-chan struct{} {
+	wk.homeMu.Lock()
+	defer wk.homeMu.Unlock()
+	if _, pinned := wk.rmwPins[key]; !pinned {
+		return nil
+	}
+	if wk.pinWake == nil {
+		wk.pinWake = make(chan struct{})
+	}
+	return wk.pinWake
 }
 
 // homeCall is one call of a multi-target protocol: a request and the node it
@@ -84,12 +112,6 @@ const (
 	deadExcused   = true
 )
 
-// gatePoll spaces the rounds of a fan-out whose "not yet" came from this node
-// itself (its re-sync gate, which opens on the view dispatcher and has nothing
-// to wake): such a round crosses no wire, and asking again at once would spin
-// a core against the dispatchers that deliver the seed.
-const gatePoll = time.Millisecond
-
 // fanOut runs one phase of a multi-target protocol: it starts every call (all
 // in flight at once, coalesced per destination by the pipeline, so a phase
 // costs one overlapped round instead of one round trip per peer — the freeze
@@ -98,17 +120,20 @@ const gatePoll = time.Millisecond
 // means in this phase: an error, or again=true for "not yet" (the call is
 // re-issued in the next round, with every other such call). Every answer of a
 // round is awaited even after a failure; the first error then ends the
-// fan-out. Rounds are not counted: what a "not yet" waits for — an entry
-// draining, a re-seed settling — ends, or its node leaves the view and the
-// call fails in transport; a settle polling for anything else bounds itself.
+// fan-out. Rounds are not counted: each one either parked on what refused a
+// step run in place (its res.stall — the re-sync gate, the only local "not
+// yet" a fan-out meets) or crossed the wire, and what a peer's "not yet" waits
+// for — an entry draining, a re-seed settling, a write completing — ends, or
+// the peer leaves the view and the call fails in transport.
 func (n *Node) fanOut(calls []homeCall, dead bool, settle func(c homeCall, res rpcResult) (again bool, err error)) error {
 	chs := make([]chan rpcResult, len(calls))
 	for len(calls) > 0 {
 		for i, c := range calls {
 			chs[i] = n.startAt(c.node, c.req)
 		}
-		var firstErr error
-		next, inPlace := calls[:0], false
+		var firstErr, stall error // stall: what refused a call run in place
+		var stallKey uint64
+		next := calls[:0]
 		for i, c := range calls {
 			res, err := awaitRPC(chs[i])
 			again := false
@@ -120,17 +145,18 @@ func (n *Node) fanOut(calls []homeCall, dead bool, settle func(c homeCall, res r
 			if err != nil && firstErr == nil {
 				firstErr = err
 			} else if again {
-				next, inPlace = append(next, c), inPlace || res.local
+				next = append(next, c)
+				if res.stall != nil {
+					stall, stallKey = res.stall, c.req.key
+				}
 			}
 		}
 		switch {
 		case firstErr != nil:
 			return firstErr
-		case inPlace:
-			select {
-			case <-n.cluster.stop:
-				return fmt.Errorf("cluster: closed with node %d's re-sync gate armed: %w", n.id, ErrPipelineClosed)
-			case <-time.After(gatePoll):
+		case stall != nil:
+			if err := n.park(stallKey, stall); err != nil {
+				return err
 			}
 		case len(next) > 0:
 			// What a peer's "not yet" waits for cannot wake us; each round re-issues
@@ -235,11 +261,9 @@ func (wk *worker) liftToStamps(key uint64, ts timestamp.TS) timestamp.TS {
 
 // homePut applies an unreplicated miss-path put to this node's shard (op 1).
 // It carries no protocol timestamp, so it advances the stored clock to
-// serialize — home-node writes are trivially serialized per key.
+// serialize — home-node writes are trivially serialized per key. No re-sync
+// gate to check: it is armed only when replicated (addSyncSource).
 func (n *Node) homePut(key uint64, value []byte, sc *srvBuf) byte {
-	if n.cluster.syncing.Load() {
-		return rpcStatusRetry
-	}
 	wk := n.workerFor(key)
 	wk.homeMu.Lock()
 	defer wk.homeMu.Unlock()
@@ -256,8 +280,8 @@ func (n *Node) homePut(key uint64, value []byte, sc *srvBuf) byte {
 // while this node is re-syncing after a rejoin: a stamp taken against its
 // pre-crash clock could fall below the stamps its stand-in handed out.
 func (n *Node) homeStamp(key uint64, sc *srvBuf) rpcResult {
-	if n.cluster.syncing.Load() {
-		return rpcResult{status: rpcStatusRetry}
+	if n.cluster.resyncing() {
+		return rpcResult{status: rpcStatusRetry, stall: errResyncing}
 	}
 	wk := n.workerFor(key)
 	wk.homeMu.Lock()
@@ -284,7 +308,7 @@ func (n *Node) homeCommit(key uint64, value []byte, ts timestamp.TS) byte {
 	// A commit carrying an RMW pin's stamp IS that RMW landing at its
 	// serialization point; the pin has done its job.
 	if pin, ok := wk.rmwPins[key]; ok && pin.ts == ts {
-		delete(wk.rmwPins, key)
+		wk.unpinLocked(key)
 	}
 	return rpcStatusOK
 }
@@ -296,8 +320,8 @@ func (n *Node) homeCommit(key uint64, value []byte, ts timestamp.TS) byte {
 // rejoin: its shard may still hold pre-crash state, and a value fetched from
 // it would be installed in every cache.
 func (n *Node) homeFetch(key uint64, sc *srvBuf) rpcResult {
-	if n.cluster.syncing.Load() {
-		return rpcResult{status: rpcStatusRetry}
+	if n.cluster.resyncing() {
+		return rpcResult{status: rpcStatusRetry, stall: errResyncing}
 	}
 	wk := n.workerFor(key)
 	wk.homeMu.Lock()
@@ -318,7 +342,7 @@ func (n *Node) homeClearPin(origin uint8, key uint64, ts timestamp.TS) {
 	wk := n.workerFor(key)
 	wk.homeMu.Lock()
 	if pin, ok := wk.rmwPins[key]; ok && pin.origin == origin && pin.ts == ts {
-		delete(wk.rmwPins, key)
+		wk.unpinLocked(key)
 	}
 	wk.homeMu.Unlock()
 }
@@ -329,14 +353,15 @@ func (n *Node) homeClearPin(origin uint8, key uint64, ts timestamp.TS) {
 // must re-route — not the serialization point, a mid-transition entry, a
 // pinned key, a re-syncing shard — answers Retry, the one status that proves
 // the op did not run, which is what licenses the origin's re-issue. A step
-// run in place also says why (stall), so the origin can park on its own cache
-// entry instead of asking again at once. A declined compute (failed
-// comparison, stored value not a counter) applies nothing and answers CASFail
-// with the witness.
+// run in place also says why (stall), so the origin can park on what refused
+// it — its cache entry, the pin, the gate — instead of asking again at once.
+// A declined compute (failed comparison, stored value not a counter) applies
+// nothing and answers CASFail with the witness.
 func (n *Node) homeRMW(origin uint8, q *wireReq, sc *srvBuf, mayBlock bool) rpcResult {
 	c := n.cluster
 	retry := rpcResult{status: rpcStatusRetry}
-	if c.syncing.Load() {
+	if c.resyncing() {
+		retry.stall = errResyncing
 		return retry
 	}
 	key, view := q.key, c.view.Load()
@@ -358,7 +383,7 @@ func (n *Node) homeRMW(origin uint8, q *wireReq, sc *srvBuf, mayBlock bool) rpcR
 		return retry
 	}
 	if _, pinned := wk.rmwPins[key]; pinned {
-		retry.stall = core.ErrWritePending
+		retry.stall = errPinned
 		return retry
 	}
 	witness, ts, _ := n.stored(key, sc)

@@ -3,11 +3,14 @@ package cluster
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/store"
+	"repro/internal/timestamp"
 )
 
 // fanRig is node 0 of four with no cluster behind it — no transport, no
@@ -132,34 +135,92 @@ func TestFanOut(t *testing.T) {
 	}
 }
 
-// A "not yet" from this node itself crosses no wire: the rounds are spaced
-// (gatePoll), not spun, they are not counted either, and a Close ends them.
+// A "not yet" from this node itself crosses no wire: the fan-out parks on what
+// refused the call in place — here the re-sync gate — and asks again once,
+// when the gate opens, however long it stays armed; a Close ends the wait.
 func TestFanOutInPlaceNotYetWaits(t *testing.T) {
 	r := newFanRig(t, nil)
 	c := r.n.cluster
-	c.stop = make(chan struct{})
-	c.syncing.Store(true) // homeFetch answers Retry before it touches the shard
+	c.cfg.ReplicasPerShard = 2 // the gate is armed only on a replicated deployment
+	c.stop, c.syncSources, c.nodes = make(chan struct{}), map[uint8]struct{}{}, []*Node{r.n}
+	r.n.kvs = store.NewPartitioned(1, 16)
 	gated := []homeCall{{int(r.n.id), wireReq{op: rpcOpPromoteFetch, key: 7}}}
 
-	const rounds = 20
-	seen, start := 0, time.Now()
-	err := r.n.fanOut(gated, peersRequired, func(_ homeCall, res rpcResult) (bool, error) {
-		if !res.local || res.status != rpcStatusRetry {
-			t.Errorf("gated fetch in place answered %+v", res)
-		}
-		seen++
-		return seen <= rounds, nil
-	})
-	if err != nil || seen != rounds+1 {
-		t.Fatalf("fanOut: %v after %d answers, want nil after %d", err, seen, rounds+1)
+	c.addSyncSource(1) // homeFetch answers Retry before it touches the shard
+	var answers []rpcResult
+	var calls atomic.Int32
+	done := make(chan error, 1)
+	go func() {
+		done <- r.n.fanOut(gated, peersRequired, func(_ homeCall, res rpcResult) (bool, error) {
+			answers = append(answers, res)
+			calls.Add(1)
+			return res.status == rpcStatusRetry, nil
+		})
+	}()
+	// The gate holds until the fan-out parked on it, or asked again — the
+	// failure this test exists for.
+	until(func() bool { return r.n.FrozenRetries.Load() == 1 || calls.Load() > 1 })
+	c.removeSyncSource(1)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
-	if took := time.Since(start); took < rounds*gatePoll {
-		t.Errorf("%d in-place rounds took %v: they spin", rounds, took)
+	if len(answers) != 2 || !answers[0].local || answers[0].status != rpcStatusRetry || answers[1].status != rpcStatusNotFound {
+		t.Fatalf("settle saw %+v, want one in-place Retry while the gate was armed, then the fetch's NotFound", answers)
 	}
 
 	close(c.stop)
-	err = r.n.fanOut(gated, peersRequired, func(homeCall, rpcResult) (bool, error) { return true, nil })
+	c.addSyncSource(1)
+	err := r.n.fanOut(gated, peersRequired, func(homeCall, rpcResult) (bool, error) { return true, nil })
 	if !errors.Is(err, ErrPipelineClosed) {
 		t.Errorf("fanOut on a closed cluster with the gate armed: %v, want ErrPipelineClosed", err)
+	}
+}
+
+// An RMW run in place on a pinned key parks on the pin — once, however long
+// the pin holds — and each of the four sites that delete a pin releases it:
+// the pinned RMW's own commit, its clear, its origin leaving the view and
+// this member's re-seed. A Close releases it too, failed.
+func TestPinnedRMWParksUntilReleased(t *testing.T) {
+	cfg := Config{Nodes: 3, System: Base, ReplicasPerShard: 2, NumKeys: 256, ValueSize: 8, WorkersPerNode: 1}
+	pin := rmwPin{origin: 1, ts: timestamp.TS{Clock: 1 << 20}}
+	for _, tc := range []struct {
+		name    string
+		release func(c *Cluster, n *Node, key uint64)
+		err     error
+	}{
+		{"commit", func(_ *Cluster, n *Node, key uint64) { n.homeCommit(key, EncodeCounter(5), pin.ts) }, nil},
+		{"clear", func(_ *Cluster, n *Node, key uint64) { n.homeClearPin(pin.origin, key, pin.ts) }, nil},
+		{"origin down", func(c *Cluster, _ *Node, _ uint64) { c.PeerDown(pin.origin, errors.New("test: down")) }, nil},
+		{"re-seed", func(c *Cluster, _ *Node, _ uint64) { c.addSyncSource(2); c.removeSyncSource(2) }, nil},
+		{"close", func(c *Cluster, _ *Node, _ uint64) { c.Close() }, ErrPipelineClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, cfg)
+			n := c.Node(0)
+			key := coldKeyHomedOnCfg(t, cfg, 0)
+			wk := n.workerFor(key)
+			wk.homeMu.Lock()
+			wk.rmwPins[key] = pin
+			wk.homeMu.Unlock()
+
+			done := make(chan error, 1)
+			go func() {
+				_, err := n.FetchAndAdd(key, 1)
+				done <- err
+			}()
+			until(func() bool { return n.WritePendingRetries.Load() >= 1 })
+			// The pin holds across a thousand scheduler turns: a parked RMW sleeps
+			// through them, one that polls would count each.
+			for range 1000 {
+				runtime.Gosched()
+			}
+			tc.release(c, n, key)
+			if err := <-done; !errors.Is(err, tc.err) {
+				t.Fatalf("FetchAndAdd returned %v, want %v", err, tc.err)
+			}
+			if parks := n.WritePendingRetries.Load(); parks != 1 {
+				t.Errorf("the pinned FetchAndAdd parked %d times, want once", parks)
+			}
+		})
 	}
 }

@@ -12,58 +12,71 @@ import (
 
 // ErrRetriesExhausted is returned when a read stayed parked on an invalidated
 // entry past parkDeadline — it indicates a protocol bug (the matching update
-// never arrived) and exists so tests fail loudly instead of hanging. Loops
-// that re-issue an RPC per attempt (the remote RMW completion poll) return
-// it after invalidRetryLimit attempts.
+// never arrived) and exists so tests fail loudly instead of hanging.
 var ErrRetriesExhausted = errors.New("cluster: read retries exhausted on invalid entry")
 
 // ErrFrozenRetriesExhausted is returned when a write stayed parked on a
-// frozen or write-pending entry past parkDeadline — a hot-set
-// reconfiguration always commits, aborts or removes the entry in bounded
-// time, so this indicates a reconfiguration that died without cleaning up.
-// Loops that re-issue an RPC per attempt (the executor's re-run loop) return
-// it after frozenRetryLimit attempts.
+// frozen or write-pending entry, or an RMW on a pinned key, past parkDeadline
+// — a reconfiguration always commits, aborts or removes the entry in bounded
+// time and a pin is always committed, cleared or excised, so this indicates a
+// reconfiguration or a commit that died without cleaning up.
 var ErrFrozenRetriesExhausted = errors.New("cluster: write retries exhausted on frozen entry")
 
-// invalidRetryLimit and frozenRetryLimit bound the loops that re-issue an
-// RPC per attempt; waits on a local cache entry park under parkDeadline
-// instead.
-const (
-	invalidRetryLimit = 10_000_000
-	frozenRetryLimit  = 10_000_000
-)
+// The two local refusals that are not the cache's, parked on like its three
+// (park): the node's re-sync gate is armed (homeStamp, homeFetch, homeRMW and
+// the executor's local read), and the key is pinned by a cold replicated RMW
+// whose commit is still in flight (homeRMW).
+var errResyncing = errors.New("cluster: re-sync gate armed")
+var errPinned = errors.New("cluster: key pinned by an uncommitted RMW")
 
-// parkDeadline bounds one park on a cache entry. It is armed only once a
-// caller actually parks, and only ever fires on a bug or a peer that went
-// silent without leaving the view — every legitimate stall ends within a
-// few round trips (an update, an ack) or one reconfiguration.
+// parkDeadline bounds one park on a cache entry or an RMW pin. It is armed
+// only once a caller actually parks, and only ever fires on a bug or a peer
+// that went silent without leaving the view — every legitimate stall ends
+// within a few round trips (an update, an ack, a commit) or one
+// reconfiguration.
 const parkDeadline = 30 * time.Second
 
-// park is what the serving path does with a cache refusal (core.ErrInvalid,
-// ErrWritePending, ErrFrozen): sleep until the entry changes, then let the
-// caller retry. It returns at once when the refusal no longer holds. The
-// three retry counters count parks.
+// park is the one place on this node where a local refusal waits: sleep until
+// what refused the op changes, then let the caller retry (at once, when the
+// refusal no longer holds). stall names the refusal and so the channel: a
+// cache entry's (core.ErrInvalid, ErrWritePending, ErrFrozen — core/park.go),
+// the re-sync gate's (errResyncing) or the key's worker's pin release
+// (errPinned). The three retry counters count parks. The gate wait has no
+// deadline: a slow re-seed is not an error, and a dead seeder's share of the
+// gate clears when the view excises it.
 func (n *Node) park(key uint64, stall error) error {
-	ch := n.cache.Park(key, stall)
+	var ch <-chan struct{}
+	switch stall {
+	case errResyncing:
+		ch = n.cluster.resyncWait()
+	case errPinned:
+		ch = n.workerFor(key).pinWait(key)
+	default:
+		ch = n.cache.Park(key, stall)
+	}
 	if ch == nil {
 		return nil
 	}
 	switch stall {
-	case core.ErrWritePending:
+	case core.ErrWritePending, errPinned:
 		n.WritePendingRetries.Add(1)
-	case core.ErrFrozen:
-		n.FrozenRetries.Add(1)
 	case core.ErrInvalid:
 		n.InvalidRetries.Add(1)
+	default:
+		n.FrozenRetries.Add(1)
 	}
-	deadline := time.NewTimer(parkDeadline)
-	defer deadline.Stop()
+	var deadline <-chan time.Time // nil, never ready, for the gate
+	if stall != errResyncing {
+		t := time.NewTimer(parkDeadline)
+		defer t.Stop()
+		deadline = t.C
+	}
 	select {
 	case <-ch:
 		return nil
 	case <-n.cluster.stop:
 		return fmt.Errorf("cluster: closed with key %d parked (%v): %w", key, stall, ErrPipelineClosed)
-	case <-deadline.C:
+	case <-deadline:
 		if stall == core.ErrInvalid {
 			return ErrRetriesExhausted
 		}

@@ -332,17 +332,22 @@ func TestPathParity(t *testing.T) {
 						{op: rpcOpCAS, key: pinned, expect: populated(pinned), value: val(2)},
 						{op: rpcOpFAA, key: pinned, delta: 1},
 					}},
+					// A seed-begin from node 2 arms the gate — on a replicated
+					// deployment only, which is also the only one that stamps
+					// instead of sending op 1.
 					{"node syncing", func() func() {
-						members[0].syncing.Store(true)
-						return func() { members[0].syncing.Store(false) }
+						members[0].addSyncSource(2)
+						return func() { members[0].removeSyncSource(2) }
 					}, []wireReq{
-						{op: rpcOpPut, key: plain, value: val(3)},
 						{op: rpcOpPutStamp, key: plain},
 						{op: rpcOpPromoteFetch, key: plain},
 						{op: rpcOpCAS, key: plain, expect: populated(plain), value: val(3)},
 						{op: rpcOpFAA, key: plain, delta: 1},
 					}},
 				} {
+					if row.name == "node syncing" && replicas == 1 {
+						continue // unreplicated: addSyncSource would arm nothing
+					}
 					undo := row.arrange()
 					for _, q := range row.reqs {
 						inPlace, err1 := awaitRPC(home.startAt(0, q))

@@ -60,7 +60,8 @@ type DeltaStats struct {
 	// fabric (keys not homed on the coordinating node).
 	HomeFetches, RemoteFetches int
 	// CollectRetries counts demotion collect probes that found an entry
-	// still draining protocol traffic.
+	// still draining protocol traffic: parks on the driving node, Retry
+	// answers from its peers.
 	CollectRetries int
 }
 
@@ -260,17 +261,19 @@ func (n *Node) demoteKeys(keys []uint64, st *DeltaStats) (err error) {
 	}
 	for _, k := range keys {
 		for {
-			wb, dirty, quiescent := n.cache.CollectFrozen(k)
-			if quiescent {
+			wb, dirty, stall := n.cache.CollectFrozen(k)
+			if stall == nil {
 				if dirty {
 					merge(wb)
 				}
 				break
 			}
+			// This node's own write or an awaited update is still in flight:
+			// park until the entry changes, like any op the entry refuses.
 			st.CollectRetries++
-			// Waits for this node's own writes and invalidations to drain; a
-			// once-per-epoch control path, not worth a fourth kind of park.
-			yield()
+			if err := n.park(k, stall); err != nil {
+				return fmt.Errorf("demote collect: %w", err)
+			}
 		}
 	}
 	// Remote collects run in overlapped rounds: every still-draining

@@ -263,71 +263,114 @@ func TestApplyHotSetDeltaUnderLiveTraffic(t *testing.T) {
 	}
 }
 
-// A promotion fetch served by the node that drives the promotion honours the
-// rejoin re-sync gate exactly like one served to a peer: a rejoined, still
-// seeding member that drives a refresh must not install its pre-crash value
-// in every cache. The gated member is the acting primary of k and drives
-// ApplyHotSet itself; the stand-in holds a newer k; the fetch has to wait for
-// the seed (Retry rounds) and install the post-seed value.
-func TestPromotionFetchHonoursResyncGate(t *testing.T) {
-	// The long hold outlasts any count of in-place rounds a fan-out could
-	// mistake for a hang (ten million of them spin by in about three seconds):
-	// a slow re-seed is not an error.
+// gateSeed is the value a rejoined member's seed stream brings for the key
+// the gate tests read, write and promote: a counter, so FAA can add to it.
+var gateSeed = EncodeCounter(41)
+
+// The ops a gated member runs itself (gated is that member), what each
+// returns once the seed landed, and what both replicas of k then hold; hot
+// marks the op that leaves k cached everywhere.
+var gatedOps = []struct {
+	name   string
+	run    func(gated *Cluster, k uint64) ([]byte, error)
+	got    []byte
+	stored []byte
+	hot    bool
+}{
+	{"promotion fetch", func(m *Cluster, k uint64) ([]byte, error) {
+		_, err := m.ApplyHotSet(m.self, []uint64{k})
+		return nil, err
+	}, nil, gateSeed, true},
+	{"get", func(m *Cluster, k uint64) ([]byte, error) { return m.LocalNode().Get(k) }, gateSeed, gateSeed, false},
+	{"put", func(m *Cluster, k uint64) ([]byte, error) {
+		return nil, m.LocalNode().Put(k, EncodeCounter(77))
+	}, nil, EncodeCounter(77), false},
+	{"fetch-and-add", func(m *Cluster, k uint64) ([]byte, error) {
+		old, err := m.LocalNode().FetchAndAdd(k, 1)
+		return EncodeCounter(old), err
+	}, gateSeed, EncodeCounter(42), false},
+}
+
+// An op the member runs itself honours its rejoin re-sync gate exactly like
+// one a peer sends it, and waits the gate out instead of failing or spinning:
+// a rejoined, still seeding member must neither serve its pre-crash value nor,
+// driving a refresh, install it in every cache. The gated member is the acting
+// primary of k; the stand-in holds a newer k; each op parks on the gate — at
+// most twice, however long the gate holds — and finishes on the post-seed
+// state.
+func TestResyncGateHoldsLocalOps(t *testing.T) {
+	// The long hold outlasts what ten million spun rounds take (about three
+	// seconds): a slow re-seed is not an error.
 	for _, hold := range []time.Duration{100 * time.Millisecond, 4 * time.Second} {
 		t.Run(hold.String(), func(t *testing.T) {
 			if hold > time.Second && testing.Short() {
 				t.Skip("long re-seed")
 			}
 			t.Parallel()
-			promotionFetchUnderGate(t, hold)
+			for _, op := range gatedOps {
+				t.Run(op.name, func(t *testing.T) {
+					t.Parallel()
+					cfg := Config{
+						Nodes: 3, System: CCKVS, Protocol: core.SC, ReplicasPerShard: 2,
+						NumKeys: 2048, CacheItems: 32, ValueSize: 8, WorkersPerNode: 2,
+					}
+					const rejoined, standIn = 2, 0 // ReplicasOf(k) = {2, 0}
+					members := newChanMembers(t, cfg)
+					gated, n := members[rejoined], members[rejoined].LocalNode()
+					k := coldKeyHomedOnCfg(t, cfg, rejoined)
+					ts := timestamp.TS{Clock: 9, Writer: standIn}
+
+					// The stand-in served k while the member was away; the member is
+					// back, its seed stream announced (gate armed) but not yet landed.
+					members[standIn].LocalNode().kvs.Put(k, gateSeed, ts)
+					gated.addSyncSource(standIn)
+					parked := parks(n)
+
+					type outcome struct {
+						val []byte
+						err error
+					}
+					done := make(chan outcome, 1)
+					go func() {
+						v, err := op.run(gated, k)
+						done <- outcome{v, err}
+					}()
+					// The seed lands (a write-back: PutIfNewer), then seed-done.
+					seed := func() {
+						if err := n.kvs.PutIfNewer(k, gateSeed, ts); err != nil {
+							t.Error(err)
+						}
+						gated.removeSyncSource(standIn)
+					}
+					// Nothing can complete while the gate is armed; the wait only
+					// gives an op that ignores the gate the time to show it.
+					var o outcome
+					select {
+					case o = <-done:
+						t.Errorf("%s returned (%x, %v) while the member's re-sync gate was armed", op.name, o.val, o.err)
+						seed()
+					case <-time.After(hold):
+						seed()
+						o = <-done
+					}
+					if o.err != nil || !bytes.Equal(o.val, op.got) {
+						t.Fatalf("%s returned (%x, %v) after the seed, want (%x, nil)", op.name, o.val, o.err, op.got)
+					}
+					if grew := parks(n) - parked; grew > 2 {
+						t.Errorf("%s raised the retry counters by %d while the gate held, want at most 2", op.name, grew)
+					}
+					for _, i := range []int{rejoined, standIn} {
+						if v, _, err := members[i].LocalNode().kvs.Get(k, nil); err != nil || !bytes.Equal(v, op.stored) {
+							t.Errorf("replica %d stores %x (err=%v), want %x", i, v, err, op.stored)
+						}
+					}
+					for i, m := range members {
+						if v, _, err := m.LocalNode().cache.Read(k, nil); op.hot && (err != nil || !bytes.Equal(v, op.stored)) {
+							t.Errorf("node %d caches %x (err=%v), want the post-seed value %x", i, v, err, op.stored)
+						}
+					}
+				})
+			}
 		})
-	}
-}
-
-func promotionFetchUnderGate(t *testing.T, hold time.Duration) {
-	cfg := Config{
-		Nodes: 3, System: CCKVS, Protocol: core.SC, ReplicasPerShard: 2,
-		NumKeys: 2048, CacheItems: 32, ValueSize: 16, WorkersPerNode: 2,
-	}
-	const rejoined, standIn = 2, 0 // ReplicasOf(k) = {2, 0}
-	members := newChanMembers(t, cfg)
-	k := coldKeyHomedOnCfg(t, cfg, rejoined)
-	postSeed, ts := bytes.Repeat([]byte{0xC7}, cfg.ValueSize), timestamp.TS{Clock: 9, Writer: standIn}
-
-	// The stand-in served k while the member was away; the member is back,
-	// its seed stream announced (gate armed) but not yet landed.
-	members[standIn].LocalNode().kvs.Put(k, postSeed, ts)
-	members[rejoined].addSyncSource(standIn)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := members[rejoined].ApplyHotSet(rejoined, []uint64{k})
-		done <- err
-	}()
-	// The seed lands (a write-back: PutIfNewer), then seed-done.
-	seed := func() {
-		if err := members[rejoined].LocalNode().kvs.PutIfNewer(k, postSeed, ts); err != nil {
-			t.Fatal(err)
-		}
-		members[rejoined].removeSyncSource(standIn)
-	}
-	// Nothing can complete while the gate is armed; the wait only gives a
-	// fetch that ignores the gate the time to show it.
-	var err error
-	select {
-	case err = <-done:
-		t.Errorf("ApplyHotSet returned while the driving member's re-sync gate was armed")
-		seed()
-	case <-time.After(hold):
-		seed()
-		err = <-done
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range members {
-		if v, _, err := m.LocalNode().cache.Read(k, nil); err != nil || !bytes.Equal(v, postSeed) {
-			t.Errorf("node %d caches %x (err=%v), want the post-seed value %x", i, v, err, postSeed)
-		}
 	}
 }

@@ -68,18 +68,20 @@ var errReplicaMoved = errors.New("cluster: acting primary changed mid-put")
 const replicaRetryBudget = 64
 
 // replicatedPut runs the three-phase stamped put for a cache-missing key.
-// bounced=true (nil error) reports the key went hot mid-flight at some
-// replica; the caller re-probes its cache and re-executes.
-func (n *Node) replicatedPut(key uint64, value []byte) (bounced bool, err error) {
+// bounced=true (nil error) reports the op did not run: the key went hot
+// mid-flight at some replica, or the acting primary is re-syncing; the caller
+// re-probes its cache and re-executes — after parking on stall, when the
+// refusal was this node's own (its re-sync gate).
+func (n *Node) replicatedPut(key uint64, value []byte) (bounced bool, stall, err error) {
 	c := n.cluster
 	for attempt := 0; ; attempt++ {
 		if attempt > replicaRetryBudget {
-			return false, fmt.Errorf("cluster: put could not settle on a primary for key %d", key)
+			return false, nil, fmt.Errorf("cluster: put could not settle on a primary for key %d", key)
 		}
 		view := c.view.Load()
 		primary := c.primaryFor(key, view)
 		if primary < 0 {
-			return false, homeDownErr(c.HomeNode(key), key)
+			return false, nil, homeDownErr(c.HomeNode(key), key)
 		}
 		res, err := awaitRPC(n.startAt(primary, wireReq{op: rpcOpPutStamp, key: key}))
 		switch {
@@ -87,17 +89,17 @@ func (n *Node) replicatedPut(key uint64, value []byte) (bounced bool, err error)
 			if c.primaryFor(key, c.view.Load()) != primary {
 				continue // primary died mid-stamp; re-run against its successor
 			}
-			return false, err
+			return false, nil, err
 		case res.status == rpcStatusRetry:
-			return true, nil // the primary caches the key (stale probe) or is re-syncing
+			return true, res.stall, nil // the primary caches the key (stale probe) or is re-syncing
 		case res.status != rpcStatusOK:
-			return false, fmt.Errorf("cluster: put stamp failed (status %d)", res.status)
+			return false, nil, fmt.Errorf("cluster: put stamp failed (status %d)", res.status)
 		}
 		bounced, err = n.commitReplicated(key, value, res.ts, primary, view)
 		if err == errReplicaMoved {
 			continue
 		}
-		return bounced, err
+		return bounced, nil, err
 	}
 }
 

@@ -193,15 +193,12 @@ func (n *Node) rmwSettle(target int, q wireReq, res rpcResult) (rpcResult, error
 		// everywhere) stretched over the wire without the coordinator ever
 		// holding a response back (credit symmetry). The write completes at the
 		// coordinator, which has nothing of ours to wake: each round of the
-		// fan-out is one poll, and a poll that never ends is a bug, made loud.
-		polls := 0
+		// fan-out is one poll over the wire, uncounted like every fan-out round —
+		// the write completes, or the coordinator leaves the view.
 		err := n.fanOut([]homeCall{{target, wireReq{op: rpcOpRMWWait, key: key, ts: res.ts}}}, peersRequired, func(_ homeCall, w rpcResult) (bool, error) {
-			if polls++; polls > invalidRetryLimit {
-				return false, ErrRetriesExhausted
-			}
 			return w.status == rpcStatusRetry, nil
 		})
-		if err != nil && err != ErrRetriesExhausted {
+		if err != nil {
 			// The coordinator died after staging: its invalidations may have
 			// landed, the surviving replicas' view change will settle the entry,
 			// but whether the RMW's value won is unknowable here.

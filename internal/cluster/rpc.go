@@ -26,7 +26,7 @@ import (
 //
 //	op  name             request     served by (serveRequest)       answers
 //	 0  get              H           the shard, leased or copied    OK T V · NotFound · Retry (re-syncing)
-//	 1  put              H V         homePut                        OK · Retry (stale probe; re-syncing)
+//	 1  put              H V         homePut                        OK · Retry (stale probe)
 //	 4  promote          H T V       cache.FillAdd / Add            OK
 //	 5  demote-freeze    H           cache.Freeze                   OK
 //	 6  demote-collect   H           cache.CollectFrozen            OK T V (dirty) · NotFound (clean) · Retry (draining)
@@ -55,8 +55,9 @@ import (
 // instead of deadlocking on a response that will never come. rpcStatusRetry
 // proves the op did not run here: the server cannot serve it *yet* (a frozen
 // entry still has protocol traffic in flight, a shard is re-syncing) or is
-// not, or no longer, the place to run it (a put whose key went hot); the
-// caller re-issues or re-routes after yielding.
+// not, or no longer, the place to run it (a put whose key went hot). The
+// caller re-routes, or re-issues: after parking on the refusal when the step
+// ran in place (rpcResult.stall), after a yield when a peer answered.
 //
 // Op bytes 2 and 3 are retired (they carried Figure 4's primary write and
 // sequencer timestamp fetch) and are not reused: a packet naming one is
@@ -185,10 +186,10 @@ type rpcResult struct {
 	// Set only on the answer of a step that ran in place (home.go startAt):
 	// local marks it as such — no wire was crossed, which is what the origin's
 	// LocalOps/RemoteOps and DeltaStats.RemoteFetches count by — and stall says
-	// why the step answered Retry when the origin can do better than ask again:
-	// the local cache's refusal, which the executor parks on (core.ErrInvalid,
-	// ErrWritePending, ErrFrozen on a hot key), or, on a cold key, that the key
-	// is cached (core.ErrFrozen) or RMW-pinned (core.ErrWritePending).
+	// why the step answered Retry, for the origin to park on (ops.go: park):
+	// the local cache's refusal (core.ErrInvalid, ErrWritePending, ErrFrozen;
+	// ErrFrozen also for a cold RMW whose key just went hot), an RMW pin
+	// (errPinned) or the re-sync gate (errResyncing).
 	local bool
 	stall error
 }
@@ -356,11 +357,6 @@ func awaitRPC(ch chan rpcResult) (rpcResult, error) {
 		return rpcResult{}, fmt.Errorf("cluster: rpc rejected (bad request)")
 	}
 	return res, nil
-}
-
-// call runs one blocking request/response exchange.
-func (r *rpcClient) call(home uint8, q wireReq) (rpcResult, error) {
-	return awaitRPC(r.start(home, q))
 }
 
 func (r *rpcClient) newReqID() uint64 {
@@ -716,7 +712,7 @@ func (n *Node) handleKVSRequest(p fabric.Packet) {
 func (n *Node) serveRequest(src uint8, req wireReq, resp []byte, scratch *srvBuf, ra *respAssembly) []byte {
 	switch req.op {
 	case rpcOpGet:
-		if n.cluster.syncing.Load() {
+		if n.cluster.resyncing() {
 			// Re-syncing after a rejoin: the shard may still hold pre-crash
 			// state; readers wait for the seed stream (the executor re-issues).
 			return appendStatusOnly(resp, req.id, rpcStatusRetry)
@@ -786,8 +782,8 @@ func (n *Node) serveRequest(src uint8, req wireReq, resp []byte, scratch *srvBuf
 		if n.cache == nil {
 			return appendStatusOnly(resp, req.id, rpcStatusBadRequest)
 		}
-		wb, dirty, quiescent := n.cache.CollectFrozen(req.key)
-		if !quiescent {
+		wb, dirty, stall := n.cache.CollectFrozen(req.key)
+		if stall != nil {
 			return appendStatusOnly(resp, req.id, rpcStatusRetry)
 		}
 		if !dirty {

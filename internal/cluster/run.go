@@ -120,12 +120,7 @@ func (c *Cluster) Run(opts RunOptions) (RunResult, error) {
 	// node of an in-process cluster, just the local one in member form (a
 	// multi-process deployment is driven per member, or externally through
 	// the session layer by cmd/cckvs-load).
-	var locals []*Node
-	for _, n := range c.nodes {
-		if n != nil {
-			locals = append(locals, n)
-		}
-	}
+	locals := c.locals
 
 	var wg sync.WaitGroup
 	for cl := 0; cl < opts.Clients; cl++ {
@@ -235,10 +230,7 @@ func (c *Cluster) Run(opts RunOptions) (RunResult, error) {
 		TotalBytes:    c.stats.Traffic.TotalBytes(),
 	}
 	res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	for _, n := range c.nodes {
-		if n == nil {
-			continue
-		}
+	for _, n := range c.locals {
 		res.CacheHits += n.CacheHits.Load()
 		res.CacheMiss += n.CacheMisses.Load()
 		res.LocalOps += n.LocalOps.Load()

@@ -137,10 +137,7 @@ func (c *Cluster) applyDown(peer uint8, cause error, gossip bool) {
 	}
 	err := fmt.Errorf("cluster: peer node %d down (%w): %v", peer, ErrNodeDown, cause)
 	var resurrect []resurrectWrite
-	for _, n := range c.nodes {
-		if n == nil {
-			continue
-		}
+	for _, n := range c.locals {
 		for _, wk := range n.workers {
 			// Dropping the budgets first wakes senders blocked on credits the
 			// dead peer can never return; failPeer then completes the calls
@@ -155,7 +152,7 @@ func (c *Cluster) applyDown(peer uint8, cause error, gossip bool) {
 			wk.homeMu.Lock()
 			for key, pin := range wk.rmwPins {
 				if pin.origin == peer {
-					delete(wk.rmwPins, key)
+					wk.unpinLocked(key)
 				}
 			}
 			wk.homeMu.Unlock()
@@ -228,10 +225,7 @@ func (c *Cluster) PeerUp(peer uint8) {
 	c.view.Store(nv)
 	// Side effects under viewMu, like applyDown: a rejoin racing an excision
 	// must not re-arm budgets before (or after) the wrong SetLive.
-	for _, n := range c.nodes {
-		if n == nil {
-			continue
-		}
+	for _, n := range c.locals {
 		for _, wk := range n.workers {
 			wk.credits.SetBudget(fabric.Addr{Node: peer, Thread: c.cfg.cacheThread(wk.idx)}, c.cfg.CreditsPerPeer)
 			wk.credits.SetBudget(fabric.Addr{Node: peer, Thread: c.cfg.kvsThread(wk.idx)}, c.cfg.CreditsPerPeer)
@@ -260,10 +254,7 @@ func (c *Cluster) Kill() {
 	}
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.stopProber()
-	for _, n := range c.nodes {
-		if n == nil {
-			continue
-		}
+	for _, n := range c.locals {
 		for _, wk := range n.workers {
 			// Drop every credit budget FIRST: once killed, the handlers
 			// discard the responses and credit updates that would otherwise
@@ -321,12 +312,7 @@ func (c *Cluster) handleView(p fabric.Packet) {
 	}
 	switch p.Data[0] {
 	case viewMsgPing:
-		_ = c.transport.Send(fabric.Packet{
-			Src:   fabric.Addr{Node: c.localID(), Thread: threadView},
-			Dst:   fabric.Addr{Node: p.Src.Node, Thread: threadView},
-			Class: metrics.ClassFlowControl,
-			Data:  []byte{viewMsgPong},
-		})
+		c.sendView(p.Src.Node, viewMsgPong)
 	case viewMsgPong:
 		peer := int(p.Src.Node)
 		if peer < len(c.lastPong) {
@@ -356,17 +342,36 @@ func (c *Cluster) handleView(p fabric.Packet) {
 	}
 }
 
+// resyncing reports whether the re-sync gate is armed: one atomic load.
+func (c *Cluster) resyncing() bool { return c.syncGate.Load() != nil }
+
+// resyncWait returns a channel closed when the re-sync gate opens, nil when it
+// is open. It is taken under syncMu, the lock every arm and clear holds, so a
+// waiter either sees the gate open or holds the channel the clear will close.
+func (c *Cluster) resyncWait() <-chan struct{} {
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
+	if g := c.syncGate.Load(); g != nil {
+		return *g
+	}
+	return nil
+}
+
 // addSyncSource arms the rejoin re-sync gate: a survivor announced a seed
 // stream toward this member. While any source is active, the member answers
-// acting-primary traffic (reads, put stamps, promotion fetches) with Retry
-// and local operations wait — its shard may still hold pre-crash state.
+// acting-primary traffic (reads, put stamps, promotion fetches, RMWs) with
+// Retry and its own such operations park on the gate — its shard may still
+// hold pre-crash state.
 func (c *Cluster) addSyncSource(peer uint8) {
 	if !c.replicated() || int(peer) >= c.cfg.Nodes {
 		return
 	}
 	c.syncMu.Lock()
 	c.syncSources[peer] = struct{}{}
-	c.syncing.Store(true)
+	if c.syncGate.Load() == nil {
+		g := make(chan struct{})
+		c.syncGate.Store(&g)
+	}
 	c.syncMu.Unlock()
 	// A seed stream means this member was excised and is being re-admitted:
 	// every RMW pin predates the excision, and each pin's origin has either
@@ -375,20 +380,24 @@ func (c *Cluster) addSyncSource(peer uint8) {
 	if n := c.LocalNode(); n != nil {
 		for _, wk := range n.workers {
 			wk.homeMu.Lock()
-			clear(wk.rmwPins)
+			for key := range wk.rmwPins {
+				wk.unpinLocked(key)
+			}
 			wk.homeMu.Unlock()
 		}
 	}
 }
 
 // removeSyncSource clears one seeder — its seed-done arrived, or it died
-// (applyDown calls this so a dead seeder cannot wedge the gate forever).
+// (applyDown calls this so a dead seeder cannot wedge the gate forever). The
+// last one opens the gate, then releases everyone parked on it: a woken
+// waiter never finds the gate still armed.
 func (c *Cluster) removeSyncSource(peer uint8) {
 	c.syncMu.Lock()
 	if _, ok := c.syncSources[peer]; ok {
 		delete(c.syncSources, peer)
 		if len(c.syncSources) == 0 {
-			c.syncing.Store(false)
+			close(*c.syncGate.Swap(nil))
 		}
 	}
 	c.syncMu.Unlock()
@@ -451,9 +460,9 @@ func (c *Cluster) reseed(peer uint8) {
 	}
 	n := c.LocalNode()
 	self := int(c.localID())
-	c.sendSeedMark(peer, viewMsgSeedBegin)
+	c.sendView(peer, viewMsgSeedBegin)
 	c.PeerUp(peer)
-	defer c.sendSeedMark(peer, viewMsgSeedDone)
+	defer c.sendView(peer, viewMsgSeedDone)
 
 	var seeds []homeCall
 	for pi := 0; pi < n.kvs.NumPartitions(); pi++ {
@@ -476,31 +485,23 @@ func (c *Cluster) reseed(peer uint8) {
 	}
 }
 
-// sendSeedMark sends one seed-begin/seed-done marker to peer's view thread.
-func (c *Cluster) sendSeedMark(peer uint8, msg byte) {
+// sendView sends one membership message to peer's view thread.
+func (c *Cluster) sendView(peer uint8, msg ...byte) {
 	_ = c.transport.Send(fabric.Packet{
 		Src:   fabric.Addr{Node: c.localID(), Thread: threadView},
 		Dst:   fabric.Addr{Node: peer, Thread: threadView},
 		Class: metrics.ClassFlowControl,
-		Data:  []byte{msg},
+		Data:  msg,
 	})
 }
 
 // broadcastView tells every live peer that `downed` just left the view.
 func (c *Cluster) broadcastView(downed uint8) {
 	v := c.view.Load()
-	data := []byte{viewMsgChange, downed}
-	self := c.localID()
 	for peer := 0; peer < c.cfg.Nodes; peer++ {
-		if peer == int(self) || !v.Live(peer) {
-			continue
+		if peer != int(c.localID()) && v.Live(peer) {
+			c.sendView(uint8(peer), viewMsgChange, downed)
 		}
-		_ = c.transport.Send(fabric.Packet{
-			Src:   fabric.Addr{Node: self, Thread: threadView},
-			Dst:   fabric.Addr{Node: uint8(peer), Thread: threadView},
-			Class: metrics.ClassFlowControl,
-			Data:  data,
-		})
 	}
 }
 
@@ -545,12 +546,7 @@ func (c *Cluster) startProber() {
 				if peer == int(self) {
 					continue
 				}
-				_ = c.transport.Send(fabric.Packet{
-					Src:   fabric.Addr{Node: self, Thread: threadView},
-					Dst:   fabric.Addr{Node: uint8(peer), Thread: threadView},
-					Class: metrics.ClassFlowControl,
-					Data:  []byte{viewMsgPing},
-				})
+				c.sendView(uint8(peer), viewMsgPing)
 				if c.view.Load().Live(peer) && c.lastPong[peer].Load() < deadline {
 					c.PeerDown(uint8(peer), fmt.Errorf("no pong for %v (ping suspicion)", c.cfg.PingTimeout))
 				}

@@ -399,25 +399,28 @@ func (c *Cache) Freeze(keys []uint64) int {
 
 // CollectFrozen snapshots a frozen entry for its demotion write-back once
 // the entry is quiescent: no outstanding local Lin write and not Invalid
-// awaiting a remote writer's update. ok=false means protocol traffic is
-// still draining and the caller must retry once the dispatcher made
-// progress. dirty=false with ok=true means the entry matches the home shard
-// and needs no write-back. A key that is no longer cached is trivially
-// quiescent and clean.
-func (c *Cache) CollectFrozen(key uint64) (wb WriteBack, dirty, ok bool) {
+// awaiting a remote writer's update. While protocol traffic is still
+// draining it refuses with the stall a caller parks on before asking again
+// (Park): ErrWritePending while this node's own write is outstanding (the
+// Write state implies it), else ErrInvalid. dirty=false with a nil stall
+// means the entry matches the home shard and needs no write-back. A key that
+// is no longer cached is trivially quiescent and clean.
+func (c *Cache) CollectFrozen(key uint64) (wb WriteBack, dirty bool, stall error) {
 	e, present := c.table.Load().m[key]
 	if !present {
-		return WriteBack{}, false, true
+		return WriteBack{}, false, nil
 	}
 	e.lock.Lock()
 	defer e.lock.Unlock()
-	if e.Pending || e.State != StateValid {
-		return WriteBack{}, false, false
+	switch {
+	case e.Pending:
+		return WriteBack{}, false, ErrWritePending
+	case e.State != StateValid:
+		return WriteBack{}, false, ErrInvalid
+	case !e.dirty:
+		return WriteBack{}, false, nil
 	}
-	if !e.dirty {
-		return WriteBack{}, false, true
-	}
-	return e.writeBack(key), true, true
+	return e.writeBack(key), true, nil
 }
 
 // writeBack snapshots e's value and version. Called with e.lock held.

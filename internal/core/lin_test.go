@@ -501,8 +501,8 @@ func TestLinWriterYieldsToLowerStampedWrite(t *testing.T) {
 		t.Fatalf("RMW on the yielded entry: %v, want ErrInvalid", err)
 	}
 	a.Freeze([]uint64{key})
-	if _, _, quiescent := a.CollectFrozen(key); quiescent {
-		t.Fatal("a yielded entry with a pending write was collected as quiescent")
+	if _, _, stall := a.CollectFrozen(key); stall != ErrWritePending {
+		t.Fatalf("a yielded entry with a pending write: collect stall %v, want ErrWritePending", stall)
 	}
 	a.Unfreeze([]uint64{key})
 	reader := a.Park(key, ErrInvalid)

@@ -88,19 +88,19 @@ func TestCollectFrozenReportsDirtyValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Freeze([]uint64{1, 2})
-	wb, dirty, ok := c.CollectFrozen(1)
-	if !ok || !dirty {
-		t.Fatalf("dirty entry: dirty=%v ok=%v", dirty, ok)
+	wb, dirty, stall := c.CollectFrozen(1)
+	if stall != nil || !dirty {
+		t.Fatalf("dirty entry: dirty=%v stall=%v", dirty, stall)
 	}
 	if !bytes.Equal(wb.Value, []byte{0xAA, 0xAB}) || wb.TS.Clock != 1 {
 		t.Fatalf("write-back %v@%v", wb.Value, wb.TS)
 	}
 	// A clean entry needs no write-back, an uncached key is trivially done.
-	if _, dirty, ok := c.CollectFrozen(2); !ok || dirty {
-		t.Fatalf("clean entry: dirty=%v ok=%v", dirty, ok)
+	if _, dirty, stall := c.CollectFrozen(2); stall != nil || dirty {
+		t.Fatalf("clean entry: dirty=%v stall=%v", dirty, stall)
 	}
-	if _, dirty, ok := c.CollectFrozen(42); !ok || dirty {
-		t.Fatalf("uncached key: dirty=%v ok=%v", dirty, ok)
+	if _, dirty, stall := c.CollectFrozen(42); stall != nil || dirty {
+		t.Fatalf("uncached key: dirty=%v stall=%v", dirty, stall)
 	}
 }
 
@@ -111,17 +111,17 @@ func TestCollectFrozenWaitsForLinWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Freeze([]uint64{1})
-	if _, _, ok := c.CollectFrozen(1); ok {
-		t.Fatal("entry with a pending Lin write reported quiescent")
+	if _, _, stall := c.CollectFrozen(1); stall != ErrWritePending {
+		t.Fatalf("entry with a pending Lin write: stall %v, want ErrWritePending", stall)
 	}
 	// The last ack completes the write; now the entry is collectable and
 	// carries the written value.
 	if _, done := c.ApplyAck(Ack{Key: 1, TS: inv.TS, From: 1}); !done {
 		t.Fatal("single ack must complete a 2-node write")
 	}
-	wb, dirty, ok := c.CollectFrozen(1)
-	if !ok || !dirty || !bytes.Equal(wb.Value, []byte{0xEE}) || wb.TS != inv.TS {
-		t.Fatalf("post-completion collect: %v dirty=%v ok=%v", wb, dirty, ok)
+	wb, dirty, stall := c.CollectFrozen(1)
+	if stall != nil || !dirty || !bytes.Equal(wb.Value, []byte{0xEE}) || wb.TS != inv.TS {
+		t.Fatalf("post-completion collect: %v dirty=%v stall=%v", wb, dirty, stall)
 	}
 }
 
@@ -133,16 +133,16 @@ func TestCollectFrozenWaitsForInvalidEntry(t *testing.T) {
 		t.Fatal("invalidation not applied")
 	}
 	c.Freeze([]uint64{1})
-	if _, _, ok := c.CollectFrozen(1); ok {
-		t.Fatal("Invalid entry reported quiescent (its ts already names the winner)")
+	if _, _, stall := c.CollectFrozen(1); stall != ErrInvalid {
+		t.Fatalf("Invalid entry (its ts already names the winner): stall %v, want ErrInvalid", stall)
 	}
 	// The matching update revalidates; collect then sees the new value.
 	if !c.ApplyUpdateLin(Update{Key: 1, TS: ts, Value: []byte{0x99}}) {
 		t.Fatal("update not applied")
 	}
-	wb, dirty, ok := c.CollectFrozen(1)
-	if !ok || !dirty || !bytes.Equal(wb.Value, []byte{0x99}) || wb.TS != ts {
-		t.Fatalf("post-update collect: %v dirty=%v ok=%v", wb, dirty, ok)
+	wb, dirty, stall := c.CollectFrozen(1)
+	if stall != nil || !dirty || !bytes.Equal(wb.Value, []byte{0x99}) || wb.TS != ts {
+		t.Fatalf("post-update collect: %v dirty=%v stall=%v", wb, dirty, stall)
 	}
 }
 
@@ -187,8 +187,8 @@ func TestConsistencyTrafficStillAppliesWhileFrozen(t *testing.T) {
 		t.Fatalf("read after frozen update: %v %v", v, err)
 	}
 	// The drained value is what the demotion writes back.
-	wb, dirty, ok := c.CollectFrozen(1)
-	if !ok || !dirty || !bytes.Equal(wb.Value, []byte{0x42}) {
-		t.Fatalf("collect after frozen update: %v dirty=%v ok=%v", wb, dirty, ok)
+	wb, dirty, stall := c.CollectFrozen(1)
+	if stall != nil || !dirty || !bytes.Equal(wb.Value, []byte{0x42}) {
+		t.Fatalf("collect after frozen update: %v dirty=%v stall=%v", wb, dirty, stall)
 	}
 }

@@ -87,8 +87,8 @@ func (d *demoter) Step() bool {
 		d.caches[d.frozen].Freeze([]uint64{d.key})
 		d.frozen++
 	case d.collected < len(d.caches):
-		wb, dirty, quiescent := d.caches[d.collected].CollectFrozen(d.key)
-		if !quiescent {
+		wb, dirty, stall := d.caches[d.collected].CollectFrozen(d.key)
+		if stall != nil {
 			return false
 		}
 		if dirty && (!d.bestSet || wb.TS.After(d.best.TS)) {
