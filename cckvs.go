@@ -19,10 +19,10 @@
 // installing the current top keys into every node's cache and flushing
 // dirty evicted items to their home shards.
 //
-// The reproduction's experiment harness lives in internal/experiments and
-// is exposed through cmd/cckvs-bench; the analytical model and the
-// calibrated rack simulator used for the paper's figures are
-// internal/model and internal/simnet.
+// Throughput and latency of the real system are measured only by benchmark/
+// (real cckvs-node processes over TCP). The paper's figures are regenerated
+// by cmd/cckvs-bench from internal/experiments, which runs the analytical
+// model and the calibrated rack simulator (internal/model, internal/simnet).
 package cckvs
 
 import (

@@ -2,13 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 // exec runs the CLI with args and returns exit code, stdout and stderr.
@@ -70,49 +65,5 @@ func TestAnalyticExperimentRenders(t *testing.T) {
 	}
 	if !strings.Contains(out, "ablation-coalesce") {
 		t.Fatalf("table missing header:\n%s", out)
-	}
-}
-
-// -json must archive the produced tables so CI can accumulate a benchmark
-// trajectory across runs.
-func TestJSONArtifactWritten(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	code, out, errb := exec(t, "-fig", "ablation-coalesce", "-json", path)
-	if code != 0 {
-		t.Fatalf("exit code %d, stderr:\n%s", code, errb)
-	}
-	if !strings.Contains(out, "wrote 1 table(s)") {
-		t.Fatalf("missing json confirmation:\n%s", out)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Tables []experiments.Table `json:"tables"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(doc.Tables) != 1 || doc.Tables[0].ID != "ablation-coalesce" ||
-		len(doc.Tables[0].Rows) == 0 {
-		t.Fatalf("artifact content wrong: %+v", doc)
-	}
-}
-
-// The churn ablation drives the real cluster with a background refresh loop
-// — a tiny end-to-end run of the whole reconfiguration stack.
-func TestChurnAblationEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live cluster run")
-	}
-	code, out, errb := exec(t, "-churn", "-ops", "200")
-	if code != 0 {
-		t.Fatalf("exit code %d, stderr:\n%s", code, errb)
-	}
-	for _, want := range []string{"none", "full reinstall", "incremental"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("churn table missing %q row:\n%s", want, out)
-		}
 	}
 }

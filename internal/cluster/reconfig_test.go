@@ -256,7 +256,7 @@ func TestApplyHotSetDeltaUnderLiveTraffic(t *testing.T) {
 					}
 				}
 			}
-			if err := c.VerifyShardIntegrity(); err != nil {
+			if err := c.verifyShardIntegrity(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -37,34 +37,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-// CompareRuns gates throughput by per-table ratio shape: a fresh run on a
-// faster host that keeps its relative speedups passes; one whose row loses
-// more than the tolerance of its committed speedup over the first row is a
-// regression.
-func TestCompareRunsGatesThroughputRatios(t *testing.T) {
-	mk := func(tputB, tputC float64) (Table, Table) {
-		base := Table{ID: "coalesce", Columns: []string{"mode", "throughput ops/s"}}
-		base.AddRow("per-request", 1000.0)
-		base.AddRow("batch-32", tputB)
-		cur := Table{ID: "coalesce", Columns: []string{"mode", "throughput ops/s"}}
-		cur.AddRow("per-request", 2000.0)
-		cur.AddRow("batch-32", tputC)
-		return base, cur
-	}
-
-	base, cur := mk(3000, 6000)
-	report, regs := CompareRuns([]Table{base}, []Table{cur}, 0.25)
-	if len(regs) != 0 {
-		t.Fatalf("healthy run flagged: %v\n%s", regs, report)
-	}
-
-	base, cur = mk(3000, 2000*1.5) // batch-32 ratio 3.0 -> 1.5
-	_, regs = CompareRuns([]Table{base}, []Table{cur}, 0.25)
-	if len(regs) == 0 {
-		t.Fatal("halved relative throughput not flagged")
-	}
-}
-
 func TestFig1Shape(t *testing.T) {
 	tab := Fig1()
 	if len(tab.Rows) == 0 {
@@ -358,26 +330,6 @@ func TestAllRegistryRuns(t *testing.T) {
 		}
 		if out := tab.Render(); len(out) == 0 {
 			t.Errorf("%s: empty render", id)
-		}
-	}
-}
-
-func TestLocalValidation(t *testing.T) {
-	tab, err := LocalValidation(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// ccKVS rows must show high hit rates; baselines zero.
-	for _, row := range tab.Rows {
-		hit := parseCell(t, row[2])
-		if strings.HasPrefix(row[0], "ccKVS") && hit < 30 {
-			t.Errorf("%s hit rate %.1f%% too low", row[0], hit)
-		}
-		if strings.HasPrefix(row[0], "Base") && hit != 0 {
-			t.Errorf("%s must have no cache hits", row[0])
 		}
 	}
 }

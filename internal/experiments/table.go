@@ -6,8 +6,8 @@
 // Measured-series numbers come from internal/simnet (the calibrated rack
 // simulator standing in for the authors' testbed) and, for the model lines
 // of Figures 14 and 15, from internal/model (the paper's own analytical
-// model). Small-scale functional validation against the real in-process
-// cluster lives in local.go.
+// model). Nothing here runs the real system: its throughput and latency are
+// measured by benchmark/ (real cckvs-node processes over TCP).
 package experiments
 
 import (

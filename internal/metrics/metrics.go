@@ -247,40 +247,6 @@ func (t *Traffic) Bytes(c MsgClass) uint64 { return t.bytes[c].Load() }
 // Packets returns the packets recorded for a class.
 func (t *Traffic) Packets(c MsgClass) uint64 { return t.packets[c].Load() }
 
-// TotalBytes sums bytes across all classes.
-func (t *Traffic) TotalBytes() uint64 {
-	var s uint64
-	for i := range t.bytes {
-		s += t.bytes[i].Load()
-	}
-	return s
-}
-
-// Shares returns each class's fraction of total bytes, in Classes() order.
-// It is the quantity plotted in Figure 11.
-func (t *Traffic) Shares() map[MsgClass]float64 {
-	total := t.TotalBytes()
-	out := make(map[MsgClass]float64, numClasses)
-	for _, c := range Classes() {
-		if total == 0 {
-			out[c] = 0
-		} else {
-			out[c] = float64(t.bytes[c].Load()) / float64(total)
-		}
-	}
-	return out
-}
-
-// String renders the traffic shares as a one-line breakdown.
-func (t *Traffic) String() string {
-	shares := t.Shares()
-	parts := make([]string, 0, numClasses)
-	for _, c := range Classes() {
-		parts = append(parts, fmt.Sprintf("%s %.1f%%", c, shares[c]*100))
-	}
-	return strings.Join(parts, ", ")
-}
-
 // Coalescing tracks how many messages of each class ride in each sent
 // packet — the achieved coalescing factor of the multi-message fan-out path
 // (§6.3: header-only invalidations and acks dominate message count under

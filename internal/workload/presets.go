@@ -17,12 +17,6 @@ const (
 	// PaperDefault is the paper's headline configuration: alpha = 0.99,
 	// 1% writes, 40-byte values.
 	PaperDefault = "paper-default"
-	// ShiftingHotspot is the churn workload for adaptive hot-set
-	// management: the paper's default skew and 5% writes, with the
-	// popularity hotspot rotating to a fresh keyspace region every few
-	// thousand operations. A static hot set decays toward zero hit rate
-	// under it; an adaptive one keeps up.
-	ShiftingHotspot = "shifting-hotspot"
 	// WriteHeavy drives the consistency plane hard: 50% puts at the paper's
 	// default skew. Unlike YCSB-A (same mix) it exists as the named stress
 	// workload for the write fan-out — every hot-key put broadcasts
@@ -59,12 +53,6 @@ func Preset(name string, numKeys uint64) (Config, bool) {
 		base.WriteRatio = 0.01
 	case WriteHeavy:
 		base.WriteRatio = 0.5
-	case ShiftingHotspot:
-		base.WriteRatio = 0.05
-		// A handful of shifts within even short benchmark runs; the
-		// stride default (numKeys/3+1) makes consecutive hot sets nearly
-		// disjoint.
-		base.ShiftEvery = 4096
 	case ContendedCounter:
 		base.Alpha = 1.01
 		base.RMWFrac = 0.3
@@ -80,5 +68,5 @@ func Preset(name string, numKeys uint64) (Config, bool) {
 
 // Presets lists the known preset names.
 func Presets() []string {
-	return []string{YCSBA, YCSBB, YCSBC, Facebook, PaperDefault, WriteHeavy, ShiftingHotspot, ContendedCounter}
+	return []string{YCSBA, YCSBB, YCSBC, Facebook, PaperDefault, WriteHeavy, ContendedCounter}
 }

@@ -63,16 +63,6 @@ type Config struct {
 	// Scramble spreads hot ranks across the keyspace (YCSB scrambled
 	// Zipfian). Analytics are simplest unscrambled, which is the default.
 	Scramble bool
-	// ShiftEvery, when positive, moves the popularity hotspot every that
-	// many operations: the rank→key mapping rotates by ShiftStride, so the
-	// keys that were hottest go cold and a fresh region of the keyspace
-	// heats up — the adversarial churn workload for adaptive hot-set
-	// management (§4). 0 keeps the classic static distribution.
-	ShiftEvery uint64
-	// ShiftStride is how far (in keys) each shift rotates the hotspot;
-	// defaults to a large keyspace fraction so consecutive hot sets are
-	// nearly disjoint. Used only when ShiftEvery > 0.
-	ShiftStride uint64
 	// Seed makes the stream deterministic.
 	Seed uint64
 }
@@ -90,11 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NumKeys == 0 {
 		c.NumKeys = 1 << 20
-	}
-	if c.ShiftEvery > 0 && c.ShiftStride == 0 {
-		// Nearly disjoint consecutive hotspots: a large stride that is not
-		// a divisor-friendly fraction, so rotations cycle the keyspace.
-		c.ShiftStride = c.NumKeys/3 + 1
 	}
 	return c
 }
@@ -182,14 +167,6 @@ func (g *Generator) Config() Config { return g.cfg }
 func (g *Generator) Next() Op {
 	g.seq++
 	key := g.keys.Next()
-	if g.cfg.ShiftEvery > 0 {
-		// Rotate the rank→key mapping: after each ShiftEvery operations
-		// the whole popularity distribution lands on a different keyspace
-		// region, so rank 0 (the hottest key) moves and yesterday's hot
-		// set goes cold.
-		shifts := g.seq / g.cfg.ShiftEvery
-		key = (key + shifts*g.cfg.ShiftStride) % g.cfg.NumKeys
-	}
 	// Both coins advance every op, so dialing RMWFrac up or down never
 	// perturbs which ops the write coin selects.
 	isRMW := g.cfg.RMWFrac > 0 && g.rmwCoin.flip(g.cfg.RMWFrac)
