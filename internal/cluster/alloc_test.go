@@ -123,3 +123,45 @@ func TestLinPutAllocsPerOp(t *testing.T) {
 		}
 	}
 }
+
+// A Lin batch that writes a hot key twice runs in two waves of the executor
+// (exec.go collect): the second put is set aside behind the first and started
+// once it settles. The set-aside list is the session lane's, reused, so the
+// repeat costs nothing the same batch on distinct keys does not — allocs/op
+// match within half an alloc.
+func TestLinBatchWaveAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	cfg := Config{
+		Nodes: 3, System: CCKVS, Protocol: core.Lin,
+		NumKeys: 1024, CacheItems: 64, WorkersPerNode: 1,
+	}
+	members, cl := newChanClient(t, cfg)
+	if _, err := members[0].ApplyHotSet(0, DefaultHotSet(cfg.CacheItems)); err != nil {
+		t.Fatal(err)
+	}
+	const batch = 32
+	val := bytes.Repeat([]byte{0xAB}, 8)
+	perOp := func(keyOf func(i int) uint64) float64 {
+		ops := make([]Op, batch)
+		for i := range ops {
+			ops[i] = Op{Kind: OpPut, Key: keyOf(i), Value: val}
+		}
+		return testing.AllocsPerRun(200, func() {
+			rs, err := cl.Batch(0, ops)
+			if err == nil {
+				err = rs[batch-1].Err
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}) / batch
+	}
+	distinct := perOp(func(i int) uint64 { return uint64(i) })
+	repeat := perOp(func(i int) uint64 { return uint64(i % (batch / 2)) })
+	t.Logf("lin client batch of %d puts: %.2f allocs/op on distinct keys, %.2f with every key twice (two waves)", batch, distinct, repeat)
+	if repeat > distinct+0.5 {
+		t.Fatalf("the two-wave batch costs %.2f allocs/op, the one-wave batch %.2f: want within 0.5", repeat, distinct)
+	}
+}

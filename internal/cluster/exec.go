@@ -32,10 +32,12 @@ import (
 //     entry), an op behind an unfinished op on its key (I2), and the blocking
 //     multi-phase protocols (replicated puts, RMWs). Scan never waits on the
 //     cache protocol, and no round trip is synchronous in it.
-//   - collect settles the pending ops in scan order: awaits a remote answer
-//     or a staged write's last ack, parks on whatever on this node refused an
-//     op — its cache entry, the re-sync gate, an RMW pin (ops.go: park) — and
-//     re-runs it, runs the recorded blocking steps. An answer that proves the
+//   - collect settles the run in waves. A wave settles the started ops in
+//     scan order: awaits a remote answer or a staged write's last ack, parks
+//     on whatever on this node refused an op — its cache entry, the re-sync
+//     gate, an RMW pin (ops.go: park) — and re-runs it, runs the recorded
+//     blocking steps. Ops deferred behind their key (I2) then start together,
+//     as scan starts ops, for the next wave. An answer that proves the
 //     op did not execute where it was sent — a put bounced because the key
 //     went hot mid-flight, a read whose primary died or is re-syncing, a
 //     refused RMW attempt — re-runs the op from the cache probe. That loop is
@@ -53,11 +55,11 @@ import (
 //     invalidation, each update behind its lane — in scan or in collect alike.
 //   - I2, per-key order within a run. Once an op of the run is unfinished
 //     and nothing else orders it (it is not a plain access on a pipeline
-//     lane), every later op of the run on its key — get, put, CAS, FAA — is
-//     deferred behind it and settled in scan order: a later put can neither
-//     start first and lose to the earlier one's re-run, nor a later get
-//     return the pre-write value. The check is one length test while the run
-//     has no such op, which under SC is nearly always.
+//     lane), every later op of the run on its key is deferred behind it and
+//     started in scan order, one wave after the op it waits behind: a later
+//     put can neither start first and lose to the earlier one's re-run, nor
+//     a later get return the pre-write value. The check is one length test
+//     while the run has no such op, which under SC is nearly always.
 //   - I3, writers of one key on one node. A staged write makes the entry
 //     refuse further local writes (core.ErrWritePending); the refused writer
 //     parks on the entry and is woken by the completion, under the lock that
@@ -78,8 +80,10 @@ type opExec struct {
 	res  []opRes
 	pend []execPend
 	// busy holds the keys of this run's unfinished ops that I2 orders later
-	// ops behind. Nil until the first one; emptied by collect.
+	// ops behind. Nil until the first one; emptied by every wave of collect.
 	busy map[uint64]struct{}
+	// later holds a wave's deferred ops, in scan order; kept like pend.
+	later []execPend
 }
 
 // opRes is one op's outcome. val is the value read (get), the value
@@ -101,7 +105,7 @@ type opWait struct {
 	ch     chan rpcResult // a remote access in flight
 	lin    timestamp.TS   // a hot Lin put staged in the cache, awaiting its last ack
 	stall  error          // this node's refusal: park on it (ops.go), then re-run
-	turn   bool           // deferred behind an earlier op of the run on its key (I2)
+	turn   bool           // deferred behind an earlier op of the run on its key (I2), to a later wave
 }
 
 // execPend is one op scan could not finish.
@@ -113,16 +117,20 @@ type execPend struct {
 
 var errRemotePutFailed = errors.New("cluster: remote put failed")
 
-// scan appends a result slot for op and serves it as far as opStart can —
-// not at all when an earlier op of the run on the same key is unfinished.
+// scan appends a result slot for op and starts it.
 func (x *opExec) scan(op *Op) {
-	ri := len(x.res)
 	x.res = append(x.res, opRes{})
-	if len(x.busy) != 0 {
-		if _, behind := x.busy[op.Key]; behind {
-			x.pend = append(x.pend, execPend{ri: ri, op: *op, opWait: opWait{turn: true}})
-			return
-		}
+	x.start(len(x.res)-1, op)
+}
+
+// start serves op, whose result slot is ri, as far as opStart can — not at
+// all when an earlier op of the run on the same key is unfinished (I2): then
+// it is deferred, and collect starts it in a later wave. An op left pending
+// off the pipeline makes its key busy.
+func (x *opExec) start(ri int, op *Op) {
+	if _, behind := x.busy[op.Key]; behind { // an empty map answers from its length
+		x.pend = append(x.pend, execPend{ri: ri, op: *op, opWait: opWait{turn: true}})
+		return
 	}
 	w, pending := x.n.opStart(op, &x.res[ri])
 	if !pending {
@@ -139,13 +147,25 @@ func (x *opExec) scan(op *Op) {
 	}
 }
 
-// collect settles every pending op in scan order.
+// collect settles the run in waves: each settles the started ops in scan
+// order, then starts the ones it set aside (one whose key is busy again waits
+// for the next), so a run costs a wave per link of its longest same-key chain.
 func (x *opExec) collect() {
-	for i := range x.pend {
-		x.n.opFinish(&x.pend[i], &x.res[x.pend[i].ri])
+	for len(x.pend) != 0 {
+		for i := range x.pend {
+			if p := &x.pend[i]; p.turn {
+				x.later = append(x.later, *p)
+			} else {
+				x.n.opFinish(p, &x.res[p.ri])
+			}
+		}
+		x.pend = x.pend[:0]
+		clear(x.busy)
+		for i := range x.later {
+			x.start(x.later[i].ri, &x.later[i].op)
+		}
+		x.later = x.later[:0]
 	}
-	x.pend = x.pend[:0]
-	clear(x.busy)
 }
 
 // execOne runs a single op to completion — scan and collect of a one-op
@@ -250,7 +270,7 @@ func (n *Node) opStart(op *Op, r *opRes) (w opWait, pending bool) {
 // and a peer that never answers leaves the view.
 func (n *Node) opFinish(p *execPend, r *opRes) {
 	for {
-		if p.stall == nil && !p.turn {
+		if p.stall == nil {
 			if !n.opSettle(p, r) {
 				return
 			}

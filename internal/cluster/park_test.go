@@ -8,17 +8,20 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
+	"repro/internal/timestamp"
 )
 
 // Parking, publishing at the ack, and overlapping Lin writes within a run
-// (exec.go I1–I3). None of these tests sleeps or carries a timeout of its
-// own: each waits on the event it needs (a counter that only a park bumps, a
-// write that is observably pending) by yielding, and a hang is the test
-// binary's -timeout to report.
+// (exec.go I1–I3). None of these tests sleeps or tunes a wait: each waits on
+// the event it needs (a counter that only a park bumps, a write that is
+// observably pending) by yielding, and a hang is the test binary's -timeout
+// to report. The one deadline, in TestLinDeferredWritesStartTogether, is a
+// failure detector for a state a correct executor leaves at once.
 
 // gateTransport withholds acks until release — the way these tests keep a
 // Lin write from completing for exactly as long as they need. While armed it
@@ -69,21 +72,45 @@ func (g *gateTransport) Send(p fabric.Packet) error {
 	return g.Transport.Send(fabric.Packet{Src: p.Src, Dst: p.Dst, Class: restClass, Data: rest})
 }
 
-// hold arms the gate; release disarms it and delivers what it held.
+// hold arms the gate; deliver sends what it held so far and keeps it armed;
+// release disarms it and delivers what it held.
 func (g *gateTransport) hold(gate func(src, dst uint8) bool) {
 	g.mu.Lock()
 	g.gate = gate
 	g.mu.Unlock()
 }
 
-func (g *gateTransport) release() {
+func (g *gateTransport) deliver() {
 	g.mu.Lock()
 	held := g.held
-	g.gate, g.held = nil, nil
+	g.held = nil
 	g.mu.Unlock()
 	for _, p := range held {
 		_ = g.Transport.Send(p)
 	}
+}
+
+func (g *gateTransport) release() {
+	g.hold(nil)
+	g.deliver()
+}
+
+// heldAcks decodes the acks the gate holds.
+func (g *gateTransport) heldAcks() []core.Ack {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var acks []core.Ack
+	for _, p := range g.held {
+		for buf := p.Data; len(buf) > 0; {
+			msg, n, err := core.Decode(buf)
+			if err != nil {
+				break
+			}
+			acks = append(acks, msg.(core.Ack))
+			buf = buf[n:]
+		}
+	}
+	return acks
 }
 
 // allAcks gates every direction.
@@ -336,6 +363,74 @@ func TestCloseLeavesNoLinWaiters(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines before, %d after Close:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// A run of 2K Lin puts on K hot keys, each key twice, at one node: the second
+// put of every key is deferred behind its first (I2), and all K of them must
+// start together once the first round settles — every one staged, its
+// invalidations sent and acked, before any completes. With the acks held, the
+// test lets the first round's through and then counts the second round's.
+// An executor that settles deferred ops one at a time leaves exactly one
+// second-round write in flight, its acks held, for as long as anyone waits.
+func TestLinDeferredWritesStartTogether(t *testing.T) {
+	members, gate := newGatedMembers(t, linParkCfg)
+	n0 := members[0].LocalNode()
+	const keys = 4
+	acksPerRound := keys * (linParkCfg.Nodes - 1)
+	ops := make([]Op, 2*keys)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPut, Key: uint64(i % keys), Value: EncodeCounter(uint64(i))}
+	}
+	gate.hold(allAcks)
+	done := make(chan []Result, 1)
+	go func() {
+		rs := make([]Result, len(ops))
+		n0.Batch(ops, rs)
+		done <- rs
+	}()
+
+	until(func() bool { return len(gate.heldAcks()) == acksPerRound })
+	firstTS := make(map[uint64]timestamp.TS)
+	for _, a := range gate.heldAcks() {
+		firstTS[a.Key] = a.TS
+	}
+	gate.deliver()
+	// The failure detector: a correct executor stages the second round as
+	// soon as the first round's acks land, microseconds from here.
+	for deadline := time.Now().Add(20 * time.Second); len(gate.heldAcks()) < acksPerRound; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			inFlight := len(gate.heldAcks()) / (linParkCfg.Nodes - 1)
+			gate.release()
+			<-done
+			t.Fatalf("%d of %d second-round writes in flight after 20s: the deferred puts did not start together", inFlight, keys)
+		}
+	}
+	perKey := make(map[uint64]int)
+	for _, a := range gate.heldAcks() {
+		if !a.TS.After(firstTS[a.Key]) {
+			t.Fatalf("held ack %+v is not for key %d's second write (first stamped %v)", a, a.Key, firstTS[a.Key])
+		}
+		perKey[a.Key]++
+	}
+	for k := uint64(0); k < keys; k++ {
+		if perKey[k] != linParkCfg.Nodes-1 || !n0.cache.PendingWrite(k) {
+			t.Fatalf("key %d: %d second-round acks held, pending=%v; want every peer's ack of a still-pending write", k, perKey[k], n0.cache.PendingWrite(k))
+		}
+	}
+
+	gate.release()
+	for i, r := range <-done {
+		if r.Err != nil {
+			t.Fatalf("op %d (%+v): %v", i, ops[i], r.Err)
+		}
+	}
+	for i, m := range members {
+		for k := uint64(0); k < keys; k++ {
+			if v, err := m.LocalNode().Get(k); err != nil || !bytes.Equal(v, EncodeCounter(keys+k)) {
+				t.Fatalf("node %d reads key %d as (%x, %v), want the second write %x", i, k, v, err, EncodeCounter(keys+k))
+			}
+		}
 	}
 }
 
