@@ -11,6 +11,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Client drives a deployment through the session layer: it holds a fabric
@@ -248,10 +249,12 @@ func (cl *Client) Close() error {
 
 // onResponse completes the pending call named by the response's request id.
 func (cl *Client) onResponse(p fabric.Packet) {
-	if len(p.Data) < 9 {
+	r := wire.NewReader(p.Data)
+	id, status := r.U64(), r.U8()
+	if !r.Ok() {
 		return
 	}
-	id := binary.LittleEndian.Uint64(p.Data[:8])
+	payload := r.Rest()
 	cl.mu.Lock()
 	pd, ok := cl.pend[id]
 	if ok {
@@ -261,19 +264,19 @@ func (cl *Client) onResponse(p fabric.Packet) {
 	if !ok {
 		return // abandoned (timed out) or duplicate; nothing waits
 	}
-	res := sessResult{status: p.Data[8]}
+	res := sessResult{status: status}
 	if !cl.trCopies {
 		// By-reference transport: the server builds a fresh response buffer
 		// per reply (it only pools encode buffers on copying transports), so
 		// the payload is ours to alias — the zero-copy receive path.
-		res.payload = p.Data[9:]
+		res.payload = payload
 	} else {
 		// Copying transport: the packet buffer is reused after this handler,
 		// so stage the payload in a pooled refcounted buffer. Decoded Results
 		// inherit references and the last Release returns the buffer.
 		l := respLeasePool.Get().(*respLease)
 		l.refs.Store(1)
-		l.buf = append(l.buf[:0], p.Data[9:]...)
+		l.buf = append(l.buf[:0], payload...)
 		res.payload = l.buf
 		res.lease = l
 	}
@@ -439,8 +442,9 @@ func (cl *Client) callT(node uint8, op byte, body []byte, timeout time.Duration)
 
 // sessErrorText decodes the message of a sessStatusErr payload.
 func sessErrorText(payload []byte) string {
-	msg, _, ok := sessBytesAt(payload, 0)
-	if !ok {
+	r := wire.NewReader(payload)
+	msg := r.Bytes()
+	if !r.Ok() {
 		return "(truncated message)"
 	}
 	return string(msg)
@@ -607,46 +611,6 @@ func (r *Result) ValueCopy() []byte {
 	return append([]byte(nil), r.Value...)
 }
 
-// opWireSize returns an op's encoded size as a batch entry.
-func opWireSize(o *Op) int {
-	switch o.Kind {
-	case OpPut:
-		return 13 + len(o.Value)
-	case OpCAS:
-		return 17 + len(o.Expect) + len(o.Value)
-	case OpFAA:
-		return 17
-	default:
-		return 9
-	}
-}
-
-// appendBatchEntry encodes one op as a batch entry — the one place the client
-// writes a get/put/CAS/FAA onto the wire.
-func appendBatchEntry(frame []byte, o *Op) []byte {
-	switch o.Kind {
-	case OpPut:
-		frame = append(frame, sessOpPut)
-		frame = binary.LittleEndian.AppendUint64(frame, o.Key)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(o.Value)))
-		return append(frame, o.Value...)
-	case OpCAS:
-		frame = append(frame, sessOpCAS)
-		frame = binary.LittleEndian.AppendUint64(frame, o.Key)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(o.Expect)))
-		frame = append(frame, o.Expect...)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(o.Value)))
-		return append(frame, o.Value...)
-	case OpFAA:
-		frame = append(frame, sessOpFAA)
-		frame = binary.LittleEndian.AppendUint64(frame, o.Key)
-		return binary.LittleEndian.AppendUint64(frame, o.Delta)
-	default:
-		frame = append(frame, sessOpGet)
-		return binary.LittleEndian.AppendUint64(frame, o.Key)
-	}
-}
-
 // Batch executes ops against node in one round trip (chunked transparently
 // when a frame would exceed the server's batch limits). The result slice
 // always has len(ops), in request order, with per-op outcomes; the error
@@ -664,7 +628,7 @@ func (cl *Client) Batch(node int, ops []Op) ([]Result, error) {
 	for i := 0; i <= len(ops); i++ {
 		need := 0
 		if i < len(ops) {
-			need = opWireSize(&ops[i])
+			need = sessEntrySize(&ops[i])
 		}
 		full := i-start >= sessBatchMaxOps || (i > start && bytes+need > sessBatchMaxBytes)
 		if i == len(ops) || full {
@@ -699,14 +663,14 @@ func (cl *Client) batchChunk(node int, ops []Op, rs []Result) error {
 	id := cl.nextID.Add(1)
 	size := sessHeader + 4
 	for i := range ops {
-		size += opWireSize(&ops[i])
+		size += sessEntrySize(&ops[i])
 	}
 	frame, pooled := cl.newFrame(size)
 	frame = append(frame, sessOpBatch)
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(ops)))
 	for i := range ops {
-		frame = appendBatchEntry(frame, &ops[i])
+		frame = appendSessEntry(frame, &ops[i])
 	}
 	res, err := cl.exchange(uint8(node), id, frame, pooled, cl.timeout)
 	if err == nil {
@@ -740,31 +704,21 @@ func (cl *Client) decodeBatch(node int, ops []Op, rs []Result, payload []byte, l
 		}
 		return fmt.Errorf("cluster: malformed batch response from node %d", node)
 	}
-	if len(payload) < 4 || int(binary.LittleEndian.Uint32(payload[:4])) != len(ops) {
+	r := wire.NewReader(payload)
+	if r.Count(1, len(ops)) != len(ops) || !r.Ok() {
 		return malformed()
 	}
-	buf := payload[4:]
 	for i := range ops {
-		if len(buf) < 1 {
-			return malformed()
-		}
-		status := buf[0]
-		buf = buf[1:]
-		switch status {
+		switch status := r.U8(); status {
 		case sessStatusOK, sessStatusCASFail:
 			if ops[i].Kind == OpPut {
 				break // bare status, no payload
 			}
-			v, end, ok := sessBytesAt(buf, 0)
-			if !ok {
-				return malformed()
-			}
-			rs[i].Value = v
+			rs[i].Value = r.Bytes()
 			if lease != nil {
 				lease.refs.Add(1)
 				rs[i].lease = lease
 			}
-			buf = buf[end:]
 			if status == sessStatusCASFail {
 				rs[i].Err = ErrCASMismatch
 			}
@@ -773,14 +727,12 @@ func (cl *Client) decodeBatch(node int, ops []Op, rs []Result, payload []byte, l
 		case sessStatusHomeDown:
 			rs[i].Err = fmt.Errorf("node %d reports %w", node, ErrHomeDown)
 		case sessStatusErr:
-			msg, end, ok := sessBytesAt(buf, 0)
-			if !ok {
-				return malformed()
-			}
-			rs[i].Err = fmt.Errorf("cluster: node %d: %s", node, msg)
-			buf = buf[end:]
+			rs[i].Err = fmt.Errorf("cluster: node %d: %s", node, r.Bytes())
 		default:
 			rs[i].Err = fmt.Errorf("cluster: node %d: unexpected batch op status %d", node, status)
+		}
+		if !r.Ok() {
+			return malformed()
 		}
 	}
 	return nil
@@ -987,11 +939,12 @@ func (cl *Client) RefreshT(node int, target []uint64, timeout time.Duration) (pr
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(payload) < 12 {
+	r := wire.NewReader(payload)
+	promoted, demoted, _ = int(r.U32()), int(r.U32()), r.U32() // writebacks
+	if !r.Ok() {
 		return 0, 0, fmt.Errorf("cluster: malformed refresh response from node %d", node)
 	}
-	return int(binary.LittleEndian.Uint32(payload[:4])),
-		int(binary.LittleEndian.Uint32(payload[4:8])), nil
+	return promoted, demoted, nil
 }
 
 // SessionStats is one node's counters as reported over the session layer.
@@ -1017,15 +970,17 @@ func (cl *Client) Stats(node int) (SessionStats, error) {
 	if err != nil {
 		return SessionStats{}, err
 	}
-	if len(payload) < 48 {
+	r := wire.NewReader(payload)
+	st := SessionStats{
+		CacheHits:     r.U64(),
+		CacheMisses:   r.U64(),
+		LocalOps:      r.U64(),
+		RemoteOps:     r.U64(),
+		HotKeys:       r.U64(),
+		FrozenRetries: r.U64(),
+	}
+	if !r.Ok() {
 		return SessionStats{}, fmt.Errorf("cluster: malformed stats response from node %d", node)
 	}
-	return SessionStats{
-		CacheHits:     binary.LittleEndian.Uint64(payload[0:8]),
-		CacheMisses:   binary.LittleEndian.Uint64(payload[8:16]),
-		LocalOps:      binary.LittleEndian.Uint64(payload[16:24]),
-		RemoteOps:     binary.LittleEndian.Uint64(payload[24:32]),
-		HotKeys:       binary.LittleEndian.Uint64(payload[32:40]),
-		FrozenRetries: binary.LittleEndian.Uint64(payload[40:48]),
-	}, nil
+	return st, nil
 }

@@ -32,6 +32,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/timestamp"
+	"repro/internal/wire"
 	"repro/internal/zipf"
 )
 
@@ -366,8 +367,8 @@ type worker struct {
 	idx  int
 
 	rpc  *rpcClient
-	pipe *peerLanes[wireReq] // per-destination request coalescing (pipeline.go)
-	con  *peerLanes[conMsg]  // per-destination consistency coalescing (consistency.go)
+	pipe *peerLanes[wireReq]  // per-destination request coalescing (pipeline.go)
+	con  *peerLanes[core.Msg] // per-destination consistency coalescing (consistency.go)
 
 	credits *fabric.Credits
 	cbatch  *fabric.CreditBatcher
@@ -501,7 +502,7 @@ func build(cfg Config, tr fabric.Transport, stats *fabric.Stats, self int) (*Clu
 			wk.pipe = newPeerLanes(n.id, cfg.Nodes, cfg.QueueDepth,
 				laneBounds[wireReq]{cfg.BatchMaxMsgs, cfg.BatchMaxBytes, wireReq.encodedSize}, wk.requestFlusher)
 			wk.con = newPeerLanes(n.id, cfg.Nodes, cfg.QueueDepth,
-				laneBounds[conMsg]{cfg.BatchMaxMsgs, cfg.BatchMaxBytes, conMsg.encodedSize}, wk.consistencyFlusher)
+				laneBounds[core.Msg]{cfg.BatchMaxMsgs, cfg.BatchMaxBytes, core.Msg.Size}, wk.consistencyFlusher)
 			wk.sessQ = make(chan sessJob, cfg.QueueDepth)
 			n.workers[w] = wk
 		}
@@ -785,15 +786,16 @@ func (n *Node) start() {
 // handleFlowControl restores credits granted by a peer's credit update to
 // the budget of the worker whose bank thread the payload names.
 func (n *Node) handleFlowControl(p fabric.Packet) {
-	if n.cluster.killed.Load() || len(p.Data) < 2 {
+	r := wire.NewReader(p.Data)
+	credits, th := r.U8(), r.U8()
+	if n.cluster.killed.Load() || !r.Ok() {
 		return
 	}
-	th := p.Data[1]
 	w := int(th) - int(threadBankBase)
 	if w < 0 || w >= len(n.workers) {
 		return // not a cache-bank thread of this deployment's layout
 	}
-	n.workers[w].credits.Grant(fabric.Addr{Node: p.Src.Node, Thread: th}, int(p.Data[0]))
+	n.workers[w].credits.Grant(fabric.Addr{Node: p.Src.Node, Thread: th}, int(credits))
 }
 
 // handleConsistency processes updates, invalidations and acks addressed to
@@ -812,23 +814,24 @@ func (wk *worker) handleConsistency(p fabric.Packet) {
 
 	buf := p.Data
 	for len(buf) > 0 {
-		msg, consumed, err := core.Decode(buf)
+		m, consumed, err := core.Decode(buf)
 		if err != nil {
 			return // malformed tail; drop (datagram semantics)
 		}
 		buf = buf[consumed:]
-		switch m := msg.(type) {
-		case core.Update:
+		switch m.Type {
+		case core.MsgUpdate:
+			upd := core.Update{Key: m.Key, TS: m.TS, Value: m.Value}
 			if n.cluster.cfg.Protocol == core.Lin {
-				n.cache.ApplyUpdateLin(m)
+				n.cache.ApplyUpdateLin(upd)
 			} else {
-				n.cache.ApplyUpdateSC(m)
+				n.cache.ApplyUpdateSC(upd)
 			}
-		case core.Invalidation:
-			ack, _ := n.cache.ApplyInvalidation(m)
+		case core.MsgInvalidation:
+			ack, _ := n.cache.ApplyInvalidation(core.Invalidation{Key: m.Key, TS: m.TS, From: m.From})
 			n.sendAck(m.From, ack)
-		case core.Ack:
-			if upd, done := n.cache.ApplyAck(m); done {
+		case core.MsgAck:
+			if upd, done := n.cache.ApplyAck(core.Ack{Key: m.Key, TS: m.TS, From: m.From}); done {
 				n.completeLinWrite(upd)
 			}
 		}
@@ -841,7 +844,7 @@ func (wk *worker) handleConsistency(p fabric.Packet) {
 // update/invalidation packet already headed there. This runs on the receive
 // dispatcher, hence post: it never blocks on a full lane.
 func (n *Node) sendAck(to uint8, ack core.Ack) {
-	n.workerFor(ack.Key).postConsistency(to, conMsg{kind: core.MsgAck, key: ack.Key, ts: ack.TS, from: ack.From})
+	n.workerFor(ack.Key).postConsistency(to, ack.Msg())
 }
 
 // broadcastUpdate fans an update out to every live peer via the key's
@@ -851,7 +854,7 @@ func (n *Node) sendAck(to uint8, ack core.Ack) {
 // freshly-copied, immutable values, so coalescing never re-copies them; on
 // zero-copy transports they go to the wire as their own packet segments.
 func (n *Node) broadcastUpdate(upd core.Update, mayBlock bool) {
-	n.broadcastConsistency(conMsg{kind: core.MsgUpdate, key: upd.Key, ts: upd.TS, value: upd.Value}, mayBlock)
+	n.broadcastConsistency(upd.Msg(), mayBlock)
 }
 
 // broadcastConsistency hands one consistency message to the key's worker's
@@ -862,8 +865,8 @@ func (n *Node) broadcastUpdate(upd core.Update, mayBlock bool) {
 // budget, so the sender's per-packet Acquire returns false and the queued
 // batch toward it is discarded (mirroring how pipeline senders fail queued
 // requests).
-func (n *Node) broadcastConsistency(m conMsg, mayBlock bool) {
-	wk := n.workerFor(m.key)
+func (n *Node) broadcastConsistency(m core.Msg, mayBlock bool) {
+	wk := n.workerFor(m.Key)
 	view := n.cluster.view.Load()
 	for peer := 0; peer < n.cluster.cfg.Nodes; peer++ {
 		if peer == int(n.id) || !view.Live(peer) {
@@ -889,7 +892,7 @@ func (n *Node) broadcastConsistency(m conMsg, mayBlock bool) {
 // is registered here and the caller need not wait at all. mayBlock is false
 // on a receive dispatcher.
 func (n *Node) startLinWrite(inv core.Invalidation, mayBlock bool) {
-	n.broadcastConsistency(conMsg{kind: core.MsgInvalidation, key: inv.Key, ts: inv.TS, from: inv.From}, mayBlock)
+	n.broadcastConsistency(inv.Msg(), mayBlock)
 	// A view flip may have excised a counted peer between the write's
 	// live-set snapshot and the broadcast — or this node may be the only live
 	// member — in which case no further ack will arrive; re-run the completion

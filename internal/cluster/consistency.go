@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
-	"repro/internal/timestamp"
 )
 
 // The coalescing consistency plane: §6.3/§8.5 applied to the write fan-out.
@@ -14,11 +13,13 @@ import (
 // transport send, one receive apiece — makes per-message overhead the write
 // path's bottleneck long before bandwidth. Like the request pipeline
 // (pipeline.go), every worker runs one consistency send lane per peer
-// (lane.go): callers enqueue decoded messages, the lane drains whatever is
-// pending into multi-message batches (up to Config.BatchMaxMsgs /
-// BatchMaxBytes) — at once when it runs dry, so an isolated write's latency
-// is untouched — and the flush function below encodes each message straight
-// into the packet buffer.
+// (lane.go): callers enqueue core.Msg values — the one form a consistency
+// message has, on the wire and off it — the lane drains whatever is pending
+// into multi-message batches (up to Config.BatchMaxMsgs / BatchMaxBytes) — at
+// once when it runs dry, so an isolated write's latency is untouched — and the
+// flush function below encodes each message straight into the packet buffer.
+// Enqueuing allocates nothing, and an update's value (an immutable copy core
+// handed out) is shared by every peer lane that holds it.
 //
 // Flow control is charged per *packet*, not per message — the receiving
 // side already notes one credit per consistency packet
@@ -40,20 +41,6 @@ import (
 // traffic is fire-and-forget; Lin writers waiting on the dead peer's acks
 // are completed by the view change itself, Cache.SetLive).
 
-// conMsg is one queued consistency message in decoded form. Encoding
-// happens at flush time, straight into the packet buffer, so enqueuing
-// allocates nothing and a batch shares one buffer instead of paying one
-// Encode(nil) allocation per message. Update values are immutable copies
-// (core returns freshly-copied values from WriteSC/finishPendingLocked), so
-// one value slice is safely shared by every peer lane holding it.
-type conMsg struct {
-	kind  core.MsgType
-	key   uint64
-	ts    timestamp.TS
-	from  uint8  // invalidation: writer node (ack destination); ack: acking node
-	value []byte // update payload; read-only
-}
-
 // classOf maps a message kind to its Figure 11 traffic class.
 func classOf(k core.MsgType) metrics.MsgClass {
 	switch k {
@@ -63,30 +50,6 @@ func classOf(k core.MsgType) metrics.MsgClass {
 		return metrics.ClassInvalidate
 	default:
 		return metrics.ClassAck
-	}
-}
-
-// encodedSize returns the message's wire size.
-func (m conMsg) encodedSize() int {
-	switch m.kind {
-	case core.MsgUpdate:
-		return core.Update{Value: m.value}.EncodedSize()
-	case core.MsgInvalidation:
-		return core.Invalidation{}.EncodedSize()
-	default:
-		return core.Ack{}.EncodedSize()
-	}
-}
-
-// encode appends the message's wire form to buf.
-func (m *conMsg) encode(buf []byte) []byte {
-	switch m.kind {
-	case core.MsgUpdate:
-		return core.Update{Key: m.key, TS: m.ts, Value: m.value}.Encode(buf)
-	case core.MsgInvalidation:
-		return core.Invalidation{Key: m.key, TS: m.ts, From: m.from}.Encode(buf)
-	default:
-		return core.Ack{Key: m.key, TS: m.ts, From: m.from}.Encode(buf)
 	}
 }
 
@@ -109,7 +72,7 @@ type conCut struct {
 // matched by timestamp, and a Lin update applies only on an exact timestamp
 // match. Closed lanes drop the message, as enqueue does — consistency traffic
 // is fire-and-forget.
-func (w *worker) postConsistency(peer uint8, m conMsg) {
+func (w *worker) postConsistency(peer uint8, m core.Msg) {
 	if _, full := w.con.post(peer, m); !full {
 		return
 	}
@@ -118,15 +81,15 @@ func (w *worker) postConsistency(peer uint8, m conMsg) {
 	n.cluster.transport.Send(fabric.Packet{
 		Src:   fabric.Addr{Node: n.id, Thread: th},
 		Dst:   fabric.Addr{Node: peer, Thread: th},
-		Class: classOf(m.kind),
-		Data:  m.encode(nil),
+		Class: classOf(m.Type),
+		Data:  m.Encode(nil),
 	})
 }
 
 // consistencyFlusher returns the flush function of w's consistency lane toward
 // peer: it charges a batch of messages one credit, encodes them into one
 // packet and sends it.
-func (w *worker) consistencyFlusher(peer uint8) func(batch []conMsg, size int) {
+func (w *worker) consistencyFlusher(peer uint8) func(batch []core.Msg, size int) {
 	n := w.node
 	cfg := n.cluster.cfg
 	th := cfg.cacheThread(w.idx)
@@ -143,7 +106,7 @@ func (w *worker) consistencyFlusher(peer uint8) func(batch []conMsg, size int) {
 	segs := make([][]byte, 0, 2*cfg.BatchMaxMsgs+1)
 	var buf []byte
 	var spans []fabric.ClassSpan
-	return func(batch []conMsg, size int) {
+	return func(batch []core.Msg, size int) {
 		// One credit per consistency packet (§6.3), restored by the
 		// receiver's batched credit updates. A failed acquire means peer left
 		// the membership view (its budget was dropped by the view change):
@@ -165,13 +128,13 @@ func (w *worker) consistencyFlusher(peer uint8) func(batch []conMsg, size int) {
 		var msgs, bytes [4]uint32 // indexed by core.MsgType (1..3)
 		for i := range batch {
 			m := &batch[i]
-			msgs[m.kind]++
-			bytes[m.kind] += uint32(m.encodedSize())
-			if vectored && m.kind == core.MsgUpdate {
-				buf = core.Update{Key: m.key, TS: m.ts, Value: m.value}.EncodeHeader(buf)
-				cuts = append(cuts, conCut{off: len(buf), val: m.value})
+			msgs[m.Type]++
+			bytes[m.Type] += uint32(m.Size())
+			if vectored && m.Type == core.MsgUpdate {
+				buf = m.AppendHead(buf)
+				cuts = append(cuts, conCut{off: len(buf), val: m.Value})
 			} else {
-				buf = m.encode(buf)
+				buf = m.Encode(buf)
 			}
 		}
 		for _, k := range [...]core.MsgType{core.MsgUpdate, core.MsgInvalidation, core.MsgAck} {
@@ -179,7 +142,7 @@ func (w *worker) consistencyFlusher(peer uint8) func(batch []conMsg, size int) {
 				spans = append(spans, fabric.ClassSpan{Class: classOf(k), Msgs: msgs[k], Bytes: bytes[k]})
 			}
 		}
-		p := fabric.Packet{Src: src, Dst: dst, Class: classOf(batch[0].kind), Spans: spans}
+		p := fabric.Packet{Src: src, Dst: dst, Class: classOf(batch[0].Type), Spans: spans}
 		if len(cuts) > 0 {
 			segs = segs[:0]
 			prev := 0

@@ -49,12 +49,12 @@ func (g *gateTransport) Send(p fabric.Packet) error {
 		if err != nil {
 			break
 		}
-		if _, isAck := msg.(core.Ack); isAck {
+		if msg.Type == core.MsgAck {
 			acks = append(acks, buf[:n]...)
 		} else {
 			if rest == nil {
 				restClass = metrics.ClassInvalidate
-				if _, isUpd := msg.(core.Update); isUpd {
+				if msg.Type == core.MsgUpdate {
 					restClass = metrics.ClassUpdate
 				}
 			}
@@ -106,7 +106,7 @@ func (g *gateTransport) heldAcks() []core.Ack {
 			if err != nil {
 				break
 			}
-			acks = append(acks, msg.(core.Ack))
+			acks = append(acks, core.Ack{Key: msg.Key, TS: msg.TS, From: msg.From})
 			buf = buf[n:]
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/timestamp"
+	"repro/internal/wire"
 )
 
 // The remote-access RPC of the NUMA abstraction (§6.1): on a cache miss for
@@ -19,10 +20,13 @@ import (
 // packet with exactly one batched response packet, and a request packet
 // costs one credit that the response packet restores (§6.3).
 //
-// Wire formats (little endian). A packet holds one or more back-to-back
-// entries; each entry is self-framing. Every request starts with the same
-// header H = op(1) id(8) key(8); T is a timestamp, clock(4) writer(1); V a
-// length-prefixed byte string, len(4) bytes.
+// Wire formats (little endian, package wire). A packet holds one or more
+// back-to-back entries; each entry is self-framing. Every request starts with
+// the same header H = op(1) id(8) key(8); T is a timestamp, clock(4)
+// writer(1); V a length-prefixed byte string, len(4) bytes. The request column
+// is declared once, as reqLayout: which of T, V expect, V value and delta(8)
+// follow H, always in that order — encodedSize, appendTo and parseRequest all
+// read it, and the session layer's batch entries reuse it (sessEntries).
 //
 //	op  name             request     served by (serveRequest)       answers
 //	 0  get              H           the shard, leased or copied    OK T V · NotFound · Retry (re-syncing)
@@ -280,53 +284,106 @@ type wireReq struct {
 	delta  uint64 // faa only: the addend
 }
 
-// encodedSize returns the entry's wire length.
-func (q wireReq) encodedSize() int {
-	switch q.op {
-	case rpcOpPut:
-		return 21 + len(q.value)
-	case rpcOpPromote, rpcOpWriteback, rpcOpPutCommit:
-		return 26 + len(q.value)
-	case rpcOpCAS:
-		return 25 + len(q.expect) + len(q.value)
-	case rpcOpFAA:
-		return 25
-	case rpcOpRMWWait, rpcOpRMWClear:
-		return 22
-	default:
-		return 17
+// fields is an entry layout: which optional fields follow its header, always
+// in the order of the constants below. fKnown marks a layout that exists; the
+// zero layout is an unknown op, refused by the parser.
+type fields uint8
+
+const (
+	fKnown  fields = 1 << iota
+	fTS            // T: the version a value travels with, or an RMW's stamp
+	fExpect        // V: a CAS's expected value
+	fValue         // V: the value
+	fDelta         // delta(8): an FAA's addend
+)
+
+// reqLayout is the request column of the wire table above, indexed by op.
+// Retired ops 2 and 3, like every op byte the table does not name, have no
+// layout.
+var reqLayout = [256]fields{
+	rpcOpGet:            fKnown,
+	rpcOpPut:            fKnown | fValue,
+	rpcOpPromote:        fKnown | fTS | fValue,
+	rpcOpDemoteFreeze:   fKnown,
+	rpcOpDemoteCollect:  fKnown,
+	rpcOpDemoteCommit:   fKnown,
+	rpcOpWriteback:      fKnown | fTS | fValue,
+	rpcOpPromotePrepare: fKnown,
+	rpcOpPromoteFetch:   fKnown,
+	rpcOpUnfreeze:       fKnown,
+	rpcOpDemoteRetire:   fKnown,
+	rpcOpPutStamp:       fKnown,
+	rpcOpPutCommit:      fKnown | fTS | fValue,
+	rpcOpCAS:            fKnown | fExpect | fValue,
+	rpcOpFAA:            fKnown | fDelta,
+	rpcOpRMWClear:       fKnown | fTS,
+	rpcOpRMWWait:        fKnown | fTS,
+}
+
+// size returns the wire length of the fields f names.
+func (f fields) size(expect, value []byte) int {
+	n := 0
+	if f&fTS != 0 {
+		n += 5
+	}
+	if f&fExpect != 0 {
+		n += 4 + len(expect)
+	}
+	if f&fValue != 0 {
+		n += 4 + len(value)
+	}
+	if f&fDelta != 0 {
+		n += 8
+	}
+	return n
+}
+
+// write appends the fields f names to buf, in wire order.
+func (f fields) write(buf []byte, ts timestamp.TS, expect, value []byte, delta uint64) []byte {
+	if f&fTS != 0 {
+		buf = wire.AppendTS(buf, ts)
+	}
+	if f&fExpect != 0 {
+		buf = wire.AppendBytes(buf, expect)
+	}
+	if f&fValue != 0 {
+		buf = wire.AppendBytes(buf, value)
+	}
+	if f&fDelta != 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, delta)
+	}
+	return buf
+}
+
+// read reads the fields f names, in wire order, into the places given for
+// them; an unknown layout fails r.
+func (f fields) read(r *wire.Reader, ts *timestamp.TS, expect, value *[]byte, delta *uint64) {
+	if f == 0 {
+		r.Fail()
+	}
+	if f&fTS != 0 {
+		*ts = r.TS()
+	}
+	if f&fExpect != 0 {
+		*expect = r.Bytes()
+	}
+	if f&fValue != 0 {
+		*value = r.Bytes()
+	}
+	if f&fDelta != 0 {
+		*delta = r.U64()
 	}
 }
 
+// encodedSize returns the entry's wire length.
+func (q wireReq) encodedSize() int { return 17 + reqLayout[q.op].size(q.expect, q.value) }
+
 // appendTo encodes the entry onto buf.
 func (q wireReq) appendTo(buf []byte) []byte {
-	switch q.op {
-	case rpcOpPut:
-		return appendPutReq(buf, q.op, q.id, q.key, q.value)
-	case rpcOpPromote, rpcOpWriteback, rpcOpPutCommit:
-		return appendVersionedReq(buf, q.op, q.id, q.key, q.ts, q.value)
-	case rpcOpCAS:
-		buf = append(buf, q.op)
-		buf = binary.LittleEndian.AppendUint64(buf, q.id)
-		buf = binary.LittleEndian.AppendUint64(buf, q.key)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q.expect)))
-		buf = append(buf, q.expect...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q.value)))
-		return append(buf, q.value...)
-	case rpcOpFAA:
-		buf = append(buf, q.op)
-		buf = binary.LittleEndian.AppendUint64(buf, q.id)
-		buf = binary.LittleEndian.AppendUint64(buf, q.key)
-		return binary.LittleEndian.AppendUint64(buf, q.delta)
-	case rpcOpRMWWait, rpcOpRMWClear:
-		buf = append(buf, q.op)
-		buf = binary.LittleEndian.AppendUint64(buf, q.id)
-		buf = binary.LittleEndian.AppendUint64(buf, q.key)
-		buf = binary.LittleEndian.AppendUint32(buf, q.ts.Clock)
-		return append(buf, q.ts.Writer)
-	default:
-		return appendGetReq(buf, q.op, q.id, q.key)
-	}
+	buf = append(buf, q.op)
+	buf = binary.LittleEndian.AppendUint64(buf, q.id)
+	buf = binary.LittleEndian.AppendUint64(buf, q.key)
+	return reqLayout[q.op].write(buf, q.ts, q.expect, q.value, q.delta)
 }
 
 // start registers a fresh request id for q and hands it to the coalescing
@@ -385,37 +442,26 @@ func (r *rpcClient) handleResponse(p fabric.Packet) {
 		return
 	}
 	n.cluster.cfg.grantKVS(r.w, p.Src.Node)
-	buf := p.Data
-	for len(buf) >= 9 {
-		reqID := binary.LittleEndian.Uint64(buf[:8])
-		status := buf[8]
-		buf = buf[9:]
+	rd := wire.NewReader(p.Data)
+	for rd.Len() > 0 {
+		reqID, status := rd.U64(), rd.U8()
+		if !rd.Ok() {
+			// Trailing garbage too short to name a request id; nothing to fail.
+			n.RPCDecodeErrors.Add(1)
+			return
+		}
 		res := rpcResult{status: status}
 		if rpcStatusHasPayload(status) {
-			if len(buf) < 9 {
+			res.ts = rd.TS()
+			v := rd.Bytes()
+			if !rd.Ok() {
 				n.RPCDecodeErrors.Add(1)
-				r.complete(reqID, rpcResult{err: fmt.Errorf("cluster: truncated response header for req %d", reqID)})
+				r.complete(reqID, rpcResult{err: fmt.Errorf("cluster: truncated response for req %d", reqID)})
 				return
 			}
-			res.ts = timestamp.TS{
-				Clock:  binary.LittleEndian.Uint32(buf[:4]),
-				Writer: buf[4],
-			}
-			vlen := int(binary.LittleEndian.Uint32(buf[5:9]))
-			buf = buf[9:]
-			if len(buf) < vlen {
-				n.RPCDecodeErrors.Add(1)
-				r.complete(reqID, rpcResult{err: fmt.Errorf("cluster: truncated response value for req %d", reqID)})
-				return
-			}
-			res.value = append([]byte(nil), buf[:vlen]...)
-			buf = buf[vlen:]
+			res.value = append([]byte(nil), v...)
 		}
 		r.complete(reqID, res)
-	}
-	if len(buf) > 0 {
-		// Trailing garbage too short to name a request id; nothing to fail.
-		n.RPCDecodeErrors.Add(1)
 	}
 }
 
@@ -424,116 +470,15 @@ func (c Config) grantKVS(wk *worker, peer uint8) {
 	wk.credits.Grant(fabric.Addr{Node: peer, Thread: c.kvsThread(wk.idx)}, 1)
 }
 
-// appendGetReq encodes a key-only request entry (get and the control ops).
-func appendGetReq(buf []byte, op byte, id, key uint64) []byte {
-	buf = append(buf, op)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	return binary.LittleEndian.AppendUint64(buf, key)
-}
-
-// appendPutReq encodes a put request entry.
-func appendPutReq(buf []byte, op byte, id, key uint64, value []byte) []byte {
-	buf = append(buf, op)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint64(buf, key)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(value)))
-	return append(buf, value...)
-}
-
-// appendVersionedReq encodes a promote or writeback request entry, which
-// carries the value's version alongside the value.
-func appendVersionedReq(buf []byte, op byte, id, key uint64, ts timestamp.TS, value []byte) []byte {
-	buf = append(buf, op)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint64(buf, key)
-	buf = binary.LittleEndian.AppendUint32(buf, ts.Clock)
-	buf = append(buf, ts.Writer)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(value)))
-	return append(buf, value...)
-}
-
-// errBadRequest distinguishes identifiable-but-unservable requests (the
-// parser recovered op+reqID) from undecodable ones.
-var errBadRequest = fmt.Errorf("cluster: malformed rpc request")
-
-// parseRequest decodes the next request entry of a packet. When it returns
-// an error with req.id != 0, the entry's header was intact and the server
-// answers it with rpcStatusBadRequest; with id == 0 the framing is gone.
-func parseRequest(buf []byte) (req wireReq, consumed int, err error) {
-	if len(buf) < 9 {
-		return wireReq{}, 0, errBadRequest
-	}
-	req.op = buf[0]
-	req.id = binary.LittleEndian.Uint64(buf[1:9])
-	switch req.op {
-	case rpcOpPut:
-		if len(buf) < 21 {
-			return req, 0, errBadRequest
-		}
-		req.key = binary.LittleEndian.Uint64(buf[9:17])
-		vlen := int(binary.LittleEndian.Uint32(buf[17:21]))
-		if vlen < 0 || len(buf) < 21+vlen {
-			return req, 0, errBadRequest
-		}
-		req.value = buf[21 : 21+vlen]
-		return req, 21 + vlen, nil
-	case rpcOpGet, rpcOpDemoteFreeze, rpcOpDemoteCollect, rpcOpDemoteCommit, rpcOpPromotePrepare, rpcOpPromoteFetch, rpcOpUnfreeze, rpcOpDemoteRetire, rpcOpPutStamp:
-		if len(buf) < 17 {
-			return req, 0, errBadRequest
-		}
-		req.key = binary.LittleEndian.Uint64(buf[9:17])
-		return req, 17, nil
-	case rpcOpPromote, rpcOpWriteback, rpcOpPutCommit:
-		if len(buf) < 26 {
-			return req, 0, errBadRequest
-		}
-		req.key = binary.LittleEndian.Uint64(buf[9:17])
-		req.ts = timestamp.TS{
-			Clock:  binary.LittleEndian.Uint32(buf[17:21]),
-			Writer: buf[21],
-		}
-		vlen := int(binary.LittleEndian.Uint32(buf[22:26]))
-		if vlen < 0 || len(buf) < 26+vlen {
-			return req, 0, errBadRequest
-		}
-		req.value = buf[26 : 26+vlen]
-		return req, 26 + vlen, nil
-	case rpcOpCAS:
-		if len(buf) < 21 {
-			return req, 0, errBadRequest
-		}
-		req.key = binary.LittleEndian.Uint64(buf[9:17])
-		elen := int(binary.LittleEndian.Uint32(buf[17:21]))
-		if elen < 0 || len(buf) < 25+elen {
-			return req, 0, errBadRequest
-		}
-		req.expect = buf[21 : 21+elen]
-		vlen := int(binary.LittleEndian.Uint32(buf[21+elen : 25+elen]))
-		if vlen < 0 || len(buf) < 25+elen+vlen {
-			return req, 0, errBadRequest
-		}
-		req.value = buf[25+elen : 25+elen+vlen]
-		return req, 25 + elen + vlen, nil
-	case rpcOpFAA:
-		if len(buf) < 25 {
-			return req, 0, errBadRequest
-		}
-		req.key = binary.LittleEndian.Uint64(buf[9:17])
-		req.delta = binary.LittleEndian.Uint64(buf[17:25])
-		return req, 25, nil
-	case rpcOpRMWWait, rpcOpRMWClear:
-		if len(buf) < 22 {
-			return req, 0, errBadRequest
-		}
-		req.key = binary.LittleEndian.Uint64(buf[9:17])
-		req.ts = timestamp.TS{
-			Clock:  binary.LittleEndian.Uint32(buf[17:21]),
-			Writer: buf[21],
-		}
-		return req, 22, nil
-	default:
-		return req, 0, errBadRequest
-	}
+// parseRequest reads the next request entry of a packet: ok is false for a
+// truncated entry or an unknown op. When ok is false and req.id != 0, the
+// entry's header was intact and the server answers it with
+// rpcStatusBadRequest; with id == 0 the framing is gone. Value and expect
+// alias the packet.
+func parseRequest(r *wire.Reader) (req wireReq, ok bool) {
+	req.op, req.id, req.key = r.U8(), r.U64(), r.U64()
+	reqLayout[req.op].read(r, &req.ts, &req.expect, &req.value, &req.delta)
+	return req, r.Ok()
 }
 
 // appendStatusOnly encodes a payload-less response entry.
@@ -559,9 +504,7 @@ func appendPayloadResponse(buf []byte, reqID uint64, status byte, ts timestamp.T
 // in as its own wire segment right after this header.
 func appendPayloadHeader(buf []byte, reqID uint64, status byte, ts timestamp.TS, vlen int) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, reqID)
-	buf = append(buf, status)
-	buf = binary.LittleEndian.AppendUint32(buf, ts.Clock)
-	buf = append(buf, ts.Writer)
+	buf = wire.AppendTS(append(buf, status), ts)
 	return binary.LittleEndian.AppendUint32(buf, uint32(vlen))
 }
 
@@ -647,7 +590,7 @@ func (n *Node) handleKVSRequest(p fabric.Packet) {
 	if n.cluster.killed.Load() {
 		return // a dead process answers nothing; the sender's view change fails the call
 	}
-	buf := p.Data
+	r := wire.NewReader(p.Data)
 	scratch := scratchPool.Get().(*srvBuf)
 	var pooled *srvBuf
 	var ra *respAssembly
@@ -663,9 +606,9 @@ func (n *Node) handleKVSRequest(p fabric.Packet) {
 	} else {
 		resp = make([]byte, 0, 64)
 	}
-	for len(buf) > 0 {
-		req, consumed, err := parseRequest(buf)
-		if err != nil {
+	for r.Len() > 0 {
+		req, ok := parseRequest(&r)
+		if !ok {
 			// An identifiable entry gets an explicit refusal so its caller
 			// fails instead of waiting forever; either way the rest of the
 			// packet has lost framing and cannot be decoded.
@@ -675,7 +618,6 @@ func (n *Node) handleKVSRequest(p fabric.Packet) {
 			n.RPCDecodeErrors.Add(1)
 			break
 		}
-		buf = buf[consumed:]
 		resp = n.serveRequest(p.Src.Node, req, resp, scratch, ra)
 	}
 	// Always answer, even when nothing was decodable (resp may be empty):

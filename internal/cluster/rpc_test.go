@@ -9,6 +9,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/timestamp"
+	"repro/internal/wire"
 )
 
 // Wire-format round trips for the coalesced RPC framing: multi-request and
@@ -20,10 +21,29 @@ import (
 // the round-trip test's input and the fuzz corpus's well-formed seed.
 func multiRequestPacket(val []byte) []byte {
 	var pkt []byte
-	pkt = appendGetReq(pkt, rpcOpGet, 1, 100)
-	pkt = appendPutReq(pkt, rpcOpPut, 2, 200, val)
-	pkt = appendPutReq(pkt, rpcOpPut, 3, 300, val[:7])
-	return appendGetReq(pkt, rpcOpPutStamp, 4, 400)
+	pkt = wireReq{op: rpcOpGet, id: 1, key: 100}.appendTo(pkt)
+	pkt = wireReq{op: rpcOpPut, id: 2, key: 200, value: val}.appendTo(pkt)
+	pkt = wireReq{op: rpcOpPut, id: 3, key: 300, value: val[:7]}.appendTo(pkt)
+	return wireReq{op: rpcOpPutStamp, id: 4, key: 400}.appendTo(pkt)
+}
+
+// putShaped encodes a request entry laid out as a put, H V, whatever op it
+// names — what a buggy peer, or one still speaking a retired op, would send.
+func putShaped(op byte, id, key uint64, value []byte) []byte {
+	b := wireReq{op: rpcOpPut, id: id, key: key, value: value}.appendTo(nil)
+	b[0] = op
+	return b
+}
+
+// parseOne parses the entry at the head of buf as handleKVSRequest does and
+// reports the bytes it took.
+func parseOne(buf []byte) (req wireReq, consumed int, ok bool) {
+	r := wire.NewReader(buf)
+	req, ok = parseRequest(&r)
+	if !ok {
+		return req, 0, false
+	}
+	return req, len(buf) - r.Len(), true
 }
 
 func TestParseRequestRoundTripMulti(t *testing.T) {
@@ -37,9 +57,9 @@ func TestParseRequestRoundTripMulti(t *testing.T) {
 		{op: rpcOpPutStamp, id: 4, key: 400},
 	}
 	for i, w := range want {
-		req, consumed, err := parseRequest(pkt)
-		if err != nil {
-			t.Fatalf("entry %d: %v", i, err)
+		req, consumed, ok := parseOne(pkt)
+		if !ok {
+			t.Fatalf("entry %d refused", i)
 		}
 		if req.op != w.op || req.id != w.id || req.key != w.key || !bytes.Equal(req.value, w.value) {
 			t.Fatalf("entry %d: got %+v want %+v", i, req, w)
@@ -53,28 +73,28 @@ func TestParseRequestRoundTripMulti(t *testing.T) {
 
 func TestParseRequestRejectsMalformed(t *testing.T) {
 	val := bytes.Repeat([]byte{1}, 16)
-	full := appendPutReq(nil, rpcOpPut, 7, 9, val)
+	full := wireReq{op: rpcOpPut, id: 7, key: 9, value: val}.appendTo(nil)
 	cases := map[string][]byte{
 		"empty":            nil,
 		"header only":      full[:9],
 		"no key":           full[:12],
 		"no vlen":          full[:19],
 		"truncated value":  full[:len(full)-3],
-		"unknown op":       appendGetReq(nil, 99, 7, 9),
-		"short get":        appendGetReq(nil, rpcOpGet, 7, 9)[:16],
+		"unknown op":       wireReq{op: 99, id: 7, key: 9}.appendTo(nil),
+		"short get":        wireReq{op: rpcOpGet, id: 7, key: 9}.appendTo(nil)[:16],
 		"garbage":          {0xde, 0xad, 0xbe, 0xef},
-		"vlen past buffer": append(appendPutReq(nil, rpcOpPut, 7, 9, nil)[:17], 0xff, 0xff, 0xff, 0x7f),
+		"vlen past buffer": append(full[:17:17], 0xff, 0xff, 0xff, 0x7f),
 	}
 	for name, buf := range cases {
-		if _, _, err := parseRequest(buf); err == nil {
+		if _, _, ok := parseOne(buf); ok {
 			t.Errorf("%s: parse succeeded, want error", name)
 		}
 	}
 	// Entries whose 9-byte header survived must surface the request id so
 	// the server can refuse them explicitly.
-	req, _, err := parseRequest(full[:12])
-	if err == nil || req.id != 7 {
-		t.Fatalf("truncated entry: id=%d err=%v, want id=7 and error", req.id, err)
+	req, _, ok := parseOne(full[:12])
+	if ok || req.id != 7 {
+		t.Fatalf("truncated entry: id=%d parsed=%v, want id=7 and a refusal", req.id, ok)
 	}
 }
 
@@ -91,20 +111,17 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add(wireReq{op: rpcOpPutCommit, id: 10, key: 11, ts: timestamp.TS{Clock: 3, Writer: 1}, value: val}.appendTo(nil))
 	f.Add(wireReq{op: rpcOpRMWWait, id: 12, key: 13, ts: timestamp.TS{Clock: 4}}.appendTo(nil))
 	for _, op := range []byte{2, 3, 255} { // the two retired op bytes and an unknown one
-		f.Add(appendPutReq(nil, op, 14, 15, val))
+		f.Add(putShaped(op, 14, 15, val))
 	}
-	f.Add(append(appendPutReq(nil, rpcOpPut, 16, 17, nil)[:17], 0xff, 0xff, 0xff, 0xff)) // negative as int32
+	f.Add(append(putShaped(rpcOpPut, 16, 17, nil)[:17], 0xff, 0xff, 0xff, 0xff)) // negative as int32
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A private copy with no spare capacity: reading past the packet panics
 		// instead of finding stale bytes, and the marking below is ours to do.
 		buf := make([]byte, len(data))
 		copy(buf, data)
 		for len(buf) > 0 {
-			req, consumed, err := parseRequest(buf)
-			if err != nil {
-				if consumed != 0 {
-					t.Fatalf("refused entry consumed %d bytes", consumed)
-				}
+			req, consumed, ok := parseOne(buf)
+			if !ok {
 				return
 			}
 			if consumed < 17 || consumed > len(buf) {
@@ -323,9 +340,9 @@ func TestServerRefusesBadRequests(t *testing.T) {
 	wk := n.workers[0]
 	kvs := fabric.Addr{Node: 1, Thread: cfg.kvsThread(0)}
 	for name, req := range map[string][]byte{
-		"unknown op":    appendGetReq(nil, 42, 0, 5),
-		"truncated put": appendPutReq(nil, rpcOpPut, 0, 5, bytes.Repeat([]byte{1}, 16))[:15],
-		"retired op 2":  appendPutReq(nil, 2, 0, 5, []byte("v")),
+		"unknown op":    wireReq{op: 42, key: 5}.appendTo(nil),
+		"truncated put": putShaped(rpcOpPut, 0, 5, bytes.Repeat([]byte{1}, 16))[:15],
+		"retired op 2":  putShaped(2, 0, 5, []byte("v")),
 	} {
 		if !wk.credits.Acquire(kvs) {
 			t.Fatal("no budget toward node 1")

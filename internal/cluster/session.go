@@ -10,6 +10,8 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/timestamp"
+	"repro/internal/wire"
 )
 
 // The session layer: client-facing RPC served by every node on
@@ -21,38 +23,43 @@ import (
 // black-box load-balancer abstraction of §3: a client may send any request
 // to any node.
 //
-// Wire format (little endian): one data frame and three control frames. Every
-// get/put/CAS/FAA travels as an entry of a batch frame — §6.3's workers speak
-// one request format whose batch size varies (1 when the pipeline is dry),
-// like this repo's rpc and consistency packets — so a frame's per-packet costs
-// amortize over however many operations the client had ready.
+// Wire format (little endian; V is a length-prefixed byte string, len(4)
+// bytes, and every field is read through package wire's Reader): one data
+// frame and three control frames. Every get/put/CAS/FAA travels as an entry of
+// a batch frame — §6.3's workers speak one request format whose batch size
+// varies (1 when the pipeline is dry), like this repo's rpc and consistency
+// packets — so a frame's per-packet costs amortize over however many
+// operations the client had ready. An entry's body is an rpc request's fields
+// in the rpc order (rpc.go: fields), and sessEntries declares each kind's once:
+// the client's sessEntrySize and appendSessEntry and the server's
+// parseSessEntry all read it.
 //
 //	request:  op(1) reqID(8) rest
 //	  batch:   count(4) entry*count      — entry: kind(1) key(8) body
 //	    get:     -
-//	    put:     vlen(4) value
-//	    cas:     elen(4) expect vlen(4) value — atomic compare-and-swap
-//	    faa:     delta(8)                     — atomic fetch-and-add
+//	    put:     V value
+//	    cas:     V expect, V value — atomic compare-and-swap
+//	    faa:     delta(8)          — atomic fetch-and-add
 //	  ping:    -
 //	  refresh: count(4) key(8)*count     — ApplyHotSet(target) at this node
 //	  stats:   -
 //	response: reqID(8) status(1) payload
 //	  ok batch:   count(4) result*count  — result: status(1) [payload], one per
 //	                                       entry in request order
-//	    ok get:     vlen(4) value
+//	    ok get:     V value
 //	    ok put:     -
-//	    ok cas:     vlen(4) witness   — swapped; witness is the replaced value
-//	    ok faa:     vlen(4) value     — the 8-byte pre-add counter value
-//	    cas-fail:   vlen(4) witness   — the comparison failed; witness is the
-//	                                    value it observed (no extra read needed)
+//	    ok cas:     V witness   — swapped; witness is the replaced value
+//	    ok faa:     V value     — the 8-byte pre-add counter value
+//	    cas-fail:   V witness   — the comparison failed; witness is the value
+//	                              it observed (no extra read needed)
 //	    not-found:  -
-//	    home-down:  -                 — the key's home node left the membership
-//	                                    view; fail fast, retry after rejoin
-//	    error:      vlen(4) message
+//	    home-down:  -           — the key's home node left the membership
+//	                              view; fail fast, retry after rejoin
+//	    error:      V message
 //	  ok refresh: promoted(4) demoted(4) writebacks(4)
 //	  ok stats:   hits(8) misses(8) local(8) remote(8) hot(8) frozenRetries(8)
-//	  error:      vlen(4) message
-//	  bad:        -                 — malformed or oversize frame, unknown op
+//	  error:      V message
+//	  bad:        -             — malformed or oversize frame, unknown op
 //
 // Dispatch: a batch's entries are steered by key hash to the owning workers'
 // session lanes (Config.workerOf — the same EREW steering the inter-node
@@ -163,16 +170,15 @@ func (n *Node) handleSession(p fabric.Packet) {
 	if n.cluster.killed.Load() {
 		return // a dead process answers nothing; the client's timeout cleans up
 	}
-	if len(p.Data) < sessHeader {
+	r := wire.NewReader(p.Data)
+	op, reqID := r.U8(), r.U64()
+	if !r.Ok() {
 		return // not even a request id to answer; drop (datagram semantics)
 	}
-	op := p.Data[0]
-	reqID := binary.LittleEndian.Uint64(p.Data[1:9])
-	body := p.Data[sessHeader:]
 
 	switch op {
 	case sessOpBatch:
-		n.dispatchSessionBatch(p.Src, reqID, body)
+		n.dispatchSessionBatch(p.Src, reqID, r)
 	case sessOpPing:
 		n.sessReplyStatus(p.Src, reqID, sessStatusOK)
 	case sessOpStats:
@@ -190,21 +196,16 @@ func (n *Node) handleSession(p fabric.Packet) {
 		resp = binary.LittleEndian.AppendUint64(resp, n.FrozenRetries.Load())
 		n.sessSend(p.Src, resp)
 	case sessOpRefresh:
-		if len(body) < 4 {
-			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
-			return
-		}
-		count := int(binary.LittleEndian.Uint32(body[:4]))
-		if count < 0 || len(body) < 4+8*count {
-			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
-			return
-		}
 		// Parse before the handler returns (the packet buffer is reused);
 		// the epoch change itself blocks on cluster-wide RPCs, so it runs on
 		// its own goroutine, never on a lane.
-		target := make([]uint64, count)
+		target := make([]uint64, r.Count(8, math.MaxInt32))
 		for i := range target {
-			target[i] = binary.LittleEndian.Uint64(body[4+8*i:])
+			target[i] = r.U64()
+		}
+		if !r.Ok() {
+			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
+			return
 		}
 		go n.serveRefresh(p.Src, reqID, target)
 	default:
@@ -212,76 +213,82 @@ func (n *Node) handleSession(p fabric.Packet) {
 	}
 }
 
-// parseSessEntry decodes the batch entry at the head of buf — the one place
-// the server reads a get/put/CAS/FAA off the wire. Value and Expect alias
-// buf. size is the entry's encoded length; ok is false for a truncated entry
-// or an unknown kind.
-func parseSessEntry(buf []byte) (op Op, size int, ok bool) {
-	if len(buf) < 9 {
-		return op, 0, false
-	}
-	op.Key = binary.LittleEndian.Uint64(buf[1:9])
-	switch buf[0] {
-	case sessOpGet:
-		return op, 9, true
-	case sessOpPut:
-		op.Kind = OpPut
-		op.Value, size, ok = sessBytesAt(buf, 9)
-	case sessOpCAS:
-		op.Kind = OpCAS
-		if op.Expect, size, ok = sessBytesAt(buf, 9); ok {
-			op.Value, size, ok = sessBytesAt(buf, size)
-		}
-	case sessOpFAA:
-		if len(buf) >= 17 {
-			op.Kind, op.Delta = OpFAA, binary.LittleEndian.Uint64(buf[9:17])
-			size, ok = 17, true
-		}
-	}
-	return op, size, ok
+// sessEntries declares the batch entry of each op kind: its kind byte and
+// the fields that follow kind(1) key(8).
+var sessEntries = [...]struct {
+	kind byte
+	f    fields
+}{
+	OpGet: {sessOpGet, fKnown},
+	OpPut: {sessOpPut, fKnown | fValue},
+	OpCAS: {sessOpCAS, fKnown | fExpect | fValue},
+	OpFAA: {sessOpFAA, fKnown | fDelta},
 }
 
-// sessBytesAt reads the len(4)-prefixed byte string at buf[off:] and returns
-// it with the offset just past it; ok is false when buf ends first.
-func sessBytesAt(buf []byte, off int) (b []byte, end int, ok bool) {
-	if len(buf) < off+4 {
-		return nil, 0, false
+// sessEntryOf returns the entry declaration of o's kind; a kind outside the
+// table travels, and is served, as a get.
+func sessEntryOf(o *Op) (kind byte, f fields) {
+	if int(o.Kind) < len(sessEntries) {
+		e := sessEntries[o.Kind]
+		return e.kind, e.f
 	}
-	n := int(binary.LittleEndian.Uint32(buf[off:]))
-	if n < 0 || len(buf)-off-4 < n {
-		return nil, 0, false
+	return sessOpGet, fKnown
+}
+
+// sessEntrySize returns an op's encoded size as a batch entry.
+func sessEntrySize(o *Op) int {
+	_, f := sessEntryOf(o)
+	return 9 + f.size(o.Expect, o.Value)
+}
+
+// appendSessEntry encodes one op as a batch entry — the one place the client
+// writes a get/put/CAS/FAA onto the wire.
+func appendSessEntry(buf []byte, o *Op) []byte {
+	kind, f := sessEntryOf(o)
+	buf = binary.LittleEndian.AppendUint64(append(buf, kind), o.Key)
+	return f.write(buf, timestamp.TS{}, o.Expect, o.Value, o.Delta)
+}
+
+// parseSessEntry reads the batch entry at the head of r — the one place the
+// server reads a get/put/CAS/FAA off the wire. Value and Expect alias r's
+// input; ok is false for a truncated entry or an unknown kind.
+func parseSessEntry(r *wire.Reader) (op Op, ok bool) {
+	kind := r.U8()
+	op.Key = r.U64()
+	for k, e := range sessEntries {
+		if e.kind == kind {
+			var ts timestamp.TS // no entry kind carries one
+			op.Kind = OpKind(k)
+			e.f.read(r, &ts, &op.Expect, &op.Value, &op.Delta)
+			return op, r.Ok()
+		}
 	}
-	end = off + 4 + n
-	return buf[off+4 : end], end, true
+	r.Fail()
+	return Op{}, false
 }
 
 // dispatchSessionBatch parses a batch frame, chains its entries into
 // per-worker groups (same key steering as the inter-node fabric) and enqueues
 // one job per group.
-func (n *Node) dispatchSessionBatch(src fabric.Addr, reqID uint64, body []byte) {
-	if len(body) < 4 || len(body) > sessBatchMaxBytes {
+func (n *Node) dispatchSessionBatch(src fabric.Addr, reqID uint64, r wire.Reader) {
+	if r.Len() > sessBatchMaxBytes {
 		n.sessReplyStatus(src, reqID, sessStatusBad)
 		return
 	}
-	count := int(int32(binary.LittleEndian.Uint32(body[:4])))
-	if count < 0 || count > sessBatchMaxOps {
-		n.sessReplyStatus(src, reqID, sessStatusBad)
-		return
-	}
+	count := r.Count(9, sessBatchMaxOps)
 
 	// Validate pass: check the framing before anything is built, and size the
 	// shared value backing so the build pass's copies never reallocate it (the
 	// sub-slices must stay stable).
-	buf := body[4:]
+	entries := r
 	totalVal := 0
-	for i := 0; i < count; i++ {
-		op, size, ok := parseSessEntry(buf)
-		if !ok {
-			n.sessReplyStatus(src, reqID, sessStatusBad)
-			return
-		}
+	for i := 0; i < count && r.Ok(); i++ {
+		op, _ := parseSessEntry(&r)
 		totalVal += len(op.Expect) + len(op.Value)
-		buf = buf[size:]
+	}
+	if !r.Ok() {
+		n.sessReplyStatus(src, reqID, sessStatusBad)
+		return
 	}
 
 	// Build pass. Put/CAS values are copied into one shared backing buffer
@@ -291,10 +298,8 @@ func (n *Node) dispatchSessionBatch(src fabric.Addr, reqID uint64, body []byte) 
 	b.src, b.reqID = src, reqID
 	vals := make([]byte, 0, totalVal)
 	var groupOf [MaxWorkersPerNode]int32 // worker -> its group's index + 1
-	buf = body[4:]
 	for i := int32(0); i < int32(count); i++ {
-		op, size, _ := parseSessEntry(buf)
-		buf = buf[size:]
+		op, _ := parseSessEntry(&entries)
 		off := len(vals)
 		vals = append(append(vals, op.Expect...), op.Value...)
 		mid := off + len(op.Expect)
@@ -563,8 +568,5 @@ func appendSessOpRes(buf []byte, kind OpKind, r *opRes, ra *respAssembly) []byte
 // appendSessError encodes a failed operation: the error text travels to the
 // client so a CI failure names the real cause.
 func appendSessError(resp []byte, err error) []byte {
-	msg := err.Error()
-	resp = append(resp, sessStatusErr)
-	resp = binary.LittleEndian.AppendUint32(resp, uint32(len(msg)))
-	return append(resp, msg...)
+	return wire.AppendBytes(append(resp, sessStatusErr), []byte(err.Error()))
 }

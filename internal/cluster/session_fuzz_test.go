@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/wire"
 )
 
 // Hostile input at the session edge: whatever bytes reach a node's session
@@ -180,13 +181,13 @@ func FuzzSessionFrame(f *testing.F) {
 				t.Fatalf("batch of %d entries in %d bytes was accepted", count, len(frame))
 			}
 			ops := make([]Op, count)
-			rest := frame[sessHeader+4:]
+			r := wire.NewReader(frame[sessHeader+4:])
 			for i := range ops {
-				op, size, ok := parseSessEntry(rest)
+				op, ok := parseSessEntry(&r)
 				if !ok {
 					t.Fatalf("accepted batch does not parse at entry %d", i)
 				}
-				ops[i], rest = op, rest[size:]
+				ops[i] = op
 			}
 			if err := new(Client).decodeBatch(0, ops, make([]Result, count), payload, nil); err != nil {
 				t.Fatalf("response to an accepted batch: %v (% x)", err, payload)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/timestamp"
+	"repro/internal/wire"
 )
 
 // Membership views: the cluster-wide answer to "who is alive", threaded
@@ -307,10 +308,12 @@ const (
 // handleView serves the membership endpoint. A killed member drops
 // everything — that silence is exactly what its peers' suspicion detects.
 func (c *Cluster) handleView(p fabric.Packet) {
-	if c.killed.Load() || len(p.Data) < 1 {
+	r := wire.NewReader(p.Data)
+	kind := r.U8()
+	if c.killed.Load() || !r.Ok() {
 		return
 	}
-	switch p.Data[0] {
+	switch kind {
 	case viewMsgPing:
 		c.sendView(p.Src.Node, viewMsgPong)
 	case viewMsgPong:
@@ -328,13 +331,14 @@ func (c *Cluster) handleView(p fabric.Packet) {
 			}
 		}
 	case viewMsgChange:
-		if len(p.Data) < 2 {
+		downed := r.U8()
+		if !r.Ok() {
 			return
 		}
 		// Forwarding (gossip=true) propagates asymmetric detection;
 		// receivers that already knew apply nothing and forward nothing, so
 		// the storm dies after one round.
-		c.applyDown(p.Data[1], errGossipDown, true)
+		c.applyDown(downed, errGossipDown, true)
 	case viewMsgSeedBegin:
 		c.addSyncSource(p.Src.Node)
 	case viewMsgSeedDone:

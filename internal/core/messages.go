@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/timestamp"
+	"repro/internal/wire"
 )
 
 // Protocol selects the consistency model enforced across the caches.
@@ -94,65 +95,79 @@ type Ack struct {
 	From uint8 // acking node
 }
 
-// Wire sizes. Header: type(1) + key(8) + clock(4) + writer(1) = 14 bytes;
-// updates add a 4-byte length prefix plus the value; invalidations and acks
-// add a 1-byte node id.
-const (
-	headerSize       = 1 + 8 + 4 + 1
-	updateOverhead   = headerSize + 4
-	invalidationSize = headerSize + 1
-	ackSize          = headerSize + 1
-)
+// Msg is the one wire form of a consistency message: what the send lanes
+// queue, Encode writes and Decode returns, by value. Every message starts with
+// the same header H = type(1) key(8) T, where T is a timestamp, clock(4)
+// writer(1), and V a length-prefixed byte string, len(4) bytes (package wire):
+//
+//	update:        H V        — Value
+//	invalidation:  H from(1)  — From: the writer, where the ack goes
+//	ack:           H from(1)  — From: the acking node
+type Msg struct {
+	Type  MsgType
+	Key   uint64
+	TS    timestamp.TS
+	From  uint8
+	Value []byte // update only; read-only
+}
 
-// EncodedSize returns the wire size of an update with the given value length.
-func (u Update) EncodedSize() int { return updateOverhead + len(u.Value) }
+// headerSize is H's length: type(1) + key(8) + clock(4) + writer(1).
+const headerSize = 1 + 8 + 4 + 1
+
+// Msg returns the update's wire form.
+func (u Update) Msg() Msg { return Msg{Type: MsgUpdate, Key: u.Key, TS: u.TS, Value: u.Value} }
+
+// Msg returns the invalidation's wire form.
+func (i Invalidation) Msg() Msg {
+	return Msg{Type: MsgInvalidation, Key: i.Key, TS: i.TS, From: i.From}
+}
+
+// Msg returns the ack's wire form.
+func (a Ack) Msg() Msg { return Msg{Type: MsgAck, Key: a.Key, TS: a.TS, From: a.From} }
 
 // Encode appends the update's wire form to buf.
-func (u Update) Encode(buf []byte) []byte {
-	return append(u.EncodeHeader(buf), u.Value...)
-}
-
-// EncodeHeader appends everything of the update's wire form except the value
-// bytes: type, key, timestamp and the value-length prefix. The coalescing
-// consistency sender uses it on zero-copy transports to splice the value in
-// as its own packet segment instead of re-copying it; EncodeHeader followed
-// by the value bytes is exactly Encode.
-func (u Update) EncodeHeader(buf []byte) []byte {
-	buf = append(buf, byte(MsgUpdate))
-	buf = binary.LittleEndian.AppendUint64(buf, u.Key)
-	buf = binary.LittleEndian.AppendUint32(buf, u.TS.Clock)
-	buf = append(buf, u.TS.Writer)
-	return binary.LittleEndian.AppendUint32(buf, uint32(len(u.Value)))
-}
-
-// EncodedSize returns the wire size of an invalidation.
-func (i Invalidation) EncodedSize() int { return invalidationSize }
+func (u Update) Encode(buf []byte) []byte { return u.Msg().Encode(buf) }
 
 // Encode appends the invalidation's wire form to buf.
-func (i Invalidation) Encode(buf []byte) []byte {
-	buf = append(buf, byte(MsgInvalidation))
-	buf = binary.LittleEndian.AppendUint64(buf, i.Key)
-	buf = binary.LittleEndian.AppendUint32(buf, i.TS.Clock)
-	buf = append(buf, i.TS.Writer)
-	return append(buf, i.From)
-}
-
-// EncodedSize returns the wire size of an ack.
-func (a Ack) EncodedSize() int { return ackSize }
+func (i Invalidation) Encode(buf []byte) []byte { return i.Msg().Encode(buf) }
 
 // Encode appends the ack's wire form to buf.
-func (a Ack) Encode(buf []byte) []byte {
-	buf = append(buf, byte(MsgAck))
-	buf = binary.LittleEndian.AppendUint64(buf, a.Key)
-	buf = binary.LittleEndian.AppendUint32(buf, a.TS.Clock)
-	buf = append(buf, a.TS.Writer)
-	return append(buf, a.From)
+func (a Ack) Encode(buf []byte) []byte { return a.Msg().Encode(buf) }
+
+// Size returns the message's wire size.
+func (m Msg) Size() int {
+	if m.Type == MsgUpdate {
+		return headerSize + 4 + len(m.Value)
+	}
+	return headerSize + 1
 }
 
-// Decode parses one protocol message from buf, returning the message (one of
-// Update, Invalidation, Ack), the number of bytes consumed, and an error on
-// malformed input. Decoded updates alias buf's storage; callers that retain
-// the value must copy it.
+// AppendHead appends the message's wire form up to an update's value bytes,
+// which it leaves out: the coalescing consistency sender splices the value in
+// as its own packet segment on zero-copy transports. For an invalidation or an
+// ack it is the whole message.
+func (m Msg) AppendHead(buf []byte) []byte {
+	buf = append(buf, byte(m.Type))
+	buf = binary.LittleEndian.AppendUint64(buf, m.Key)
+	buf = wire.AppendTS(buf, m.TS)
+	if m.Type == MsgUpdate {
+		return binary.LittleEndian.AppendUint32(buf, uint32(len(m.Value)))
+	}
+	return append(buf, m.From)
+}
+
+// Encode appends the message's wire form to buf.
+func (m Msg) Encode(buf []byte) []byte {
+	buf = m.AppendHead(buf)
+	if m.Type == MsgUpdate {
+		buf = append(buf, m.Value...)
+	}
+	return buf
+}
+
+// Decode parses one protocol message from buf, returning it, the number of
+// bytes consumed, and an error on malformed input. A decoded update's value
+// aliases buf's storage; callers that retain it must copy it.
 //
 // Consistency packets may coalesce many messages back to back; receivers
 // decode and apply them in buffer order. That order is the per-key ordering
@@ -163,40 +178,21 @@ func (a Ack) Encode(buf []byte) []byte {
 // different keys) is harmless, and cross-packet reordering by an adversarial
 // transport is tolerated by the timestamp checks in ApplyUpdate*/
 // ApplyInvalidation.
-func Decode(buf []byte) (any, int, error) {
-	if len(buf) < headerSize {
-		return nil, 0, fmt.Errorf("core: short message (%d bytes)", len(buf))
-	}
-	mt := MsgType(buf[0])
-	key := binary.LittleEndian.Uint64(buf[1:9])
-	ts := timestamp.TS{
-		Clock:  binary.LittleEndian.Uint32(buf[9:13]),
-		Writer: buf[13],
-	}
-	switch mt {
+func Decode(buf []byte) (Msg, int, error) {
+	r := wire.NewReader(buf)
+	m := Msg{Type: MsgType(r.U8()), Key: r.U64(), TS: r.TS()}
+	switch m.Type {
 	case MsgUpdate:
-		if len(buf) < updateOverhead {
-			return nil, 0, fmt.Errorf("core: short update")
-		}
-		// Compared unsigned and before any arithmetic on it: a lying length
-		// must not wrap an int (32-bit builds) into passing the check.
-		vlen := binary.LittleEndian.Uint32(buf[14:18])
-		if uint64(vlen) > uint64(len(buf)-updateOverhead) {
-			return nil, 0, fmt.Errorf("core: truncated update value (%d < %d)", len(buf)-updateOverhead, vlen)
-		}
-		end := updateOverhead + int(vlen)
-		return Update{Key: key, TS: ts, Value: buf[updateOverhead:end]}, end, nil
-	case MsgInvalidation:
-		if len(buf) < invalidationSize {
-			return nil, 0, fmt.Errorf("core: short invalidation")
-		}
-		return Invalidation{Key: key, TS: ts, From: buf[14]}, invalidationSize, nil
-	case MsgAck:
-		if len(buf) < ackSize {
-			return nil, 0, fmt.Errorf("core: short ack")
-		}
-		return Ack{Key: key, TS: ts, From: buf[14]}, ackSize, nil
+		m.Value = r.Bytes()
+	case MsgInvalidation, MsgAck:
+		m.From = r.U8()
 	default:
-		return nil, 0, fmt.Errorf("core: unknown message type %d", buf[0])
+		if r.Ok() {
+			return Msg{}, 0, fmt.Errorf("core: unknown message type %d", buf[0])
+		}
 	}
+	if !r.Ok() {
+		return Msg{}, 0, fmt.Errorf("core: short %v (%d bytes)", m.Type, len(buf))
+	}
+	return m, len(buf) - r.Len(), nil
 }

@@ -34,15 +34,14 @@ func TestMsgTypeString(t *testing.T) {
 func TestUpdateRoundTrip(t *testing.T) {
 	u := Update{Key: 0xdeadbeef, TS: timestamp.TS{Clock: 77, Writer: 3}, Value: []byte("payload")}
 	buf := u.Encode(nil)
-	if len(buf) != u.EncodedSize() {
-		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(buf), u.EncodedSize())
+	if len(buf) != u.Msg().Size() {
+		t.Fatalf("encoded %d bytes, Size says %d", len(buf), u.Msg().Size())
 	}
 	got, n, err := Decode(buf)
 	if err != nil || n != len(buf) {
 		t.Fatalf("decode: %v n=%d", err, n)
 	}
-	du, ok := got.(Update)
-	if !ok || du.Key != u.Key || du.TS != u.TS || !bytes.Equal(du.Value, u.Value) {
+	if got.Type != MsgUpdate || got.Key != u.Key || got.TS != u.TS || !bytes.Equal(got.Value, u.Value) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
@@ -50,11 +49,11 @@ func TestUpdateRoundTrip(t *testing.T) {
 func TestInvalidationRoundTrip(t *testing.T) {
 	i := Invalidation{Key: 42, TS: timestamp.TS{Clock: 1, Writer: 2}, From: 7}
 	buf := i.Encode(nil)
-	if len(buf) != i.EncodedSize() {
+	if len(buf) != i.Msg().Size() {
 		t.Fatalf("size mismatch")
 	}
 	got, n, err := Decode(buf)
-	if err != nil || n != len(buf) || got.(Invalidation) != i {
+	if err != nil || n != len(buf) || got.Type != MsgInvalidation || (Invalidation{got.Key, got.TS, got.From}) != i {
 		t.Fatalf("round trip: %+v %d %v", got, n, err)
 	}
 }
@@ -63,7 +62,7 @@ func TestAckRoundTrip(t *testing.T) {
 	a := Ack{Key: 9, TS: timestamp.TS{Clock: 5, Writer: 1}, From: 4}
 	buf := a.Encode(nil)
 	got, n, err := Decode(buf)
-	if err != nil || n != len(buf) || got.(Ack) != a {
+	if err != nil || n != len(buf) || got.Type != MsgAck || (Ack{got.Key, got.TS, got.From}) != a {
 		t.Fatalf("round trip: %+v %d %v", got, n, err)
 	}
 }
@@ -81,14 +80,7 @@ func TestDecodeStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch m.(type) {
-		case Update:
-			kinds = append(kinds, MsgUpdate)
-		case Invalidation:
-			kinds = append(kinds, MsgInvalidation)
-		case Ack:
-			kinds = append(kinds, MsgAck)
-		}
+		kinds = append(kinds, m.Type)
 		buf = buf[n:]
 	}
 	if len(kinds) != 3 || kinds[0] != MsgUpdate || kinds[1] != MsgInvalidation || kinds[2] != MsgAck {
@@ -118,7 +110,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestEmptyValueUpdate(t *testing.T) {
 	u := Update{Key: 1, TS: timestamp.TS{Clock: 1, Writer: 0}}
 	got, n, err := Decode(u.Encode(nil))
-	if err != nil || n != u.EncodedSize() || len(got.(Update).Value) != 0 {
+	if err != nil || n != u.Msg().Size() || got.Type != MsgUpdate || len(got.Value) != 0 {
 		t.Fatalf("empty value round trip failed: %v %d", err, n)
 	}
 }
@@ -128,11 +120,10 @@ func TestUpdateRoundTripProperty(t *testing.T) {
 	f := func(key uint64, clock uint32, writer uint8, value []byte) bool {
 		u := Update{Key: key, TS: timestamp.TS{Clock: clock, Writer: writer}, Value: value}
 		got, n, err := Decode(u.Encode(nil))
-		if err != nil || n != u.EncodedSize() {
+		if err != nil || n != u.Msg().Size() {
 			return false
 		}
-		du := got.(Update)
-		return du.Key == key && du.TS == u.TS && bytes.Equal(du.Value, value)
+		return got.Type == MsgUpdate && got.Key == key && got.TS == u.TS && bytes.Equal(got.Value, value)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -154,7 +145,7 @@ func packetSeeds() [][]byte {
 	binary.LittleEndian.PutUint32(tooLong[14:18], uint32(len(packet))) // reaches past the packet's end
 	return [][]byte{
 		nil, upd, inv, ack, empty, packet, lying, tooLong,
-		upd[:len(upd)-2], upd[:updateOverhead-1], inv[:headerSize], ack[:3],
+		upd[:len(upd)-2], upd[:headerSize+3], inv[:headerSize], ack[:3],
 		packet[:len(packet)-3],                  // truncated tail after clean messages
 		append(append([]byte(nil), inv...), 99), // unknown type after a clean message
 		{99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
@@ -178,7 +169,7 @@ func FuzzDecodePacket(f *testing.F) {
 		for len(buf) > 0 {
 			msg, n, err := Decode(buf)
 			if err != nil {
-				if msg != nil || n != 0 {
+				if msg.Type != 0 || n != 0 {
 					t.Fatalf("refusal returned (%v, %d)", msg, n)
 				}
 				return
@@ -186,20 +177,17 @@ func FuzzDecodePacket(f *testing.F) {
 			if n <= 0 || n > len(buf) {
 				t.Fatalf("consumed %d of %d bytes", n, len(buf))
 			}
-			var again []byte
-			switch m := msg.(type) {
-			case Update:
-				if len(m.Value) != n-updateOverhead || (len(m.Value) > 0 && &m.Value[0] != &buf[updateOverhead]) {
-					t.Fatalf("update value (%d bytes) is not the input's bytes [%d:%d]", len(m.Value), updateOverhead, n)
+			const valueAt = headerSize + 4
+			switch msg.Type {
+			case MsgUpdate:
+				if len(msg.Value) != n-valueAt || (len(msg.Value) > 0 && &msg.Value[0] != &buf[valueAt]) {
+					t.Fatalf("update value (%d bytes) is not the input's bytes [%d:%d]", len(msg.Value), valueAt, n)
 				}
-				again = m.Encode(nil)
-			case Invalidation:
-				again = m.Encode(nil)
-			case Ack:
-				again = m.Encode(nil)
+			case MsgInvalidation, MsgAck:
 			default:
-				t.Fatalf("decoded a %T", msg)
+				t.Fatalf("decoded a message of type %v", msg.Type)
 			}
+			again := msg.Encode(nil)
 			if !bytes.Equal(again, buf[:n]) {
 				t.Fatalf("clean parse does not round-trip: %x vs %x", again, buf[:n])
 			}
