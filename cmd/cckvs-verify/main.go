@@ -11,6 +11,7 @@
 //	cckvs-verify -protocol lin -procs 3 -clock 2   # paper depth, ~15 s
 //	cckvs-verify -fault conditional-ack  # demonstrate bug detection
 //	cckvs-verify -fault serve-after-lower-ack -procs 2   # the Lin stale read, 4 steps
+//	cckvs-verify -fault join-doomed -procs 2   # a put joins a write that lost its stamp
 package main
 
 import (
@@ -38,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		procs     = fs.Int("procs", 3, "number of replicas")
 		addrs     = fs.Int("addrs", 1, "number of keys")
 		clock     = fs.Int("clock", 1, "Lamport clock bound")
-		faultName = fs.String("fault", "", "inject a protocol bug: conditional-ack | mismatched-update | serve-after-lower-ack")
+		faultName = fs.String("fault", "", "inject a protocol bug: conditional-ack | mismatched-update | serve-after-lower-ack | join-doomed")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -88,6 +89,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fault = mcheck.FaultApplyMismatchedUpdate
 	case "serve-after-lower-ack":
 		fault = mcheck.FaultServeAfterLowerAck
+	case "join-doomed":
+		fault = mcheck.FaultJoinDoomed
 	default:
 		fmt.Fprintf(stderr, "unknown fault %q\n", *faultName)
 		return 2

@@ -71,6 +71,18 @@ func TestServeAfterLowerAckFault(t *testing.T) {
 	}
 }
 
+// A put joining a write that adopted a higher stamp is found through the same
+// flag, as a join violation once the winner has returned.
+func TestJoinDoomedFault(t *testing.T) {
+	code, out, errb := exec(t, "-fault", "join-doomed", "-procs", "2", "-addrs", "1", "-clock", "1")
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr:\n%s", code, errb)
+	}
+	if !strings.Contains(out, "VIOLATION: join") || !strings.Contains(out, " 4. deliver(ack,a0,ts1.1,to p1)") {
+		t.Fatalf("doomed join not reported with its trace:\n%s", out)
+	}
+}
+
 // The default matrix is the paper's verification table; keep it passing.
 func TestDefaultMatrix(t *testing.T) {
 	if testing.Short() {

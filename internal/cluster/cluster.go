@@ -338,8 +338,9 @@ type Node struct {
 	LocalOps, RemoteOps    metrics.Counter
 	InvalidRetries         metrics.Counter
 	WritePendingRetries    metrics.Counter
-	// FrozenRetries counts writes that found their entry frozen
-	// mid-demotion and had to retry until the key left the hot set.
+	// FrozenRetries counts parks on a frozen entry or the re-sync gate, puts
+	// bounced by a home that now caches the key, and RMW commits bounced the
+	// same way (ops.go park, exec.go, rmw.go).
 	FrozenRetries metrics.Counter
 	// RemoteReqPackets counts request packets the coalescing pipeline sent;
 	// RemoteReqMsgs counts the requests they carried. Their ratio is the

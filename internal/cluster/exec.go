@@ -58,8 +58,11 @@ import (
 //     lane), every later op of the run on its key is deferred behind it and
 //     started in scan order, one wave after the op it waits behind: a later
 //     put can neither start first and lose to the earlier one's re-run, nor
-//     a later get return the pre-write value. The check is one length test
-//     while the run has no such op, which under SC is nearly always.
+//     a later get return the pre-write value. One exception keeps that
+//     order: a put behind a staged Lin put, with no op deferred between
+//     them, joins its round (core.Line.JoinLin) and publishes last. The
+//     check is one length test while the run has no such op, which under SC
+//     is nearly always.
 //   - I3, writers of one key on one node. A staged write makes the entry
 //     refuse further local writes (core.ErrWritePending); the refused writer
 //     parks on the entry and is woken by the completion, under the lock that
@@ -80,8 +83,10 @@ type opExec struct {
 	res  []opRes
 	pend []execPend
 	// busy holds the keys of this run's unfinished ops that I2 orders later
-	// ops behind. Nil until the first one; emptied by every wave of collect.
-	busy map[uint64]struct{}
+	// ops behind, each with the stamp of its staged Lin put while a later put
+	// may still join that round (timestamp.Zero once not). Nil until the
+	// first one; emptied by every wave of collect.
+	busy map[uint64]timestamp.TS
 	// later holds a wave's deferred ops, in scan order; kept like pend.
 	later []execPend
 }
@@ -125,10 +130,18 @@ func (x *opExec) scan(op *Op) {
 
 // start serves op, whose result slot is ri, as far as opStart can — not at
 // all when an earlier op of the run on the same key is unfinished (I2): then
-// it is deferred, and collect starts it in a later wave. An op left pending
+// a put joins that op's round if it is a staged Lin put and nothing was
+// deferred since (core.Line.JoinLin); anything else is deferred, which ends
+// the joining, and collect starts it in a later wave. An op left pending
 // off the pipeline makes its key busy.
 func (x *opExec) start(ri int, op *Op) {
-	if _, behind := x.busy[op.Key]; behind { // an empty map answers from its length
+	if ts, behind := x.busy[op.Key]; behind { // an empty map answers from its length
+		if ts != timestamp.Zero && op.Kind == OpPut && x.n.cache.WriteLinJoin(op.Key, ts, op.Value) {
+			x.n.CacheHits.Add(1)
+			x.pend = append(x.pend, execPend{ri: ri, op: *op, opWait: opWait{lin: ts}})
+			return
+		}
+		x.busy[op.Key] = timestamp.Zero
 		x.pend = append(x.pend, execPend{ri: ri, op: *op, opWait: opWait{turn: true}})
 		return
 	}
@@ -141,9 +154,9 @@ func (x *opExec) start(ri int, op *Op) {
 		// A remote access needs no entry: a later op on its key follows it
 		// down the same pipeline lane to the same home.
 		if x.busy == nil {
-			x.busy = make(map[uint64]struct{})
+			x.busy = make(map[uint64]timestamp.TS)
 		}
-		x.busy[op.Key] = struct{}{}
+		x.busy[op.Key] = w.lin
 	}
 }
 

@@ -373,10 +373,12 @@ func TestPathParity(t *testing.T) {
 
 // The benchmark's own correctness rule as a unit test, on all four surfaces:
 // eight writers, each issuing frames with repeated keys at a random node, every
-// value naming its writer and that writer's put sequence. A get of a key must
-// never return the writer's own stamp older than the writer's latest preceding
-// put of that key — whether that put precedes it in the same frame (exec.go
-// I2) or returned in an earlier frame issued at ANY node: a put that has
+// value naming its writer and that writer's put sequence. A get of a key that
+// returns its own writer's stamp must return exactly the writer's latest
+// preceding put of that key — neither an older one nor a later put of the
+// same frame — whether that put precedes it in the same frame (exec.go I2,
+// which a put joining an earlier one's round must keep) or returned in an
+// earlier frame issued at ANY node: a put that has
 // returned is visible to every later get, wherever it lands (a concurrent
 // foreign writer's value is legal). And once everyone is done every replica of
 // every key holds some writer's LAST acknowledged put.
@@ -397,7 +399,7 @@ func TestLinBatchPerKeyOrder(t *testing.T) {
 	stamp := func(w int, seq uint64) []byte { return EncodeCounter(uint64(w+1)<<48 | seq) }
 	parse := func(v []byte) (w int, seq uint64, ok bool) {
 		x, err := DecodeCounter(v)
-		if err != nil || x>>48 == 0 || x>>48 > writers {
+		if err != nil || x>>48 == 0 || x>>48 > writers || x&(1<<48-1) > frames*frameOps {
 			return 0, 0, false // the populated value, or garbage
 		}
 		return int(x>>48) - 1, x & (1<<48 - 1), true
@@ -444,12 +446,15 @@ func TestLinBatchPerKeyOrder(t *testing.T) {
 								fail <- fmt.Errorf("writer %d frame %d op %d (%+v): %s", w, f, i, ops[i], o.class)
 								return
 							}
-							if ops[i].Kind != OpGet || floor[i] == 0 {
+							if ops[i].Kind != OpGet {
 								continue
 							}
+							// Of its own writer's puts a get sees exactly the
+							// latest preceding one: a later seq of the same
+							// frame is a read from the future.
 							gw, gseq, stamped := parse(o.val)
-							if !stamped || (gw == w && gseq < floor[i]) {
-								fail <- fmt.Errorf("writer %d frame %d op %d: get of key %d returned %x after the writer's put seq %d of it",
+							if (floor[i] != 0 && !stamped) || (stamped && gw == w && gseq != floor[i]) {
+								fail <- fmt.Errorf("writer %d frame %d op %d: get of key %d returned %x, the writer's latest put of it being seq %d",
 									w, f, i, ops[i].Key, o.val, floor[i])
 								return
 							}

@@ -366,9 +366,10 @@ func TestCloseLeavesNoLinWaiters(t *testing.T) {
 	}
 }
 
-// A run of 2K Lin puts on K hot keys, each key twice, at one node: the second
-// put of every key is deferred behind its first (I2), and all K of them must
-// start together once the first round settles — every one staged, its
+// A run of put, get, put on each of K hot keys at one node: the get is
+// deferred behind the first put (I2), and the second put behind the get — it
+// may not join the first put's round across it — and all K second puts must
+// start together once the first round settles: every one staged, its
 // invalidations sent and acked, before any completes. With the acks held, the
 // test lets the first round's through and then counts the second round's.
 // An executor that settles deferred ops one at a time leaves exactly one
@@ -378,9 +379,12 @@ func TestLinDeferredWritesStartTogether(t *testing.T) {
 	n0 := members[0].LocalNode()
 	const keys = 4
 	acksPerRound := keys * (linParkCfg.Nodes - 1)
-	ops := make([]Op, 2*keys)
+	ops := make([]Op, 3*keys)
 	for i := range ops {
 		ops[i] = Op{Kind: OpPut, Key: uint64(i % keys), Value: EncodeCounter(uint64(i))}
+		if i/keys == 1 {
+			ops[i] = Op{Key: uint64(i % keys)}
+		}
 	}
 	gate.hold(allAcks)
 	done := make(chan []Result, 1)
@@ -424,6 +428,67 @@ func TestLinDeferredWritesStartTogether(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("op %d (%+v): %v", i, ops[i], r.Err)
 		}
+		if k := uint64(i % keys); i/keys == 1 && !bytes.Equal(r.Value, EncodeCounter(k)) {
+			t.Fatalf("get of key %d returned %x, want the first write %x", k, r.Value, EncodeCounter(k))
+		}
+	}
+	for i, m := range members {
+		for k := uint64(0); k < keys; k++ {
+			if v, err := m.LocalNode().Get(k); err != nil || !bytes.Equal(v, EncodeCounter(2*keys+k)) {
+				t.Fatalf("node %d reads key %d as (%x, %v), want the second write %x", i, k, v, err, EncodeCounter(2*keys+k))
+			}
+		}
+	}
+}
+
+// A run of two Lin puts on each of K hot keys at one node: the second put of
+// every key joins the first's round (core.Line.JoinLin) instead of waiting a
+// wave for its own, so the run takes one round per key — exactly one round's
+// acks are ever held — and every node ends on the second put's value. An
+// executor that defers the second puts starts a second round, whose acks the
+// still-armed gate then holds.
+func TestLinSameKeyPutsJoinOneRound(t *testing.T) {
+	members, gate := newGatedMembers(t, linParkCfg)
+	n0 := members[0].LocalNode()
+	const keys = 4
+	acksPerRound := keys * (linParkCfg.Nodes - 1)
+	ops := make([]Op, 2*keys)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPut, Key: uint64(i % keys), Value: EncodeCounter(uint64(i))}
+	}
+	stats := n0.cache.Stats()
+	rounds, joins := stats.WritesLin.Load(), stats.WritesJoined.Load()
+	gate.hold(allAcks)
+	done := make(chan []Result, 1)
+	go func() {
+		rs := make([]Result, len(ops))
+		n0.Batch(ops, rs)
+		done <- rs
+	}()
+
+	until(func() bool { return len(gate.heldAcks()) == acksPerRound })
+	gate.deliver() // the gate stays armed: a second round's acks would be held
+	var rs []Result
+	for rs == nil {
+		select {
+		case rs = <-done:
+		default:
+			if held := len(gate.heldAcks()); held != 0 {
+				gate.release()
+				<-done
+				t.Fatalf("%d acks of a second round held: the same-key puts did not join one round", held)
+			}
+			runtime.Gosched()
+		}
+	}
+	gate.release()
+	for i, r := range rs {
+		if r.Err != nil {
+			t.Fatalf("op %d (%+v): %v", i, ops[i], r.Err)
+		}
+	}
+	if r, j := stats.WritesLin.Load()-rounds, stats.WritesJoined.Load()-joins; r != keys || j != keys {
+		t.Fatalf("%d rounds and %d joins, want %d of each", r, j, keys)
 	}
 	for i, m := range members {
 		for k := uint64(0); k < keys; k++ {

@@ -120,7 +120,8 @@ type Stats struct {
 	UpdatesDiscarded      metrics.Counter
 	Invalidations         metrics.Counter
 	AcksReceived          metrics.Counter
-	WritesSC, WritesLin   metrics.Counter
+	WritesSC, WritesLin   metrics.Counter // WritesLin counts Lin rounds started
+	WritesJoined          metrics.Counter // Lin puts that joined a pending round (Cache.WriteLinJoin)
 	WriteConflictsLost    metrics.Counter // Lin writes superseded by a concurrent higher-ts write
 	Evictions, WriteBacks metrics.Counter
 }

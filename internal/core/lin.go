@@ -56,13 +56,39 @@ func (c *Cache) startLinLocked(e *entry, key uint64, value []byte) (Invalidation
 	if !ok {
 		return Invalidation{}, false
 	}
+	e.stageLocked(value)
+	c.stats.WritesLin.Add(1)
+	return Invalidation{Key: key, TS: ts, From: c.nodeID}, true
+}
+
+// WriteLinJoin stages value as the payload of this node's pending Lin write
+// stamped ts when Line.JoinLin allows it, so the put completes with that
+// write's round instead of starting its own; the caller then awaits ts. It
+// reports false, with nothing changed, for an uncached or frozen entry and
+// for a write that completed or adopted a higher stamp.
+func (c *Cache) WriteLinJoin(key uint64, ts timestamp.TS, value []byte) bool {
+	e, err := c.lockWritable(key)
+	if err != nil {
+		return false
+	}
+	ok := e.JoinLin(ts)
+	if ok {
+		e.stageLocked(value)
+		c.stats.Hits.Add(1)
+		c.stats.WritesJoined.Add(1)
+	}
+	e.lock.Unlock()
+	return ok
+}
+
+// stageLocked copies value into the staged payload of the entry's pending
+// write. Called with e.lock held.
+func (e *entry) stageLocked(value []byte) {
 	if len(e.pendVal) < len(value) {
 		e.pendVal = make([]byte, len(value))
 	}
 	copy(e.pendVal[:len(value)], value)
 	e.pendVlen = len(value)
-	c.stats.WritesLin.Add(1)
-	return Invalidation{Key: key, TS: ts, From: c.nodeID}, true
 }
 
 // RMWLinStart begins a Lin read-modify-write: under the entry lock it reads

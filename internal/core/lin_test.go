@@ -537,3 +537,62 @@ func TestLinWriterYieldsToLowerStampedWrite(t *testing.T) {
 		}
 	}
 }
+
+// A put that joins a pending write (Cache.WriteLinJoin) re-stages the value
+// under the write's stamp, so one round publishes the last value everywhere.
+// The join is refused for another stamp, for a frozen entry, for a write that
+// adopted a higher-stamped invalidation and once the write has completed.
+func TestLinJoinPendingWrite(t *testing.T) {
+	const key = 3
+	caches := newReplicaGroup(t, 3, key)
+	a := caches[0]
+	inv, err := a.WriteLinStart(key, []byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.WriteLinJoin(key, inv.TS.Next(0), []byte("x")) {
+		t.Fatal("joined a write under a stamp it does not carry")
+	}
+	a.Freeze([]uint64{key})
+	if a.WriteLinJoin(key, inv.TS, []byte("x")) {
+		t.Fatal("joined a write on a frozen entry")
+	}
+	a.Unfreeze([]uint64{key})
+	if !a.WriteLinJoin(key, inv.TS, []byte("second, longer")) {
+		t.Fatal("refused to join the pending write")
+	}
+	var upd Update
+	for _, r := range caches[1:] {
+		ack, _ := r.ApplyInvalidation(inv)
+		upd, _ = a.ApplyAck(ack)
+	}
+	if upd.TS != inv.TS || string(upd.Value) != "second, longer" {
+		t.Fatalf("the round published %q @ %v, want the joined value @ %v", upd.Value, upd.TS, inv.TS)
+	}
+	for _, r := range caches[1:] {
+		r.ApplyUpdateLin(upd)
+	}
+	for _, r := range caches {
+		if v, _, err := r.Read(key, nil); err != nil || string(v) != "second, longer" {
+			t.Fatalf("node %d reads %q, %v", r.NodeID(), v, err)
+		}
+	}
+	if a.WriteLinJoin(key, inv.TS, []byte("late")) {
+		t.Fatal("joined a write that had completed")
+	}
+	if s := a.Stats(); s.WritesLin.Load() != 1 || s.WritesJoined.Load() != 1 {
+		t.Fatalf("rounds %d, joins %d; want 1 and 1", s.WritesLin.Load(), s.WritesJoined.Load())
+	}
+
+	// A write that adopted a higher stamp is doomed: its winner may be read
+	// before it completes, so nothing may join it.
+	mine, _ := a.WriteLinStart(key, []byte("mine"))
+	higher, _ := caches[1].WriteLinStart(key, []byte("theirs"))
+	if !higher.TS.After(mine.TS) {
+		t.Fatalf("setup: %v must order after %v", higher.TS, mine.TS)
+	}
+	a.ApplyInvalidation(higher)
+	if a.WriteLinJoin(key, mine.TS, []byte("x")) {
+		t.Fatal("joined a write that adopted a higher-stamped invalidation")
+	}
+}

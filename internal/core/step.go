@@ -83,6 +83,18 @@ func (l *Line) StartLin(self uint8, live NodeSet) (ts timestamp.TS, ok bool) {
 	return l.PendTS, true
 }
 
+// JoinLin reports whether a later local put may join this node's pending Lin
+// write stamped ts rather than start a round of its own: it re-stages the
+// value under ts and returns when that write completes, linearized
+// immediately after the put it joined — both are in flight at once, and
+// the earlier value is never visible. TS == PendTS refuses a write that has
+// adopted a higher-stamped invalidation: that winner may already be
+// readable, and a put invoked after such a read must not be ordered before
+// it. A pure predicate: the line does not change.
+func (l *Line) JoinLin(ts timestamp.TS) bool {
+	return l.Pending && l.PendTS == ts && l.TS == ts
+}
+
 // InvEffect is what an invalidation did to a line. Whatever it is, the
 // receiver acknowledges: acks are unconditional, so concurrent writers can
 // never starve each other.

@@ -55,6 +55,9 @@ const maxStates = 6_000_000
 //     than Invalid) holds the same value, and none holds one older than a
 //     put that has returned — what makes the protocol linearizable rather
 //     than merely convergent;
+//   - joining (Lin): a put may join a pending write only while no get could
+//     have observed a later write — its stamp orders after every readable
+//     copy's value and is not below a returned put (core.Line.JoinLin);
 //
 // and at every *quiescent* state (no messages in flight, no pending writes):
 //
@@ -117,7 +120,7 @@ func CheckFault(proto Protocol, b Bounds, fault Fault) (Report, error) {
 		cur := queue[0]
 		queue = queue[1:]
 		rep.Depth = max(rep.Depth, cur.depth)
-		if v := checkInvariants(proto, b, &cur.state); v != "" {
+		if v := checkInvariants(proto, b, &cur.state, fault); v != "" {
 			return fail(cur.key, v), nil
 		}
 		if len(cur.state.Msgs) == 0 {
@@ -169,7 +172,7 @@ func (st step) String() string {
 
 // checkInvariants verifies the per-state safety properties, returning a
 // description of the first violation.
-func checkInvariants(proto Protocol, b Bounds, s *State) string {
+func checkInvariants(proto Protocol, b Bounds, s *State, fault Fault) string {
 	for a := 0; a < b.Addrs; a++ {
 		var readable *Copy // first readable copy of a seen; Lin only
 		for p := 0; p < b.Procs; p++ {
@@ -203,6 +206,26 @@ func checkInvariants(proto Protocol, b Bounds, s *State) string {
 			} else if l.Val != readable.Val {
 				return fmt.Sprintf("real-time: readable copies of a%d disagree: p%d serves val %v, an earlier proc %v",
 					a, p, l.Val, readable.Val)
+			}
+		}
+		// A put that joins a pending write (the executor, exec.go) returns
+		// when that write does, ordered at its stamp. So while a write is
+		// joinable no get may have observed a write at or after its stamp:
+		// the stamp orders after every readable copy and every returned put.
+		for p := 0; proto == Lin && p < b.Procs; p++ {
+			l := s.line(b, p, a)
+			if !joinable(l, fault) {
+				continue
+			}
+			if s.Returned[a].After(l.PendTS) {
+				return fmt.Sprintf("join: p%d a%d write %v is joinable after the put stamped %v returned",
+					p, a, l.PendTS, s.Returned[a])
+			}
+			for q := 0; q < b.Procs; q++ {
+				if c := s.line(b, q, a); c.State != core.StateInvalid && !l.PendTS.After(c.Val) {
+					return fmt.Sprintf("join: p%d a%d write %v is joinable while p%d serves val %v",
+						p, a, l.PendTS, q, c.Val)
+				}
 			}
 		}
 	}

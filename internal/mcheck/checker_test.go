@@ -175,10 +175,33 @@ func TestCheckerCatchesServeAfterLowerAck(t *testing.T) {
 	t.Logf("%s\ncounterexample (%d steps): %v", rep.Violation, len(rep.Trace), rep.Trace)
 }
 
+// A put joining a pending write that adopted a higher-stamped invalidation
+// (core.Line.JoinLin without TS == PendTS): the winner returns while the
+// doomed write is still joinable, so a put invoked after a get of the winner
+// would be ordered before it. The shortest trace: both procs write, the
+// higher stamp invalidates the lower writer, its ack returns the winner.
+func TestCheckerCatchesJoinDoomed(t *testing.T) {
+	rep, err := CheckFault(Lin, Bounds{Procs: 2, Addrs: 1, MaxClock: 1}, FaultJoinDoomed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() {
+		t.Fatal("checker missed a join of a doomed write")
+	}
+	if !strings.Contains(rep.Violation, "join") {
+		t.Fatalf("expected a join violation, got: %s", rep.Violation)
+	}
+	want := []string{"write(p0,a0)", "write(p1,a0)", "deliver(invalidation,a0,ts1.1,to p0)", "deliver(ack,a0,ts1.1,to p1)"}
+	if strings.Join(rep.Trace, " ") != strings.Join(want, " ") {
+		t.Fatalf("counterexample:\n got %v\nwant %v", rep.Trace, want)
+	}
+	t.Logf("%s\ncounterexample (%d steps): %v", rep.Violation, len(rep.Trace), rep.Trace)
+}
+
 func TestFaultString(t *testing.T) {
 	if FaultNone.String() != "none" || FaultConditionalAck.String() != "conditional-ack" ||
 		FaultApplyMismatchedUpdate.String() != "apply-mismatched-update" ||
-		FaultServeAfterLowerAck.String() != "serve-after-lower-ack" {
+		FaultServeAfterLowerAck.String() != "serve-after-lower-ack" || FaultJoinDoomed.String() != "join-doomed" {
 		t.Error("fault names wrong")
 	}
 }

@@ -13,7 +13,8 @@
 // runs; this package owns only the network (an unordered multiset of
 // messages), the enumeration, and the invariants. The injectable faults
 // perturb that boundary — an ack not sent, a forged stamp handed to a step,
-// a step's result not committed — and never reach into core.
+// a step's result not committed, a guard asked without its stamp check — and
+// never reach into core.
 package mcheck
 
 import (
@@ -197,11 +198,27 @@ const (
 	// serves the value it overwrote: a stale read, caught by the real-time
 	// invariant.
 	FaultServeAfterLowerAck
+	// FaultJoinDoomed lets a put join a pending write that has adopted a
+	// higher-stamped invalidation: core.Line.JoinLin without its
+	// TS == PendTS half. The winner can return, and be read, while the
+	// doomed write is still joinable, so a put invoked after that read would
+	// be ordered before the value it saw — caught by the join invariant.
+	FaultJoinDoomed
 )
 
 // String names the fault.
 func (f Fault) String() string {
-	return [...]string{"none", "conditional-ack", "apply-mismatched-update", "serve-after-lower-ack"}[f]
+	return [...]string{"none", "conditional-ack", "apply-mismatched-update", "serve-after-lower-ack", "join-doomed"}[f]
+}
+
+// joinable reports whether a local put may join l's pending write
+// (core.Line.JoinLin, as the executor asks it), or under FaultJoinDoomed the
+// guard with its stamp check skipped.
+func joinable(l *Copy, fault Fault) bool {
+	if fault == FaultJoinDoomed {
+		return l.Pending
+	}
+	return l.JoinLin(l.PendTS)
 }
 
 // startWrite takes core's write-start step at (p, a) and puts what it asks
