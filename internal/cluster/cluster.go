@@ -622,8 +622,9 @@ func (c *Cluster) Close() error {
 	// requests flush and their responses complete the waiting callers;
 	// anything enqueued from here on fails with ErrPipelineClosed instead
 	// of waiting on a response that can no longer arrive. The consistency
-	// lanes drain the same way so queued updates/invalidations/acks still
-	// reach their peers before the transport goes down.
+	// lanes drain the same way so queued updates/invalidations/acks are
+	// still sent before the transport goes down (on TCP a frame still staged
+	// when it closes is dropped, as one inside an interrupted write was).
 	for _, n := range c.locals {
 		for _, wk := range n.workers {
 			wk.pipe.close()

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // The per-peer send lane: §6.3's opportunistic batching, written once. A
 // worker's outbound traffic toward each peer — remote requests (pipeline.go),
@@ -13,8 +10,10 @@ import (
 // its credit and sends it. A lane that runs dry flushes at once, so an isolated
 // item never waits for company: concurrency is the only source of coalescing
 // (a single closed-loop caller sees one item per packet, many callers — or one
-// executor run over a batch — see full packets). What differs between the
-// planes lives in their flush functions; nothing here knows which it serves.
+// executor run over a batch — see full packets). Packets of different lanes to
+// one peer meet again below: the TCP transport stages every frame for a
+// connection and writes them together. What differs between the planes lives
+// in their flush functions; nothing here knows which it serves.
 
 // laneBounds caps one batch: at most maxMsgs items, of at most maxBytes
 // encoded size together (size prices one item).
@@ -134,15 +133,6 @@ func (pl *peerLanes[T]) sender(q <-chan T, flush func(batch []T, bytes int)) {
 		}
 		var bytes int
 		batch, bytes, carry = pl.bounds.drain(q, batch, pl.bounds.size(batch[0]))
-		if len(batch) > 1 && len(batch) < pl.bounds.maxMsgs && carry == nil {
-			// The doorbell pause: the first drain found company, so callers are
-			// actively ringing. One yield lets them enqueue what they are
-			// blocked on right now, deepening the packet without ever holding
-			// up an isolated item (a batch of one flushes immediately). One
-			// shot, not a wait: there is no event to park on.
-			runtime.Gosched()
-			batch, bytes, carry = pl.bounds.drain(q, batch, bytes)
-		}
 		flush(batch, bytes)
 	}
 }

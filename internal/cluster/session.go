@@ -68,9 +68,10 @@ import (
 // the burst's remote fetches on the coalescing pipeline — so concurrent
 // clients keep many remote accesses in flight without per-request goroutines.
 // The lane itself only drains and hands results back; the last lane to finish
-// a batch encodes its response, and every response a lane finishes in one burst
-// leaves in one transport burst (replyBurst) — on TCP a single vectored write
-// per client, the reply-side mirror of the burst the read loop delivered.
+// a batch encodes its response, and the responses a lane finishes in one burst
+// are sent together at its end (replyBurst) — on TCP they are staged on the
+// client's connection back to back and leave in one write, the reply-side
+// mirror of the burst the read loop delivered.
 // Ping/stats are answered inline on the dispatcher (non-blocking); refresh
 // keeps its own goroutine (a long-blocking control op that fans out its own
 // RPCs).
@@ -440,17 +441,16 @@ func (l *sessLane) serveBurst() {
 }
 
 // replyBurst stages the session responses one lane finishes during one burst
-// and sends them with one fabric.SendBurst. The frames' metadata is encoded
-// back to back into one reused buffer; leased values (zero-copy gets) are not
-// copied but recorded as splices at offsets into it (offsets, not slices: the
-// buffer may move as it grows), exactly as a single response does it. Packets
-// are only materialized in flush, when the buffer has stopped moving.
+// and sends them together at its end. The frames' metadata is encoded back to
+// back into one reused buffer; leased values (zero-copy gets) are not copied
+// but recorded as splices at offsets into it (offsets, not slices: the buffer
+// may move as it grows), exactly as a single response does it. Packets are
+// only materialized in flush, when the buffer has stopped moving.
 type replyBurst struct {
 	n      *Node
 	meta   []byte
 	ra     respAssembly // the splices into meta, and flush's segment scratch
 	frames []replyFrame
-	pkts   []fabric.Packet
 	leased int // value bytes the splices hold leased
 }
 
@@ -491,11 +491,12 @@ func (rb *replyBurst) add(b *sessBatch) {
 	}
 }
 
-// flush sends the staged responses — adjacent ones for one client in a single
-// vectored write on TCP, leased values as wire segments of their own — then
-// releases every lease, sent or not: a failed send means the client is gone
-// (its timeout or peer-down handler cleans up), never that a value stays
-// pinned.
+// flush sends the staged responses, one Send each — leased values as wire
+// segments of their own, which the transport copies before Send returns (on
+// TCP the frames then share one write with whatever else is staged for that
+// client) — then releases every lease, sent or not: a failed send means the
+// client is gone (its timeout or peer-down handler cleans up), never that a
+// value stays pinned.
 func (rb *replyBurst) flush() {
 	if len(rb.frames) == 0 {
 		return
@@ -507,27 +508,20 @@ func (rb *replyBurst) flush() {
 		meta = append([]byte(nil), meta...)
 	}
 	src := fabric.Addr{Node: rb.n.id, Thread: threadSession}
-	segs := rb.ra.segs[:0]
 	lo, cut := 0, 0
 	for _, f := range rb.frames {
 		p := fabric.Packet{Src: src, Dst: f.dst, Class: metrics.ClassCacheMiss}
 		if f.cut == cut {
 			p.Data = meta[lo:f.meta:f.meta]
 		} else {
-			// A frame's segment window stays valid if a later append moves segs:
-			// it keeps the array it was cut from, already filled.
-			at := len(segs)
-			segs = appendSegs(segs, meta, lo, f.meta, rb.ra.cuts[cut:f.cut])
-			p.Segs = segs[at:len(segs):len(segs)]
+			rb.ra.segs = appendSegs(rb.ra.segs[:0], meta, lo, f.meta, rb.ra.cuts[cut:f.cut])
+			p.Segs = rb.ra.segs
 		}
-		rb.pkts = append(rb.pkts, p)
+		_ = rb.n.cluster.transport.Send(p)
 		lo, cut = f.meta, f.cut
 	}
-	rb.ra.segs = segs
-	_ = fabric.SendBurst(rb.n.cluster.transport, rb.pkts)
 	rb.ra.release()
-	clear(rb.pkts)
-	rb.meta, rb.frames, rb.pkts, rb.leased = rb.meta[:0], rb.frames[:0], rb.pkts[:0], 0
+	rb.meta, rb.frames, rb.leased = rb.meta[:0], rb.frames[:0], 0
 }
 
 // appendSessOpRes encodes one op result entry and consumes its lease: the

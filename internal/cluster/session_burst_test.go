@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,11 +12,12 @@ import (
 )
 
 // The reply side of a lane burst over real sockets: every response the lane
-// finishes leaves in one vectored write, leased values still uncopied, and the
-// leases come back whether or not anyone was left to write to. Deterministic:
-// the lane is parked while the frames queue up, a ping on the same connection
-// (answered by the dispatcher, behind them in the stream) proves they all did,
-// and the burst is then served on the test's own goroutine.
+// finishes is staged on the client's connection and leaves in one write,
+// leased values reaching the transport as segments, and the leases come back
+// whether or not anyone was left to write to. Deterministic: the lane is
+// parked while the frames queue up, a ping on the same connection (answered by
+// the dispatcher, behind them in the stream) proves they all did, and the
+// burst is then served on the test's own goroutine with one processor.
 
 // holdLane parks n's session lane (the node must run one worker): jobs queue
 // up unserved until the returned function serves them all — synchronously, as
@@ -78,6 +80,17 @@ func newBurstRig(t *testing.T, k int) *burstRig {
 	return r
 }
 
+// serveOneP serves the parked burst with one processor, as a benchmark node
+// runs, and calls then before handing the other processors back. The
+// connection's writer, woken by the first staged reply, cannot run until this
+// goroutine blocks: when then is called, every reply is staged and its leases
+// released, and nothing is written yet.
+func (r *burstRig) serveOneP(then func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r.serve()
+	then()
+}
+
 func (r *burstRig) send(t *testing.T, frame []byte) {
 	t.Helper()
 	err := r.client.Send(fabric.Packet{
@@ -124,19 +137,37 @@ func (r *burstRig) awaitQueued(t *testing.T) {
 }
 
 // k single-op frames queued to a lane before it runs are answered with ONE
-// write to that client — each request id exactly once, each value intact and
-// sent from store memory (VectoredBytes), nothing flattened. The parent wrote
-// k times.
+// write to that client — each request id exactly once, each value intact. The
+// values reach the transport as segments (VectoredBytes), nothing flattened,
+// and are copied before Send returns: the test overwrites every served value
+// in place, in store memory, after the replies are staged and before the
+// connection's writer runs, and the client still reads the values served.
+// Counted after delivery: the write happens after Send returns.
 func TestSessionLaneBurstOneWrite(t *testing.T) {
 	const k = 8
 	r := newBurstRig(t, k)
 	r.queueGets(t)
+	want := make([][]byte, k)
+	at := make([]*byte, k)
+	for i, key := range r.keys {
+		v, err := r.n.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i], at[i] = v, valueAddr(t, r.n, key)
+	}
 
 	writes, sends := r.stats.WriteCalls.Load(), r.stats.SendsTotal.Load()
 	vectored := r.stats.VectoredBytes.Load()
-	r.serve()
-	if w, s := r.stats.WriteCalls.Load()-writes, r.stats.SendsTotal.Load()-sends; w != 1 || s != k {
-		t.Fatalf("a lane burst of %d replies: %d writes carrying %d packets, want 1 and %d", k, w, s, k)
+	r.serveOneP(func() {
+		for i, key := range r.keys {
+			r.n.kvs.Put(key, bytes.Repeat([]byte{0xEE}, len(want[i])), timestamp.TS{Clock: 1 << 20})
+		}
+	})
+	for i, key := range r.keys {
+		if valueAddr(t, r.n, key) != at[i] {
+			t.Fatalf("key %d: the overwrite replaced the value buffer — the burst's lease still pinned it after Send", key)
+		}
 	}
 
 	var valueBytes uint64
@@ -148,29 +179,30 @@ func TestSessionLaneBurstOneWrite(t *testing.T) {
 			t.Fatalf("reply %d answers request id %d (again, or never asked)", i, id)
 		}
 		answered[id] = true
-		want, err := r.n.Get(r.keys[id-1])
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := want[id-1]
 		// reqID(8) ok(1) count(4)=1 | ok(1) vlen(4) value
 		if resp[8] != sessStatusOK || binary.LittleEndian.Uint32(resp[9:]) != 1 || resp[13] != sessStatusOK ||
-			!bytes.Equal(resp[18:], want) || int(binary.LittleEndian.Uint32(resp[14:])) != len(want) {
-			t.Fatalf("reply to request %d: % x, want value %q", id, resp, want)
+			!bytes.Equal(resp[18:], v) || int(binary.LittleEndian.Uint32(resp[14:])) != len(v) {
+			t.Fatalf("reply to request %d: % x, want value %q", id, resp, v)
 		}
-		valueBytes += uint64(len(want))
+		valueBytes += uint64(len(v))
+	}
+	if w, s := r.stats.WriteCalls.Load()-writes, r.stats.SendsTotal.Load()-sends; w != 1 || s != k {
+		t.Fatalf("a lane burst of %d replies: %d writes carrying %d packets, want 1 and %d", k, w, s, k)
 	}
 	if v := r.stats.VectoredBytes.Load() - vectored; v < valueBytes {
-		t.Fatalf("VectoredBytes grew by %d, below the %d value bytes the burst carried: a value was copied", v, valueBytes)
+		t.Fatalf("VectoredBytes grew by %d, below the %d value bytes the burst carried: a value was flattened first", v, valueBytes)
 	}
 	if f := r.stats.FlattenedBytes.Load(); f != 0 {
 		t.Fatalf("FlattenedBytes = %d, want 0", f)
 	}
 }
 
-// The staged burst is bounded in bytes, not only in frames: large replies are
-// written out as soon as sessReplyBurstBytes of them (metadata plus leased
-// values) are staged, so a lane never holds more than the bound plus one
-// frame — and never keeps more than that leased.
+// A burst larger than the connection's staging bound is written out as it is
+// staged: a Send that finds fabric.TCPStageBytes staged writes them before
+// staging its own frame, so the writes are exactly what that rule yields for
+// these frames — the connection holds at most the bound plus one frame. The
+// lane's own bound (sessReplyBurstBytes) caps what it keeps leased.
 func TestSessionLaneBurstByteBound(t *testing.T) {
 	const k = 8
 	r := newBurstRig(t, k)
@@ -180,17 +212,28 @@ func TestSessionLaneBurstByteBound(t *testing.T) {
 	}
 	body := batchBody(sessBatchMaxOps, entries...)
 	replyBytes := 13 + sessBatchMaxOps*(5+r.n.cluster.cfg.ValueSize)
-	perWrite := (sessReplyBurstBytes + replyBytes - 1) / replyBytes
-	frames := 2*perWrite + 1 // crosses the bound twice and leaves one frame over
+	perBurst := (sessReplyBurstBytes + replyBytes - 1) / replyBytes
+	frames := 2*perBurst + 1 // crosses the bounds twice and leaves one frame over
 	for i := 0; i < frames; i++ {
 		r.send(t, sessFrame(sessOpBatch, uint64(i+1), body...))
 	}
 	r.awaitQueued(t)
 
+	const frameHeader = 9
+	staged, want := 0, 1 // the writer's write at the end
+	for i := 0; i < frames; i++ {
+		if staged >= fabric.TCPStageBytes {
+			want, staged = want+1, 0
+		}
+		staged += frameHeader + replyBytes
+	}
 	writes := r.stats.WriteCalls.Load()
-	r.serve()
-	if w := r.stats.WriteCalls.Load() - writes; w != 3 {
-		t.Fatalf("%d replies of %d bytes left in %d writes, want 3 (two at the bound, one at the end)", frames, replyBytes, w)
+	r.serveOneP(func() {})
+	for i := 0; i < frames; i++ {
+		r.reply(t)
+	}
+	if w := r.stats.WriteCalls.Load() - writes; w != uint64(want) || w < 3 {
+		t.Fatalf("%d replies of %d bytes left in %d writes, want %d (the bound crossed twice, then the rest)", frames, replyBytes, w, want)
 	}
 }
 

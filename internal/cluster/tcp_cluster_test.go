@@ -65,11 +65,12 @@ func newTCPMembersStats(t *testing.T, cfg Config) ([]*Cluster, []string, []*fabr
 	return members, addrs, allStats
 }
 
-// The end-to-end zero-copy acceptance check: a session get served over TCP
-// must leave the server by scatter-gather write, with the value segment
-// aliasing store memory under a lease — zero flattening copies anywhere on
-// the node's send path. Both the single-op and the batched reply shapes are
-// exercised.
+// The end-to-end check of the session get path over TCP: a reply's value
+// reaches the transport as a segment aliasing store memory under a lease
+// (VectoredBytes) — never flattened into a buffer of the node's own — is
+// copied once, into the connection's staging buffer, and its lease is
+// released: the quiesced node holds no leased buffer. Both the single-op and
+// the batched reply shapes are exercised.
 func TestTCPSessionGetZeroCopyVectored(t *testing.T) {
 	cfg := Config{Nodes: 2, System: Base, NumKeys: 1024}
 	members, addrs, stats := newTCPMembersStats(t, cfg)
@@ -111,7 +112,71 @@ func TestTCPSessionGetZeroCopyVectored(t *testing.T) {
 		t.Fatalf("batched get reply was not vectored: VectoredBytes %d -> %d", single, grew)
 	}
 	if f := stats[0].FlattenedBytes.Load(); f != 0 {
-		t.Fatalf("FlattenedBytes = %d, want 0 — some reply copied its value segments", f)
+		t.Fatalf("FlattenedBytes = %d, want 0 — some reply flattened its value segments", f)
+	}
+	awaitNoLeases(t, members)
+}
+
+// awaitNoLeases fails unless every member's shard comes to hold no leased
+// value buffer. A lane releases its leases right after Send returns, which
+// may be after the reply was already delivered, so a quiesced cluster gets a
+// moment to reach zero.
+func awaitNoLeases(t *testing.T, members []*Cluster) {
+	t.Helper()
+	for i, m := range members {
+		kvs := m.Node(i).kvs
+		for deadline := time.Now().Add(5 * time.Second); kvs.LeasedBuffers() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d holds %d leased value buffers with no traffic left", i, kvs.LeasedBuffers())
+			}
+		}
+	}
+}
+
+// No lease outlives its reply: after a mix of point and batched gets and puts
+// from two clients to every member of a caching TCP deployment, each shard
+// holds no leased value buffer once the traffic has quiesced, and none after
+// Cluster.Close.
+func TestTCPNoLeasedBuffersLeft(t *testing.T) {
+	for _, proto := range []core.Protocol{core.SC, core.Lin} {
+		t.Run(proto.String(), func(t *testing.T) {
+			cfg := Config{Nodes: 3, System: CCKVS, Protocol: proto, NumKeys: 512, CacheItems: 16, ValueSize: 32}
+			members, addrs := newTCPMembers(t, cfg)
+			for _, id := range []uint8{211, 212} {
+				cl, err := DialTCP(id, addrs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				if err := cl.WaitReady(10 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				keys := make([]uint64, 64)
+				for i := range keys {
+					keys[i] = uint64(i * 7 % int(cfg.NumKeys))
+				}
+				for node := 0; node < cfg.Nodes; node++ {
+					if _, err := cl.MultiGet(node, keys); err != nil {
+						t.Fatal(err)
+					}
+					for _, key := range keys[:8] {
+						if err := cl.Put(node, key, bytes.Repeat([]byte{id}, cfg.ValueSize)); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := cl.Get(node, key); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			awaitNoLeases(t, members)
+			for i, m := range members {
+				m.Close()
+				if n := m.Node(i).kvs.LeasedBuffers(); n != 0 {
+					t.Fatalf("node %d holds %d leased value buffers after Close", i, n)
+				}
+			}
+		})
 	}
 }
 

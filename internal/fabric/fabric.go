@@ -47,9 +47,9 @@ func (a Addr) String() string { return fmt.Sprintf("n%d/t%d", a.Node, a.Thread) 
 // segments and Data is ignored; senders use this to gather header metadata
 // and zero-copy value slices (e.g. store leases) without flattening them
 // into one buffer. Every Transport implementation consumes the segments
-// before Send returns — by vectored write (TCP) or by flattening into a
-// fresh buffer (in-process transports) — so the caller may release or reuse
-// the segment memory as soon as Send returns.
+// before Send returns — by copying them into the connection's staging buffer
+// (TCP) or by flattening into a fresh buffer (in-process transports) — so the
+// caller may release or reuse the segment memory as soon as Send returns.
 // A packet that coalesces messages of several classes (the consistency
 // plane mixes updates, invalidations and piggybacked acks in one fan-out
 // packet) may carry Spans: per-class message counts and payload bytes for
@@ -128,25 +128,6 @@ type Transport interface {
 	Close() error
 }
 
-// SendBurst sends ps in order through tr. A transport with a burst path of its
-// own (TCP: one vectored write per run of packets for the same node) takes
-// the whole slice; on any other — the in-process transports, which hand
-// packets over by reference, and decorators around them — a burst is a loop
-// of Sends, so callers stage bursts without knowing which they have. Every
-// packet is attempted; the first error is returned.
-func SendBurst(tr Transport, ps []Packet) error {
-	if b, ok := tr.(interface{ SendBurst([]Packet) error }); ok {
-		return b.SendBurst(ps)
-	}
-	var first error
-	for i := range ps {
-		if err := tr.Send(ps[i]); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("fabric: transport closed")
 
@@ -159,18 +140,23 @@ type Stats struct {
 	RecvsTotal  metrics.Counter
 	SendBlocked metrics.Counter // sends that found a full queue (backpressure)
 	// ReadCalls and WriteCalls count the TCP transport's socket reads and
-	// (vectored) socket writes, so RecvsTotal/ReadCalls is the achieved
-	// frames per read and SendsTotal/WriteCalls the packets per write. Like
-	// SendsTotal, WriteCalls moves before the write starts.
+	// socket writes, so RecvsTotal/ReadCalls is the achieved frames per read
+	// and SendsTotal/WriteCalls the packets per write. A write carries every
+	// frame staged on its connection by the time the connection's writer
+	// runs, whoever staged it, so WriteCalls moves after Send returns: read
+	// it once the frames were delivered.
 	ReadCalls  metrics.Counter
 	WriteCalls metrics.Counter
 	// Vectored/flattened account how segmented payloads (Packet.Segs) left
-	// the process: VectoredBytes were handed to a scatter-gather write (zero
-	// copies of the segment memory), FlattenedBytes were copied into one
-	// buffer first (in-process transports, which must break aliasing). Both
-	// — like SendsTotal — are bumped before the packet can reach its
-	// receiver, so a test that saw the packet's effect reads a settled
-	// count. The zero-copy assertions in internal/cluster read these.
+	// the process: VectoredBytes reached the TCP transport as segments and
+	// were copied once, straight into the connection's staging buffer, with
+	// no buffer of the sender's own in between; FlattenedBytes were first
+	// gathered into a fresh buffer the receiver then holds (in-process
+	// transports, which must break aliasing). Either way the segment memory
+	// is free when Send returns. Both — like SendsTotal — are bumped before
+	// the packet can reach its receiver, so a test that saw the packet's
+	// effect reads a settled count. The assertions on the session reply path
+	// in internal/cluster read these.
 	VectoredBytes  metrics.Counter
 	FlattenedBytes metrics.Counter
 	// OversizeFrames counts inbound TCP frames refused (and connections

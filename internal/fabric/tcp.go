@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -27,8 +28,9 @@ import (
 //
 // A system call moves a burst, not a frame (§6.3's argument, applied to the
 // socket): one read pulls every frame already queued on a connection
-// (readLoop), and one vectored write carries every adjacent packet of a
-// burst that goes to the same node (SendBurst; Send is its one-packet case).
+// (readLoop), and one write carries every frame staged on it since the last
+// — whichever sender staged it: Send only stages, and each connection's one
+// writer (flusher) writes.
 type TCPTransport struct {
 	self   uint8
 	ln     net.Listener
@@ -43,19 +45,40 @@ type TCPTransport struct {
 	handlers atomic.Pointer[map[Addr]Handler]
 	conns    [256]atomic.Pointer[tcpConn]
 
-	mu      sync.Mutex
-	peers   map[uint8]string
-	inbound []net.Conn
-	wg      sync.WaitGroup
+	mu    sync.Mutex
+	peers map[uint8]string
+	open  []*tcpConn // every connection, accepted or dialed, for Close
+	wg    sync.WaitGroup
 
 	// onPeerDown, when set, is invoked once per broken connection with the
 	// node id the connection served (see SetPeerDownHandler).
 	onPeerDown func(node uint8, cause error)
 }
 
+// tcpConn is one connection and its one writer. Senders never write: Send
+// appends the frame to buf under mu and wakes the connection's flusher, which
+// writes everything staged by then in one system call. Every plane's packets
+// to a peer — rpc requests, consistency messages, replies sent from a read
+// loop, session reply bursts, client calls — meet in buf, so the frames of
+// all of them that are ready together share the write.
 type tcpConn struct {
-	mu sync.Mutex
-	c  net.Conn
+	c    net.Conn
+	node uint8 // the peer it routes to; set before the route is published
+
+	done chan struct{} // closed when the read loop ends: the flusher exits
+	wake chan struct{} // holds a token while the flusher is awake and unserved
+
+	mu    sync.Mutex
+	buf   []byte // staged frames, in staging order
+	awake bool   // the flusher was woken and has not yet found buf empty
+	err   error  // why the connection ended; set once, staging refuses from then
+
+	wmu   sync.Mutex // one socket write at a time, and the swap that feeds it
+	spare []byte     // the other buffer: written while buf fills
+}
+
+func newTCPConn(c net.Conn) *tcpConn {
+	return &tcpConn{c: c, done: make(chan struct{}), wake: make(chan struct{}, 1)}
 }
 
 const tcpFrameHeader = 1 + 1 + 1 + 1 + 1 + 4
@@ -74,22 +97,17 @@ const MaxFrameBytes = 16 << 20
 // and dozens of batch-32 frames; a larger frame bypasses the buffer.
 const tcpReadBuf = 64 << 10
 
-// sendBuf is the pooled scratch of one vectored write: the frame headers of
-// the packets it carries, back to back, and the scatter list pointing into
-// them and at the packets' payload memory. The list is nilled before pooling
-// so the pool never retains payload memory.
-type sendBuf struct {
-	hdrs []byte
-	v    net.Buffers // the full list; keeps the backing array
-	w    net.Buffers // the view WriteTo consumes
-}
+// TCPStageBytes bounds a connection's staging buffer. A sender that finds
+// this much staged writes it out itself before staging its own frame —
+// blocking as a full socket blocked a direct write — so a connection to a
+// peer that stops reading holds at most the bound plus one frame staged, plus
+// the write in flight.
+const TCPStageBytes = 256 << 10
 
-var sendBufPool = sync.Pool{New: func() any { return new(sendBuf) }}
-
-// SendCopiesData reports that Send hands every byte of the packet — flat
-// payload or segments — to the kernel before returning: callers may reuse
-// p.Data and p.Segs memory — e.g. release store leases — as soon as Send
-// returns.
+// SendCopiesData reports that Send copies every byte of the packet — flat
+// payload or segments — into the connection's staging buffer before
+// returning: callers may reuse p.Data and p.Segs memory — e.g. release store
+// leases — as soon as Send returns.
 // Handlers get the mirror guarantee's *absence*: p.Data aliases the
 // connection's receive buffer, which the next frame overwrites, so a Handler
 // must copy anything it retains past its return. Race builds scribble 0xDD
@@ -159,13 +177,12 @@ func (t *TCPTransport) SetPeerDownHandler(f func(node uint8, cause error)) {
 // the peer, and the route-entry delete makes the callback fire exactly once
 // per broken route even when read and write sides fail together. Not fired
 // while the transport itself is closing.
-func (t *TCPTransport) notePeerDown(node uint8, c net.Conn, cause error) {
+func (t *TCPTransport) notePeerDown(node uint8, tc *tcpConn, cause error) {
 	if t.closed.Load() {
 		return
 	}
 	t.mu.Lock()
-	tc := t.conns[node].Load()
-	active := tc != nil && tc.c == c
+	active := t.conns[node].Load() == tc
 	if active {
 		t.conns[node].Store(nil) // a retry will redial
 	}
@@ -188,33 +205,43 @@ func (t *TCPTransport) acceptLoop() {
 			return // listener closed
 		}
 		t.mu.Lock()
-		ok := t.adoptLocked(c)
+		tc := t.adoptLocked(c)
 		t.mu.Unlock()
-		if !ok {
+		if tc == nil {
 			return
 		}
-		go t.readLoop(c, -1, make([]byte, tcpReadBuf))
+		t.serve(tc, -1)
 	}
 }
 
-// adoptLocked registers c for teardown by Close and accounts for the read
-// loop its caller is about to start; it refuses (and closes c) once Close has
-// begun, so no connection or read loop slips past Close's sweep. Callers hold
-// t.mu.
-func (t *TCPTransport) adoptLocked(c net.Conn) bool {
+// adoptLocked wraps c for teardown by Close and accounts for the read loop and
+// the flusher its caller is about to start (serve); it refuses (closes c and
+// returns nil) once Close has begun, so no connection or goroutine slips past
+// Close's sweep. Callers hold t.mu.
+func (t *TCPTransport) adoptLocked(c net.Conn) *tcpConn {
 	if t.closed.Load() {
 		c.Close()
-		return false
+		return nil
 	}
-	t.inbound = append(t.inbound, c)
-	t.wg.Add(1)
-	return true
+	tc := newTCPConn(c)
+	t.open = append(t.open, tc)
+	t.wg.Add(2)
+	return tc
+}
+
+// serve starts an adopted connection's read loop and its writer. peer is the
+// node it serves when known (dialed), -1 when the first frame will say.
+func (t *TCPTransport) serve(tc *tcpConn, peer int) {
+	go t.readLoop(tc, peer, make([]byte, tcpReadBuf))
+	go t.flusher(tc)
 }
 
 // readLoop drains one connection through buf, its receive buffer (tcpReadBuf
 // bytes; at least a frame header). peer is the node id the connection serves
 // when known at start (outbound dials); inbound connections learn it from
 // the first frame. A broken connection whose peer is known reports it down.
+// The read loop's end is the connection's: it shuts the connection, which
+// stops its flusher.
 //
 // One read fills the buffer with whatever the socket has queued — usually
 // several frames — and every complete frame in it is parsed in place and
@@ -222,9 +249,10 @@ func (t *TCPTransport) adoptLocked(c net.Conn) bool {
 // and must copy anything it keeps past its return: its payload is a window of
 // the buffer. Only a frame too large for the buffer is read into a slice of
 // its own (after the MaxFrameBytes check).
-func (t *TCPTransport) readLoop(c net.Conn, peer int, buf []byte) {
+func (t *TCPTransport) readLoop(tc *tcpConn, peer int, buf []byte) {
 	defer t.wg.Done()
-	defer c.Close()
+	defer tc.shut()
+	c := tc.c
 	var big []byte // payload of a frame that outgrows buf, reused
 	r, w := 0, 0   // buf[r:w] is read and not yet delivered
 	for {
@@ -238,12 +266,12 @@ func (t *TCPTransport) readLoop(c net.Conn, peer int, buf []byte) {
 				// inbound connection even when the sender (e.g. a client with
 				// an ephemeral port) is not in the peers table.
 				peer = int(hdr[2])
-				t.noteRoute(hdr[2], c)
+				t.noteRoute(hdr[2], tc)
 			}
 			n := binary.LittleEndian.Uint32(hdr[5:9])
 			if n > MaxFrameBytes {
 				t.stats.OversizeFrames.Add(1)
-				t.notePeerDown(uint8(peer), c, fmt.Errorf("fabric: frame of %d bytes exceeds MaxFrameBytes", n))
+				t.notePeerDown(uint8(peer), tc, fmt.Errorf("fabric: frame of %d bytes exceeds MaxFrameBytes", n))
 				return
 			}
 			body, end := r+tcpFrameHeader, r+tcpFrameHeader+int(n)
@@ -273,7 +301,7 @@ func (t *TCPTransport) readLoop(c net.Conn, peer int, buf []byte) {
 		}
 		if err != nil {
 			if peer >= 0 {
-				t.notePeerDown(uint8(peer), c, err)
+				t.notePeerDown(uint8(peer), tc, err)
 			}
 			return
 		}
@@ -304,94 +332,146 @@ func (t *TCPTransport) deliver(hdr, data []byte) {
 	}
 }
 
-// Send frames p and writes it to the destination node's connection, dialing
-// on first use: the one-packet case of SendBurst.
-func (t *TCPTransport) Send(p Packet) error { return t.SendBurst([]Packet{p}) }
-
-// SendBurst sends ps in order. Every run of adjacent packets for one
-// destination node leaves in a single vectored write (writev) — per frame its
-// 9-byte header, then the flat payload or the payload segments, each as its
-// own element of the scatter list — so value memory (store leases on the get
-// path) is handed to the kernel without ever being copied in user space, and
-// a burst of replies costs one system call, not one each. All payload memory
-// is consumed before return (net.Buffers.WriteTo drains the list), honoring
-// the Packet.Segs contract. A failed run does not stop the ones after it
-// (they may go elsewhere); the first error is returned.
-func (t *TCPTransport) SendBurst(ps []Packet) error {
+// Send stages p's frame on the destination node's connection, dialing on
+// first use, and returns: the connection's flusher writes it, together with
+// whatever else is staged there by then. Every byte of the payload — Data,
+// or each of Segs in order — is copied into the staging buffer before Send
+// returns, honoring the Packet.Segs contract. The counters move before the
+// frame is staged: whoever observes a packet's effect (a reply to it, say)
+// then also observes the counts. A nil error means staged, not written: a
+// write that fails later reports the peer down (SetPeerDownHandler), which
+// is how calls waiting on the frame learn of it.
+func (t *TCPTransport) Send(p Packet) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
-	var first error
-	for len(ps) > 0 {
-		k := 1
-		for k < len(ps) && ps[k].Dst.Node == ps[0].Dst.Node {
-			k++
-		}
-		if err := t.writeFrames(ps[:k]); err != nil && first == nil {
-			first = err
-		}
-		ps = ps[k:]
-	}
-	return first
-}
-
-// writeFrames is the transport's one write path: ps, all for one node, in one
-// vectored write. The counters move before the write starts: whoever observes
-// a packet's effect (a reply to it, say) then also observes the counts.
-func (t *TCPTransport) writeFrames(ps []Packet) error {
-	node := ps[0].Dst.Node
-	conn, err := t.connTo(node)
+	tc, err := t.connTo(p.Dst.Node)
 	if err != nil {
 		return err
 	}
-	sb := sendBufPool.Get().(*sendBuf)
-	if cap(sb.hdrs) < len(ps)*tcpFrameHeader {
-		// Sized up front: the scatter list points into it, so it must not move.
-		sb.hdrs = make([]byte, 0, len(ps)*tcpFrameHeader)
+	t.stats.account(p)
+	if p.Segs != nil {
+		t.stats.VectoredBytes.Add(uint64(p.payloadLen()))
 	}
-	hdrs, bufs := sb.hdrs[:0], sb.v[:0]
-	vectored := 0
-	for i := range ps {
-		p := &ps[i]
-		t.stats.account(*p)
-		n := p.payloadLen()
-		hdrs = append(hdrs, p.Dst.Node, p.Dst.Thread, t.self, p.Src.Thread, byte(p.Class))
-		hdrs = binary.LittleEndian.AppendUint32(hdrs, uint32(n))
-		bufs = append(bufs, hdrs[len(hdrs)-tcpFrameHeader:])
-		if p.Segs != nil {
-			bufs = append(bufs, p.Segs...)
-			vectored += n
-		} else if n > 0 {
-			bufs = append(bufs, p.Data)
-		}
+	return t.stage(tc, &p)
+}
+
+// stage appends p's frame — the 9-byte header, then the payload — to tc's
+// staging buffer and wakes the flusher if it sleeps. A sender that finds
+// TCPStageBytes or more staged writes them itself first (backpressure).
+func (t *TCPTransport) stage(tc *tcpConn, p *Packet) error {
+	tc.mu.Lock()
+	for tc.err == nil && len(tc.buf) >= TCPStageBytes {
+		tc.mu.Unlock()
+		t.write(tc)
+		tc.mu.Lock()
 	}
-	if vectored > 0 {
-		t.stats.VectoredBytes.Add(uint64(vectored))
+	if err := tc.err; err != nil {
+		tc.mu.Unlock()
+		return fmt.Errorf("fabric: send to node %d: %w", p.Dst.Node, err)
 	}
-	t.stats.WriteCalls.Add(1)
-	sb.w = bufs // WriteTo consumes sb.w in place; bufs keeps the full backing array
-	conn.mu.Lock()
-	_, werr := sb.w.WriteTo(conn.c)
-	conn.mu.Unlock()
-	clear(bufs)
-	sb.hdrs, sb.v, sb.w = hdrs[:0], bufs[:0], nil
-	sendBufPool.Put(sb)
-	if werr != nil {
-		// Frames already written may never be answered; report the peer down
-		// so their pending calls fail (whichever of the read and write sides
-		// notices first wins; the other finds the route already gone).
-		t.notePeerDown(node, conn.c, werr)
-		return fmt.Errorf("fabric: send to node %d: %w", node, werr)
+	b := append(tc.buf, p.Dst.Node, p.Dst.Thread, t.self, p.Src.Thread, byte(p.Class))
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.payloadLen()))
+	if p.Segs == nil {
+		b = append(b, p.Data...)
+	}
+	for _, s := range p.Segs {
+		b = append(b, s...)
+	}
+	tc.buf = b
+	wake := !tc.awake
+	tc.awake = true
+	tc.mu.Unlock()
+	if wake {
+		tc.wake <- struct{}{} // never blocks: the last token was taken before awake cleared
 	}
 	return nil
 }
 
+// flusher is tc's one writer. Woken by the first frame staged on an idle
+// connection, it yields once before writing: on one processor that lets every
+// goroutine runnable right now — a lane draining its queue, a read loop
+// answering the frames of its last read, a session lane finishing a burst —
+// stage its frames first, so they all leave in the same write. One shot, not
+// a wait: there is no event to park on. It then writes until it finds nothing
+// staged, and sleeps again. It exits when the connection ends.
+func (t *TCPTransport) flusher(tc *tcpConn) {
+	defer t.wg.Done()
+	for {
+		select {
+		case <-tc.wake:
+		case <-tc.done:
+			return
+		}
+		runtime.Gosched()
+		for more := true; more; {
+			t.write(tc)
+			tc.mu.Lock()
+			more = len(tc.buf) > 0 && tc.err == nil
+			tc.awake = more
+			tc.mu.Unlock()
+		}
+	}
+}
+
+// write moves everything staged on tc to the socket in one write: it swaps
+// the staging buffer with the spare under the write mutex, so frames staged
+// meanwhile fill the other one. A failed write ends the connection — what is
+// staged is dropped and staging refuses from then on — and reports the peer
+// down, which fails the calls waiting on frames already sent.
+func (t *TCPTransport) write(tc *tcpConn) {
+	tc.wmu.Lock()
+	tc.mu.Lock()
+	b := tc.buf
+	if len(b) == 0 || tc.err != nil {
+		tc.mu.Unlock()
+		tc.wmu.Unlock()
+		return
+	}
+	tc.buf = tc.spare[:0]
+	tc.mu.Unlock()
+	t.stats.WriteCalls.Add(1)
+	_, err := tc.c.Write(b)
+	if cap(b) > 2*TCPStageBytes {
+		b = nil // an outsized frame's buffer is not kept for the next write
+	}
+	tc.spare = b
+	if err != nil {
+		tc.fail(err)
+	}
+	tc.wmu.Unlock()
+	if err != nil {
+		t.notePeerDown(tc.node, tc, err)
+	}
+}
+
+// fail ends tc with err unless it already ended: staged frames are dropped
+// and later stages refuse.
+func (tc *tcpConn) fail(err error) {
+	tc.mu.Lock()
+	if tc.err == nil {
+		tc.err = err
+	}
+	tc.buf = nil
+	tc.mu.Unlock()
+}
+
+// shut closes tc when its read loop ends (a broken connection or Close):
+// staging refuses, bytes still staged are dropped — like a frame inside an
+// interrupted write — and the flusher exits.
+func (tc *tcpConn) shut() {
+	tc.c.Close()
+	tc.fail(net.ErrClosed)
+	close(tc.done)
+}
+
 // noteRoute records an inbound connection as the way back to node, unless
 // a connection already routes there.
-func (t *TCPTransport) noteRoute(node uint8, c net.Conn) {
+func (t *TCPTransport) noteRoute(node uint8, tc *tcpConn) {
 	t.mu.Lock()
 	if t.conns[node].Load() == nil {
-		t.conns[node].Store(&tcpConn{c: c})
+		tc.node = node
+		t.conns[node].Store(tc)
 	}
 	t.mu.Unlock()
 }
@@ -417,32 +497,35 @@ func (t *TCPTransport) connTo(node uint8) (*tcpConn, error) {
 		c.Close()
 		return prev, nil
 	}
-	if !t.adoptLocked(c) {
+	tc := t.adoptLocked(c)
+	if tc == nil {
 		t.mu.Unlock()
 		return nil, ErrClosed
 	}
-	tc := &tcpConn{c: c}
+	tc.node = node
 	t.conns[node].Store(tc)
 	t.mu.Unlock()
 	// Outbound connections are full duplex: the peer replies on the same
 	// socket, so it needs a read loop just like accepted connections. The
 	// peer id is known from the dial.
-	go t.readLoop(c, int(node), make([]byte, tcpReadBuf))
+	t.serve(tc, int(node))
 	return tc, nil
 }
 
-// Close shuts the listener and all connections down.
+// Close shuts the listener and all connections down, which ends every read
+// loop and with it every flusher, and waits for them. Frames still staged are
+// dropped; a Send blocked writing returns an error.
 func (t *TCPTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
 	t.ln.Close()
 	t.mu.Lock()
-	// Every connection — accepted or dialed, routed over or not — is in inbound.
-	for _, c := range t.inbound {
-		c.Close()
+	// Every connection — accepted or dialed, routed over or not — is in open.
+	for _, tc := range t.open {
+		tc.c.Close()
 	}
-	t.inbound = nil
+	t.open = nil
 	t.mu.Unlock()
 	t.wg.Wait()
 	return nil

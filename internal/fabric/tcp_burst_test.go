@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +16,7 @@ import (
 )
 
 // A system call moves a burst: these tests count reads through a scripted
-// net.Conn and writes through Stats.WriteCalls (a wrapped conn would hide the
-// vectored write — net.Buffers only takes the writev path on the real socket
-// types), with no sleeps and no timing.
+// net.Conn and writes through Stats.WriteCalls, with no sleeps and no timing.
 
 // scriptConn is a net.Conn whose Read serves scripted chunks — one chunk per
 // call, cut to the caller's buffer with the rest kept for the next call — then
@@ -64,7 +63,7 @@ func feed(dst Addr, bufSize int, chunks ...[]byte) ([]Packet, *scriptConn, *Stat
 	tr.Register(dst, func(p Packet) { got = append(got, keep(p)) })
 	c := &scriptConn{chunks: chunks}
 	tr.wg.Add(1)
-	tr.readLoop(c, -1, make([]byte, bufSize))
+	tr.readLoop(newTCPConn(c), -1, make([]byte, bufSize))
 	return got, c, stats
 }
 
@@ -162,105 +161,158 @@ func TestTCPReadFramesAcrossReads(t *testing.T) {
 	})
 }
 
-// A burst is one vectored write per run of packets for one node: flat and
-// segmented payloads side by side, in order, with only the segmented bytes
-// counted as vectored. The parent wrote once per packet.
-func TestTCPSendBurstOneWrite(t *testing.T) {
+// Frames staged on one connection while its writer is held leave in one
+// write when it is released, whoever staged them: three goroutines standing in
+// for a node's request lane, consistency lane and session lane send to three
+// threads of one peer, flat and segmented payloads side by side. Each sender's
+// frames arrive in its order, and only the segmented bytes count as vectored.
+// Before the connection had one writer, each Send was its own write.
+func TestTCPStagedFramesOneWrite(t *testing.T) {
 	sa := NewStats()
-	trs := make([]*TCPTransport, 3) // node 0 sends to nodes 1 and 2
-	for i := range trs {
-		stats := NewStats()
-		if i == 0 {
-			stats = sa
-		}
-		tr, err := NewTCPTransport(uint8(i), "127.0.0.1:0", stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tr.Close() })
-		trs[i] = tr
-	}
-	a := trs[0]
-	to1, to2 := Addr{Node: 1, Thread: 3}, Addr{Node: 2, Thread: 3}
-	a.AddPeer(1, trs[1].ListenAddr())
-	a.AddPeer(2, trs[2].ListenAddr())
-	got := make(chan Packet, 16)
-	trs[1].Register(to1, func(p Packet) { got <- keep(p) })
-	other := make(chan Packet, 16)
-	trs[2].Register(to2, func(p Packet) { other <- keep(p) })
-
-	burst := []Packet{
-		{Dst: to1, Data: []byte("flat-0")},
-		{Dst: to1, Segs: [][]byte{[]byte("meta|"), []byte("leased"), []byte("|tail")}},
-		{Dst: to1}, // empty payload
-		{Dst: to1, Data: []byte("flat-3")},
-	}
-	want := []string{"flat-0", "meta|leased|tail", "", "flat-3"}
-	if err := a.SendBurst(burst); err != nil {
-		t.Fatal(err)
-	}
-	if w, s := sa.WriteCalls.Load(), sa.SendsTotal.Load(); w != 1 || s != 4 {
-		t.Fatalf("a burst of 4 to one node: WriteCalls=%d SendsTotal=%d, want 1 and 4", w, s)
-	}
-	if v := sa.VectoredBytes.Load(); v != uint64(len(want[1])) {
-		t.Fatalf("VectoredBytes = %d, want %d (the segmented packet alone)", v, len(want[1]))
-	}
-	recv := func(ch chan Packet, want string) {
-		t.Helper()
-		select {
-		case p := <-ch:
-			if string(p.Data) != want || p.Src.Node != 0 {
-				t.Fatalf("got %q from node %d, want %q from node 0", p.Data, p.Src.Node, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%q never arrived", want)
-		}
-	}
-	for _, w := range want {
-		recv(got, w)
-	}
-
-	// Runs split where the destination node changes, and only there.
-	before := sa.WriteCalls.Load()
-	mixed := []Packet{{Dst: to1, Data: []byte("x")}, {Dst: to1, Data: []byte("y")}, {Dst: to2, Data: []byte("z")}, {Dst: to1, Data: []byte("w")}}
-	if err := a.SendBurst(mixed); err != nil {
-		t.Fatal(err)
-	}
-	if w := sa.WriteCalls.Load() - before; w != 3 {
-		t.Fatalf("runs 1,1 | 2 | 1 took %d writes, want 3", w)
-	}
-	for _, w := range []string{"x", "y", "w"} {
-		recv(got, w)
-	}
-	recv(other, "z")
-
-	// An unreachable run does not stop the ones after it.
-	if err := a.SendBurst([]Packet{{Dst: Addr{Node: 42}}, {Dst: to1, Data: []byte("still")}}); err == nil {
-		t.Fatal("burst with an unknown peer reported no error")
-	}
-	recv(got, "still")
-}
-
-// On a transport without a burst path the helper is a loop of Sends: same
-// packets, same order, vectored payloads flattened as Send does.
-func TestSendBurstLoopsOnByReferenceTransports(t *testing.T) {
-	stats := NewStats()
-	tr := NewChanTransport(0, stats)
-	defer tr.Close()
-	dst := Addr{Node: 1}
-	got := make(chan Packet, 4)
-	tr.Register(dst, func(p Packet) { got <- p })
-	err := SendBurst(tr, []Packet{{Dst: dst, Data: []byte("a")}, {Dst: dst, Segs: [][]byte{[]byte("b"), []byte("c")}}})
+	a, err := NewTCPTransport(0, "127.0.0.1:0", sa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []string{"a", "bc"} {
-		if p := <-got; string(p.Data) != w {
-			t.Fatalf("got %q, want %q", p.Data, w)
+	b, err := NewTCPTransport(1, "127.0.0.1:0", nil)
+	if err != nil {
+		a.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close(); b.Close() })
+	a.AddPeer(1, b.ListenAddr())
+	threads := []uint8{1, 2, 3} // request, consistency, session
+	got := make(chan Packet, 64)
+	for _, th := range threads {
+		b.Register(Addr{Node: 1, Thread: th}, func(p Packet) { got <- keep(p) })
+	}
+	recv := func() Packet {
+		t.Helper()
+		select {
+		case p := <-got:
+			return p
+		case <-time.After(5 * time.Second):
+			t.Fatal("a staged frame never arrived")
+			return Packet{}
 		}
 	}
-	if s := stats.SendsTotal.Load(); s != 2 {
-		t.Fatalf("SendsTotal = %d, want 2", s)
+	// Dial, and let the first write settle.
+	if err := a.Send(Packet{Dst: Addr{Node: 1, Thread: threads[0]}, Data: []byte("dial")}); err != nil {
+		t.Fatal(err)
+	}
+	recv()
+	tc := a.conns[1].Load()
+	writes, vectored := sa.WriteCalls.Load(), sa.VectoredBytes.Load()
+
+	const perSender = 4
+	payload := func(th uint8, i int) string { return fmt.Sprintf("t%d-frame-%d", th, i) }
+	tc.wmu.Lock()
+	var wg sync.WaitGroup
+	for _, th := range threads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				p := Packet{Src: Addr{Node: 0, Thread: th}, Dst: Addr{Node: 1, Thread: th}, Data: []byte(payload(th, i))}
+				if i%2 == 1 {
+					w := payload(th, i)
+					p.Data, p.Segs = nil, [][]byte{[]byte(w[:3]), []byte(w[3:])}
+				}
+				if err := a.Send(p); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait() // every Send returned with the writer held: all are staged
+	tc.wmu.Unlock()
+
+	next := map[uint8]int{}
+	for range len(threads) * perSender {
+		p := recv()
+		th := p.Dst.Thread
+		if want := payload(th, next[th]); string(p.Data) != want || p.Src != (Addr{Node: 0, Thread: th}) {
+			t.Fatalf("thread %d got %q from %v, want %q from n0/t%d", th, p.Data, p.Src, want, th)
+		}
+		next[th]++
+	}
+	if w := sa.WriteCalls.Load() - writes; w != 1 {
+		t.Fatalf("%d frames staged by %d senders left in %d writes, want 1", len(threads)*perSender, len(threads), w)
+	}
+	var wantVectored int
+	for _, th := range threads {
+		for i := 1; i < perSender; i += 2 {
+			wantVectored += len(payload(th, i))
+		}
+	}
+	if v := sa.VectoredBytes.Load() - vectored; v != uint64(wantVectored) {
+		t.Fatalf("VectoredBytes grew by %d, want %d (the segmented payloads alone)", v, wantVectored)
+	}
+}
+
+// A peer that never reads holds a connection's writer in its write forever.
+// Senders keep staging until the bound, then block in Send — the staged bytes
+// stay within the bound plus one frame — and Close fails the blocked Send and
+// returns.
+func TestTCPStagingBoundedForPeerThatNeverReads(t *testing.T) {
+	stats := NewStats()
+	a, err := NewTCPTransport(0, "127.0.0.1:0", stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, far := net.Pipe() // far is never read: a write to near blocks for good
+	defer far.Close()
+	a.mu.Lock()
+	tc := a.adoptLocked(near)
+	tc.node = 1
+	a.conns[1].Store(tc)
+	a.mu.Unlock()
+	a.serve(tc, 1)
+
+	frame := make([]byte, 1000)
+	p := Packet{Src: Addr{Node: 0, Thread: 1}, Dst: Addr{Node: 1, Thread: 1}, Data: frame}
+	if err := a.Send(p); err != nil {
+		t.Fatal(err)
+	}
+	for stats.WriteCalls.Load() == 0 {
+		runtime.Gosched() // until the flusher took the frame into its write
+	}
+	// From here the flusher holds the write mutex in a write that never ends:
+	// nothing can empty the staging buffer.
+	// The sender reports what is staged after each Send that returned; once
+	// that reaches the bound, its next Send waits for the write mutex.
+	sent := make(chan int)
+	failed := make(chan error, 1)
+	go func() {
+		for {
+			if err := a.Send(p); err != nil {
+				failed <- err
+				return
+			}
+			tc.mu.Lock()
+			staged := len(tc.buf)
+			tc.mu.Unlock()
+			sent <- staged
+		}
+	}()
+	staged := 0
+	for staged < TCPStageBytes {
+		staged = <-sent
+	}
+	if limit := TCPStageBytes + tcpFrameHeader + len(frame); staged > limit {
+		t.Fatalf("%d bytes staged, above the bound plus one frame (%d)", staged, limit)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-failed: // the blocked Send returned its error
+	case n := <-sent:
+		t.Fatalf("a Send returned with %d bytes staged: the bound did not block it", n)
+	}
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if len(tc.buf) != 0 {
+		t.Fatalf("%d bytes still staged on a closed connection", len(tc.buf))
 	}
 }
 
@@ -276,7 +328,16 @@ func TestTCPConcurrentRegisterSendReceiveDrop(t *testing.T) {
 	defer a.Close()
 	a.SetPeerDownHandler(func(uint8, error) {})
 	var inbound atomic.Uint64
-	a.Register(Addr{Node: 0}, func(Packet) { inbound.Add(1) })
+	var heard atomic.Int32 // the last life a reply came from
+	arrived := make(chan struct{}, 1)
+	a.Register(Addr{Node: 0}, func(p Packet) {
+		inbound.Add(1)
+		heard.Store(int32(p.Data[0]))
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+	})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -300,15 +361,18 @@ func TestTCPConcurrentRegisterSendReceiveDrop(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = a.Send(p)
-				_ = a.SendBurst([]Packet{p, p, p})
+				for range 4 {
+					_ = a.Send(p)
+				}
 			}
 		}
 	}()
 	// Node 1 lives five lives: each answers what it is sent (a's inbound
-	// traffic), then closes — a's read loop reports it down and drops the
-	// route; the next send dials the next life.
-	for life := 0; life < 5; life++ {
+	// traffic) until a heard from it, then closes — a's read loop reports it
+	// down and drops the route; the next send dials the next life. A life may
+	// not close sooner: its answers are staged, and Close drops what its
+	// connection's writer has not written yet.
+	for life := 1; life <= 5; life++ {
 		b, err := NewTCPTransport(1, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -317,13 +381,16 @@ func TestTCPConcurrentRegisterSendReceiveDrop(t *testing.T) {
 		answered := make(chan struct{}, 1)
 		n := 0
 		b.Register(Addr{Node: 1}, func(p Packet) {
-			_ = b.Send(Packet{Src: Addr{Node: 1}, Dst: Addr{Node: 0}, Data: []byte("r")})
+			_ = b.Send(Packet{Src: Addr{Node: 1}, Dst: Addr{Node: 0}, Data: []byte{byte(life)}})
 			if n++; n == 50 {
 				answered <- struct{}{}
 			}
 		})
 		a.AddPeer(1, b.ListenAddr())
 		<-answered
+		for heard.Load() != int32(life) {
+			<-arrived
+		}
 		b.Close()
 	}
 	close(stop)
@@ -333,14 +400,14 @@ func TestTCPConcurrentRegisterSendReceiveDrop(t *testing.T) {
 	}
 }
 
-// loopbackBurst wires a loopback pair and returns the receiver's stats and a
-// function that sends one burst of k frames a→b (a lone frame through Send)
-// and waits until the last of them was handled. It has run once on return
-// (dialed, pools grown).
-func loopbackBurst(tb testing.TB, k int) (sb *Stats, send func()) {
+// loopbackSenders wires a loopback pair and returns both ends' stats and a
+// function that has each of k sender goroutines send one frame a→b at once and
+// waits until all k were handled. It has run once on return (dialed, buffers
+// grown).
+func loopbackSenders(tb testing.TB, k int) (sa, sb *Stats, round func()) {
 	tb.Helper()
-	sb = NewStats()
-	a, err := NewTCPTransport(0, "127.0.0.1:0", nil)
+	sa, sb = NewStats(), NewStats()
+	a, err := NewTCPTransport(0, "127.0.0.1:0", sa)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -350,7 +417,6 @@ func loopbackBurst(tb testing.TB, k int) (sb *Stats, send func()) {
 		tb.Fatal(err)
 	}
 	a.AddPeer(1, b.ListenAddr())
-	tb.Cleanup(func() { a.Close(); b.Close() })
 	dst := Addr{Node: 1, Thread: 3}
 	done := make(chan struct{}, 1)
 	seen := 0
@@ -361,24 +427,36 @@ func loopbackBurst(tb testing.TB, k int) (sb *Stats, send func()) {
 		}
 	})
 	payload := make([]byte, 48)
-	burst := make([]Packet, k)
-	for i := range burst {
-		burst[i] = Packet{Src: Addr{Node: 0, Thread: 3}, Dst: dst, Class: metrics.ClassCacheMiss, Data: payload}
+	goes := make([]chan struct{}, k)
+	var wg sync.WaitGroup
+	for i := range goes {
+		goes[i] = make(chan struct{})
+		wg.Add(1)
+		go func(p Packet) {
+			defer wg.Done()
+			for range goes[i] {
+				if err := a.Send(p); err != nil {
+					panic(err)
+				}
+			}
+		}(Packet{Src: Addr{Node: 0, Thread: uint8(i)}, Dst: dst, Class: metrics.ClassCacheMiss, Data: payload})
 	}
-	send = func() {
-		var err error
-		if k == 1 {
-			err = a.Send(burst[0])
-		} else {
-			err = a.SendBurst(burst)
+	tb.Cleanup(func() {
+		for _, g := range goes {
+			close(g)
 		}
-		if err != nil {
-			tb.Fatal(err)
+		wg.Wait()
+		a.Close()
+		b.Close()
+	})
+	round = func() {
+		for _, g := range goes {
+			g <- struct{}{}
 		}
 		<-done
 	}
-	send()
-	return sb, send
+	round()
+	return sa, sb, round
 }
 
 // The send and receive paths allocate nothing per frame in steady state.
@@ -386,30 +464,34 @@ func TestTCPFrameBurstZeroAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	for _, k := range []int{1, 4} { // Send, and a burst
-		_, send := loopbackBurst(t, k)
-		if avg := testing.AllocsPerRun(200, send); avg >= 1 {
-			t.Fatalf("%.2f allocs per burst of %d frames, want 0", avg, k)
+	for _, k := range []int{1, 4} { // one sender, and several at once
+		_, _, round := loopbackSenders(t, k)
+		if avg := testing.AllocsPerRun(200, round); avg >= 1 {
+			t.Fatalf("%.2f allocs per round of %d frames, want 0", avg, k)
 		}
 	}
 }
 
 // BenchmarkTCPFrameBurst is the layer's own microbenchmark: what a frame
-// costs through a loopback pair when it travels alone and in bursts of 4 and
-// 16 — ns/frame, frames per read at the receiver, allocations per burst.
+// costs through a loopback pair when 1, 4 or 16 goroutines send one frame each
+// to the same peer at once — ns/frame, frames per write at the sender (the
+// connection's one writer at work), frames per read at the receiver,
+// allocations per round.
 func BenchmarkTCPFrameBurst(b *testing.B) {
 	for _, k := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("burst=%d", k), func(b *testing.B) {
-			sb, send := loopbackBurst(b, k)
+		b.Run(fmt.Sprintf("senders=%d", k), func(b *testing.B) {
+			sa, sb, round := loopbackSenders(b, k)
+			sent0, writes0 := sa.SendsTotal.Load(), sa.WriteCalls.Load()
 			frames0, reads0 := sb.RecvsTotal.Load(), sb.ReadCalls.Load()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				send()
+				round()
 			}
 			b.StopTimer()
 			frames := float64(sb.RecvsTotal.Load() - frames0)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
+			b.ReportMetric(float64(sa.SendsTotal.Load()-sent0)/float64(sa.WriteCalls.Load()-writes0), "frames/write")
 			b.ReportMetric(frames/float64(sb.ReadCalls.Load()-reads0), "frames/read")
 		})
 	}

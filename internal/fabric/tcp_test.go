@@ -202,11 +202,14 @@ func TestTCPSendAfterClose(t *testing.T) {
 	}
 }
 
-// A vectored payload (Packet.Segs) must reach the peer as the in-order
-// concatenation of its segments without ever being flattened into an
-// intermediate buffer: the zero-copy value path's wire contract. The
-// VectoredBytes/FlattenedBytes counters are the proof — a copy anywhere on
-// the TCP send path shows up as FlattenedBytes.
+// The copy contract the zero-copy value path rests on: a vectored payload
+// (Packet.Segs) reaches the peer as the in-order concatenation of its
+// segments, counted as VectoredBytes and never flattened into a buffer of
+// the sender's own (FlattenedBytes stays 0), and every payload byte — flat
+// Data or segments — is copied by the time Send returns. The sender scribbles
+// over both the moment Send returns, before the connection's writer has run,
+// and the peer still receives the original bytes: this is what lets a
+// session lane release its store leases right after Send.
 func TestTCPVectoredSendZeroCopy(t *testing.T) {
 	sa := NewStats()
 	a, err := NewTCPTransport(0, "127.0.0.1:0", sa)
@@ -221,40 +224,49 @@ func TestTCPVectoredSendZeroCopy(t *testing.T) {
 	a.AddPeer(1, b.ListenAddr())
 	t.Cleanup(func() { a.Close(); b.Close() })
 
-	got := make(chan Packet, 1)
+	got := make(chan Packet, 2)
 	b.Register(Addr{Node: 1, Thread: 3}, func(p Packet) {
 		got <- keep(p)
 	})
-
-	segs := [][]byte{[]byte("meta|"), []byte("leased-value-bytes"), []byte("|tail")}
-	want := "meta|leased-value-bytes|tail"
-	if err := a.Send(Packet{
-		Src:  Addr{Node: 0, Thread: 2},
-		Dst:  Addr{Node: 1, Thread: 3},
-		Segs: segs,
-	}); err != nil {
+	// Dial first, so the connection's writer is settled and idle.
+	if err := a.Send(Packet{Dst: Addr{Node: 1, Thread: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	// The Segs contract: segment memory is consumed during Send, so the
-	// sender may scribble over it the moment Send returns.
-	for _, s := range segs {
+	<-got
+
+	flat := []byte("flat-payload")
+	segs := [][]byte{[]byte("meta|"), []byte("leased-value-bytes"), []byte("|tail")}
+	want := []string{"flat-payload", "meta|leased-value-bytes|tail"}
+	tc := a.conns[1].Load()
+	tc.wmu.Lock() // the writer cannot run until both payloads are scribbled over
+	for _, p := range []Packet{{Data: flat}, {Segs: segs}} {
+		p.Src, p.Dst = Addr{Node: 0, Thread: 2}, Addr{Node: 1, Thread: 3}
+		if err := a.Send(p); err != nil {
+			tc.wmu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	for _, s := range append(segs, flat) {
 		for i := range s {
 			s[i] = 0xEE
 		}
 	}
-	select {
-	case p := <-got:
-		if string(p.Data) != want {
-			t.Fatalf("vectored payload = %q, want %q", p.Data, want)
+	tc.wmu.Unlock()
+	for _, w := range want {
+		select {
+		case p := <-got:
+			if string(p.Data) != w {
+				t.Fatalf("payload = %q, want %q", p.Data, w)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%q never arrived", w)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("vectored packet never arrived")
 	}
-	if v := sa.VectoredBytes.Load(); v != uint64(len(want)) {
-		t.Fatalf("VectoredBytes = %d, want %d", v, len(want))
+	if v := sa.VectoredBytes.Load(); v != uint64(len(want[1])) {
+		t.Fatalf("VectoredBytes = %d, want %d", v, len(want[1]))
 	}
 	if f := sa.FlattenedBytes.Load(); f != 0 {
-		t.Fatalf("FlattenedBytes = %d, want 0 — the TCP path must never copy segment memory", f)
+		t.Fatalf("FlattenedBytes = %d, want 0 — the TCP path copies segments only into its staging buffer", f)
 	}
 }
 

@@ -252,8 +252,9 @@ func (t *Traffic) Packets(c MsgClass) uint64 { return t.packets[c].Load() }
 // (§6.3: header-only invalidations and acks dominate message count under
 // write-heavy skew, so packing several per packet is where the fan-out
 // savings come from). One histogram per class; a mean near 1 means the lane
-// was idle and every message flushed alone (doorbell mode), a mean well
-// above 1 means batching engaged under load.
+// was idle and every message flushed alone (its packets may still share a
+// socket write with other traffic to the peer), a mean well above 1 means
+// batching engaged under load.
 type Coalescing struct {
 	hists [numClasses]*Histogram
 }

@@ -295,6 +295,26 @@ func (s *Store) Len() int {
 	return s.count
 }
 
+// LeasedBuffers walks the partition and counts the value buffers that live
+// leases pin right now. It is a check for leaked leases (a quiesced node
+// holds none), not a hot-path counter: it takes every bucket lock in turn.
+// A buffer a write already swapped out is no longer reachable from the store
+// and is not counted.
+func (s *Store) LeasedBuffers() int {
+	n := 0
+	for i := range s.buckets {
+		b := &s.buckets[i]
+		b.lock.Lock()
+		for _, it := range b.items {
+			if it.val.leases.Load() != 0 {
+				n++
+			}
+		}
+		b.lock.Unlock()
+	}
+	return n
+}
+
 // Range calls fn for every key with a private copy of its value, stopping if
 // fn returns false. It takes bucket locks briefly and must not be called
 // from fn itself.
@@ -370,6 +390,15 @@ func (p *Partitioned) Put(key uint64, value []byte, ts timestamp.TS) {
 // PutIfNewer routes to the owning partition.
 func (p *Partitioned) PutIfNewer(key uint64, value []byte, ts timestamp.TS) error {
 	return p.parts[p.PartitionOf(key)].PutIfNewer(key, value, ts)
+}
+
+// LeasedBuffers sums the partitions' counts of lease-pinned value buffers.
+func (p *Partitioned) LeasedBuffers() int {
+	n := 0
+	for _, s := range p.parts {
+		n += s.LeasedBuffers()
+	}
+	return n
 }
 
 // Len sums partition sizes.

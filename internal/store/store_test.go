@@ -333,3 +333,32 @@ func BenchmarkPut(b *testing.B) {
 		s.Put(uint64(i)&0xffff, val, ts(uint32(i), 0))
 	}
 }
+
+// LeasedBuffers counts the buffers live leases pin: two leases on one key pin
+// one buffer, a released lease pins nothing, and a buffer a write swapped out
+// from under its lease is no longer the store's to count.
+func TestLeasedBuffers(t *testing.T) {
+	p := NewPartitioned(4, 64)
+	for k := uint64(0); k < 64; k++ {
+		p.Put(k, []byte{byte(k)}, ts(1, 0))
+	}
+	if n := p.LeasedBuffers(); n != 0 {
+		t.Fatalf("%d leased buffers before any lease", n)
+	}
+	a, _, _ := p.GetLease(1)
+	b, _, _ := p.GetLease(1)
+	c, _, _ := p.GetLease(2)
+	if n := p.LeasedBuffers(); n != 2 {
+		t.Fatalf("%d leased buffers with keys 1 (twice) and 2 leased, want 2", n)
+	}
+	a.Release()
+	c.Release()
+	if n := p.LeasedBuffers(); n != 1 {
+		t.Fatalf("%d leased buffers with one lease left, want 1", n)
+	}
+	p.Put(1, []byte{0xFF}, ts(2, 0)) // copy-on-write: b keeps the old buffer
+	if n := p.LeasedBuffers(); n != 0 {
+		t.Fatalf("%d leased buffers after the leased one was swapped out, want 0", n)
+	}
+	b.Release()
+}
